@@ -2,16 +2,17 @@
 
 The flattening pairs degrees m1 = floor(m/2) and m2 = ceil(m/2): entry
 (alpha, beta) is F_{alpha+beta} for row exponents |alpha| <= m1 and
-column exponents |beta| <= m2.  Its rank lower-bounds the symmetric rank
-of F, and the decay of its singular values is the rank signal used when
-no target rank is supplied.
+column exponents |beta| <= m2.  Both lists are prefixes of the compact
+layout, so the matrix is one gather through `ExponentTable.slots`.  Its
+rank lower-bounds the symmetric rank of F, and the decay of its singular
+values is the rank signal used when no target rank is supplied.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import exponents, table
+from .tensors import compact_size, table
 from .numerics import singular_values
 
 
@@ -28,16 +29,11 @@ def catalecticant(F):
     """The most-square flattening of F as a CatMatrix."""
     m1 = F.m // 2
     m2 = F.m - m1
-    nbar = F.n - 1
-    rows = exponents(nbar, m1)
-    cols = exponents(nbar, m2)
-    idx = table(F.n, F.m).index
-    M = np.empty((len(rows), len(cols)), dtype=complex)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            M[i, j] = F.values[idx[tuple(x + y for x, y in zip(a, b))]]
-    return CatMatrix(matrix=M, row_exponents=tuple(rows),
-                     col_exponents=tuple(cols), row_degree=m1, col_degree=m2)
+    tab = table(F.n, F.m)
+    p, q = compact_size(F.n, m1), compact_size(F.n, m2)
+    M = F.values[tab.slots(tab.alpha_mat[:p, None] + tab.alpha_mat[:q])]
+    return CatMatrix(matrix=M, row_exponents=tab.alphas[:p],
+                     col_exponents=tab.alphas[:q], row_degree=m1, col_degree=m2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,6 +67,8 @@ def _emit(payload):
 INPUT = click.argument("input", type=click.Path(exists=True, dir_okay=False))
 FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "table"]),
                       default="json", show_default=True, help="Output format.")
+COUNT = click.IntRange(min=0)
+POSITIVE = click.IntRange(min=1)
 TIMING = click.option("--timing", is_flag=True,
                       help="Include wall-clock timings in the output "
                            "(breaks byte-for-byte reproducibility).")
@@ -107,11 +109,11 @@ def _approx_options(fn):
                      help="Target rank (default: estimate from the spectrum)."),
         click.option("--rank-tol", default=1e-6, show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--restarts", type=int, default=0, show_default=True,
+        click.option("--restarts", type=COUNT, default=0, show_default=True,
                      help="Extra random starts for the commutator minimization."),
-        click.option("--max-iter", type=int, default=None,
+        click.option("--max-iter", type=COUNT, default=None,
                      help="Iteration budget per least-squares minimization."),
-        click.option("--max-fev", type=int, default=None,
+        click.option("--max-fev", type=COUNT, default=None,
                      help="Residual-evaluation budget per minimization."),
     ]):
         fn = opt(fn)
@@ -243,11 +245,11 @@ def _floats(text):
 
 def _bench_options(fn):
     for opt in reversed([
-        click.option("--trials", type=int, default=20, show_default=True),
+        click.option("--trials", type=POSITIVE, default=20, show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
         click.option("--threads", type=int, default=1, show_default=True),
-        click.option("--max-iter", type=int, default=None),
-        click.option("--max-fev", type=int, default=None),
+        click.option("--max-iter", type=COUNT, default=None),
+        click.option("--max-fev", type=COUNT, default=None),
     ]):
         fn = opt(fn)
     return fn
@@ -285,7 +287,7 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
 @click.option("--eps", type=float, required=True)
 @click.option("--tau", type=float, default=None,
               help="Term scaling base; default 1000^(1/r).")
-@click.option("--nls-restarts", type=int, default=10, show_default=True)
+@click.option("--nls-restarts", type=POSITIVE, default=10, show_default=True)
 @_bench_options
 @FORMAT
 @TIMING
@@ -306,7 +308,7 @@ def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
 @bench.command("decomp")
 @click.option("--cases", required=True,
               help="Semicolon-separated n,m,r triples, e.g. '6,3,4;4,5,10'.")
-@click.option("--restarts", type=int, default=0, show_default=True)
+@click.option("--restarts", type=COUNT, default=0, show_default=True)
 @click.option("--residual-tol", default=1e-6, show_default=True)
 @_bench_options
 @FORMAT

@@ -7,8 +7,10 @@ the tensor imposes the least-squares system
 
     A[gamma, beta] = F_{beta+gamma},   b[gamma] = F_{alpha+gamma},
 
-rows over all |gamma| <= m - |alpha|, columns over the core: a solution g
-expresses x^alpha as sum_beta g_beta x^beta on the (unknown) zero set.
+rows over all |gamma| <= m - |alpha|, columns over the core.  The rows
+and the core are prefixes of the compact layout, so each system is one
+gather through `ExponentTable.slots`.  A solution g expresses x^alpha as
+sum_beta g_beta x^beta on the (unknown) zero set.
 Column solutions are decoupled; rank-deficient columns keep their null
 space as free parameters.  Stacking the border coefficient vectors gives
 the r x |border| generating matrix G, from which one multiplication
@@ -21,13 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import exponents, table
+from .tensors import compact_size, table
 from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
                        real_from_complex, complex_from_real, lift_jacobian)
-
-
-def _grlex_key(alpha):
-    return (sum(alpha), tuple(-a for a in alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +35,6 @@ class MonomialBasis:
     rank: int
     core: tuple                 # first `rank` exponents, graded lex
     border: tuple               # multiplicative border of the core, graded lex
-    core_index: dict = field(repr=False)
-    border_index: dict = field(repr=False)
     # companion wiring, one list per variable: shifting core slot nu by e_i
     # lands either on another core slot (unit column) or on a border column
     unit_cols: tuple = field(repr=False)    # unit_cols[i] = ((nu, core_pos), ...)
@@ -54,41 +50,32 @@ def monomial_basis(n, m, r):
     entries of degree > m that the tensor does not have.
     """
     nbar = n - 1
-    all_exps = exponents(nbar, m)
-    if not 1 <= r <= len(all_exps):
+    tab = table(n, m)
+    if not 1 <= r <= len(tab):
         raise ValueError(f"rank {r} is out of range for n={n}, m={m}")
-    core = tuple(all_exps[:r])
-    core_index = {a: k for k, a in enumerate(core)}
-
-    border_set = set()
-    for nu in core:
-        for i in range(nbar):
-            shifted = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
-            if shifted not in core_index:
-                border_set.add(shifted)
-    too_deep = [b for b in border_set if sum(b) > m]
+    # shifted[nu, i] = core[nu] + e_i, which lands in the core or the border
+    shifted = tab.alpha_mat[:r, None, :] + np.eye(nbar, dtype=np.int64)
+    too_deep = shifted[shifted.sum(axis=-1) > m].tolist()
     if too_deep:
+        # all of degree m + 1, where graded lex puts the lex-largest first
         raise ValueError(
             f"rank {r} is too large for n={n}, m={m}: the border monomial "
-            f"{min(too_deep, key=_grlex_key)} has degree {sum(min(too_deep, key=_grlex_key))} > m")
-    border = tuple(sorted(border_set, key=_grlex_key))
-    border_index = {a: k for k, a in enumerate(border)}
-
+            f"{tuple(max(too_deep))} has degree {m + 1} > m")
+    slot = tab.slots(shifted)
+    border_slots = np.unique(slot[slot >= r])
+    col = np.searchsorted(border_slots, slot)
     unit_cols = [[] for _ in range(nbar)]
     bord_cols = [[] for _ in range(nbar)]
-    feeds = [[] for _ in border]
-    for nu_pos, nu in enumerate(core):
-        for i in range(nbar):
-            shifted = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
-            if shifted in core_index:
-                unit_cols[i].append((nu_pos, core_index[shifted]))
-            else:
-                col = border_index[shifted]
-                bord_cols[i].append((nu_pos, col))
-                feeds[col].append((i, nu_pos))
+    feeds = [[] for _ in border_slots]
+    for nu, i in np.ndindex(r, nbar):
+        if slot[nu, i] < r:
+            unit_cols[i].append((nu, int(slot[nu, i])))
+        else:
+            bord_cols[i].append((nu, int(col[nu, i])))
+            feeds[col[nu, i]].append((i, nu))
     return MonomialBasis(
-        n=n, m=m, rank=r, core=core, border=border,
-        core_index=core_index, border_index=border_index,
+        n=n, m=m, rank=r, core=tab.alphas[:r],
+        border=tuple(tab.alphas[k] for k in border_slots),
         unit_cols=tuple(tuple(c) for c in unit_cols),
         border_cols=tuple(tuple(c) for c in bord_cols),
         feeds=tuple(tuple(f) for f in feeds))
@@ -96,20 +83,13 @@ def monomial_basis(n, m, r):
 
 def generating_system(F, alpha, basis):
     """The least-squares system (A, b) tying border monomial alpha to the core."""
-    alpha = tuple(alpha)
     d = F.m - sum(alpha)
     if d < 0:
         raise ValueError(f"exponent {alpha} exceeds degree {F.m}")
-    gammas = exponents(F.n - 1, d)
-    idx = table(F.n, F.m).index
-    vals = F.values
-    A = np.empty((len(gammas), basis.rank), dtype=complex)
-    b = np.empty(len(gammas), dtype=complex)
-    for gi, g in enumerate(gammas):
-        b[gi] = vals[idx[tuple(x + y for x, y in zip(alpha, g))]]
-        for bi, beta in enumerate(basis.core):
-            A[gi, bi] = vals[idx[tuple(x + y for x, y in zip(beta, g))]]
-    return A, b
+    tab = table(F.n, F.m)
+    gammas = tab.alpha_mat[:compact_size(F.n, d)]
+    return (F.values[tab.slots(gammas[:, None] + tab.alpha_mat[:basis.rank])],
+            F.values[tab.slots(gammas + np.array(alpha, dtype=np.int64))])
 
 
 @dataclass(eq=False)

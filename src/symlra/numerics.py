@@ -22,7 +22,8 @@ def minnorm_lstsq(A, b, rank_tol=None):
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
     p, q = A.shape
-    U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    # the full V spans the null space; U is square only when p < q
+    U, s, Vh = np.linalg.svd(A, full_matrices=p < q)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:

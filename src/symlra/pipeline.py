@@ -241,6 +241,8 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     vector entry near zero, which the compact parameterization cannot
     represent).  `skip_refine` stops after the algebraic stage.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
     spectrum = None
     if rank is None:
         spectrum = catalecticant_spectrum(F)
@@ -302,6 +304,8 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     run and the successful decompositions are deduplicated by
     `match_distance` greater than 0.1 * (largest vector norm).
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if rank is None:
         rank = estimate_rank(catalecticant_spectrum(F), rank_tol).rank
     scale = 1.0 + F.norm()

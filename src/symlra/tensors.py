@@ -21,6 +21,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 
 def _homogeneous(nbar, d):
@@ -60,10 +61,24 @@ def multinomial(alpha, m):
 
 
 class ExponentTable:
-    """Per-(n, m) index data for the compact layout, built once and cached."""
+    """Per-(n, m) index data for the compact layout, built once and cached.
+
+    `slots` ranks exponents in closed form.  With S(k, t) = C(k+t-1, k)
+    (0 at t = 0) the number of exponents over k variables of degree < t,
+
+        slot(alpha) = sum_{j=1..n-1} S(n-j, alpha_j + ... + alpha_{n-1}):
+
+    term 1 counts the exponents of lower degree, term j > 1 those of
+    degree |alpha| that share alpha_1..alpha_{j-2} and carry a larger
+    power of x_{j-1}.  Each S is at most the table length, so int64
+    holds it.  The order is degree-graded, so the exponents of degree
+    <= d are the first compact_size(n, d) rows of `alpha_mat`: the
+    Hankel gathers (catalecticant, generating systems) rely on this
+    prefix property.
+    """
 
     __slots__ = ("n", "m", "alphas", "index", "alpha_mat", "powers",
-                 "weights", "sqrt_weights")
+                 "weights", "sqrt_weights", "_below")
 
     def __init__(self, n, m):
         nbar = n - 1
@@ -78,9 +93,19 @@ class ExponentTable:
         self.powers = np.column_stack([m - A.sum(axis=1), A])
         self.weights = np.array([multinomial(a, m) for a in self.alphas], dtype=float)
         self.sqrt_weights = np.sqrt(self.weights)
+        # _below[k, t] = S(k, t) for k <= n-1 variables and degrees t <= m
+        self._below = np.array([[0] + [math.comb(k + t, k) for t in range(m)]
+                                for k in range(n)], dtype=np.int64)
 
     def __len__(self):
         return len(self.alphas)
+
+    def slots(self, E):
+        """Compact slots of the exponents in the integer array E of shape
+        (..., n-1); each exponent must be nonnegative with degree <= m."""
+        E = np.asarray(E, dtype=np.int64)
+        suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
+        return self._below[np.arange(self.n - 1, 0, -1), suffix].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -131,11 +156,9 @@ class SymTensor:
         return complex(self.values[self.table.index[tuple(alpha)]])
 
     def norm(self):
-        """Hilbert-Schmidt norm, computed from compact entries with
-        multinomial weights (equals the Frobenius norm of the dense array)."""
-        w = self.table.weights
-        return float(np.sqrt(np.sum(w * (self.values.real ** 2
-                                         + self.values.imag ** 2))))
+        """Hilbert-Schmidt norm (the dense Frobenius norm) from the weighted
+        compact entries; BLAS nrm2 rescales, so squares never over/underflow."""
+        return float(scipy.linalg.norm(self.table.sqrt_weights * self.values))
 
     def _check_compatible(self, other):
         if not isinstance(other, SymTensor):
@@ -212,16 +235,10 @@ def rank_one(u, m):
 @lru_cache(maxsize=None)
 def _position_map(n, m):
     # dense index tuple -> compact slot, as an (n,)*m integer array
-    tab = table(n, m)
-    grid = np.indices((n,) * m).reshape(m, -1)
-    counts = np.zeros((n ** m, n - 1), dtype=np.int64)
-    for j in range(1, n):
-        counts[:, j - 1] = (grid == j).sum(axis=0)
-    index = tab.index
-    pos = np.fromiter((index[tuple(row)] for row in counts),
-                      dtype=np.int64, count=n ** m)
+    counts = (np.indices((n,) * m)[..., None] == np.arange(1, n)).sum(axis=0)
+    pos = table(n, m).slots(counts)
     pos.flags.writeable = False
-    return pos.reshape((n,) * m)
+    return pos
 
 
 def full_from_compact(F):

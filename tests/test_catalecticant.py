@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from symlra.tensors import SymTensor, compact_size, random_low_rank
+from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
+                            random_low_rank)
 from symlra.catalecticant import (catalecticant, catalecticant_spectrum,
                                   estimate_rank)
 from symlra.families import (sin_tensor, rootsum_tensor, ternary_tensor,
@@ -20,6 +21,19 @@ def test_shape_and_entries():
         for j, b in enumerate(C.col_exponents):
             ab = tuple(x + y for x, y in zip(a, b))
             assert C.matrix[i, j] == F.entry(ab)
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 5), (3, 4), (5, 3), (4, 6)])
+def test_gather_matches_entry_loop(n, m):
+    # per-entry reference: one dict lookup per (row, column) pair
+    F = perturb(random_low_rank(n, m, 2, seed=n + m)[0], 0.1, seed=1)
+    m1 = m // 2
+    rows, cols = exponents(n - 1, m1), exponents(n - 1, m - m1)
+    ref = np.array([[F.entry(tuple(x + y for x, y in zip(a, b))) for b in cols]
+                    for a in rows], dtype=complex)
+    C = catalecticant(F)
+    assert C.matrix.tobytes() == ref.tobytes()
+    assert C.row_exponents == tuple(rows) and C.col_exponents == tuple(cols)
 
 
 def test_even_order_square():

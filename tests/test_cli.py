@@ -251,3 +251,23 @@ def test_bench_decomp_smoke_and_bad_cases(runner):
     assert row["successes"] == 2
     result = runner.invoke(main, ["bench", "decomp", "--cases", "3,3"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["approx", "--restarts", "-1"],
+    ["decompose", "--restarts", "-1"],
+    ["approx", "--max-iter", "-1"],
+    ["decompose", "--max-fev", "-1"],
+    ["bench", "decomp", "--cases", "3,3,2", "--restarts", "-1"],
+    ["bench", "decomp", "--cases", "3,3,2", "--trials", "0"],
+    ["bench", "table", "--n", "3", "--m", "3", "--trials", "0"],
+    ["bench", "nls", "--n", "3", "--m", "3", "--r", "1", "--eps", "1e-2",
+     "--nls-restarts", "0"],
+])
+def test_bad_counts_exit_2_without_traceback(runner, tmp_path, args):
+    if args[0] != "bench":
+        args = args + [gen_file(runner, tmp_path, "t.json", "--family", "sin")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output and "range" in result.output

@@ -8,7 +8,7 @@ from symlra.genfit import (monomial_basis, generating_system, fit_generating,
                            companion_matrices, commutator_residuals,
                            _commutator_jacobian, optimize_generating)
 from symlra.numerics import LMConfig
-from symlra.tensors import compact_size, random_low_rank
+from symlra.tensors import compact_size, exponents, perturb, random_low_rank
 from symlra.families import linear_tensor, ternary_tensor
 
 
@@ -89,6 +89,22 @@ class TestGeneratingSystem:
             A, b = generating_system(F, alpha, basis)
             assert A.shape == (compact_size(4, 4 - sum(alpha)), 2)
             assert b.shape == (A.shape[0],)
+
+    @pytest.mark.parametrize("n,m,r", [(2, 5, 3), (3, 4, 6), (5, 3, 5), (6, 4, 9)])
+    def test_gather_matches_entry_loop(self, n, m, r):
+        # per-entry reference: one dict lookup per (row, column) pair
+        F = perturb(random_low_rank(n, m, r, seed=n)[0], 0.1, seed=2)
+        basis = monomial_basis(n, m, r)
+        for alpha in basis.border:
+            gammas = exponents(n - 1, m - sum(alpha))
+
+            def at(a, g):
+                return F.entry(tuple(x + y for x, y in zip(a, g)))
+            A_ref = np.array([[at(beta, g) for beta in basis.core] for g in gammas],
+                             dtype=complex)
+            b_ref = np.array([at(alpha, g) for g in gammas], dtype=complex)
+            A, b = generating_system(F, alpha, basis)
+            assert A.tobytes() == A_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
     def test_degree_overflow_rejected(self):
         F, _ = random_low_rank(3, 3, 2, seed=0)

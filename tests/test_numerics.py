@@ -40,6 +40,17 @@ class TestMinNormLstsq:
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             npt.assert_allclose(A @ (x + null @ w), A @ x, atol=1e-12)
 
+    @pytest.mark.parametrize("p,q", [(3, 7), (9, 5)])
+    def test_rank_deficient_null_space(self, p, q):
+        # rank 2 < min(p, q), on both sides of square
+        rng = np.random.default_rng(p)
+        A = ((rng.standard_normal((p, 2)) + 1j * rng.standard_normal((p, 2)))
+             @ (rng.standard_normal((2, q)) + 1j * rng.standard_normal((2, q))))
+        x, null, rank = minnorm_lstsq(A, rng.standard_normal(p) + 0j)
+        assert rank == 2 and null.shape == (q, q - 2)
+        npt.assert_allclose(null.conj().T @ null, np.eye(q - 2), atol=1e-12)
+        npt.assert_allclose(A @ null, 0, atol=1e-12 * np.abs(A).max())
+
     def test_consistent_system_recovers(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))

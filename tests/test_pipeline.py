@@ -259,6 +259,12 @@ class TestDecompose:
         a, b = out.decompositions[:2]
         assert match_distance(a, b) > 0.1 * np.abs(a.vectors).max()
 
+    def test_negative_restarts_rejected(self):
+        F, _ = random_low_rank(3, 3, 2, seed=0)
+        for fn in (approximate, decompose):
+            with pytest.raises(ValueError, match="restarts"):
+                fn(F, 2, restarts=-1)
+
     @pytest.mark.filterwarnings("ignore:input tensor is real")
     def test_deterministic(self):
         F = ternary_tensor()

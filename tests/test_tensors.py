@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symlra.tensors import (
     exponents, multinomial, table, compact_size, SymTensor, Decomposition,
@@ -81,6 +82,34 @@ def test_norm_matches_dense_frobenius():
         F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
         dense = dense_oracle(F)
         npt.assert_allclose(F.norm(), np.linalg.norm(dense), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_norm_survives_extreme_scales(scale):
+    F, _ = random_low_rank(4, 3, 3, seed=8)
+    npt.assert_allclose((F * scale).norm(), scale * F.norm(), rtol=1e-12)
+
+
+@st.composite
+def exponent_batches(draw):
+    # (64, 2) is wide: a mixed-radix key (m+1)^(n-1) overflows int64 there
+    n, m = draw(st.one_of(st.just((64, 2)),
+                          st.tuples(st.integers(1, 8), st.integers(1, 7))))
+    batch = draw(st.lists(st.sampled_from(table(n, m).alphas),
+                          min_size=1, max_size=20))
+    return n, m, batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_batches())
+def test_slots_agree_with_index(case):
+    n, m, batch = case
+    tab = table(n, m)
+    E = np.array(batch, dtype=np.int64).reshape(len(batch), n - 1)
+    expect = [tab.index[a] for a in batch]
+    npt.assert_array_equal(tab.slots(E), expect)
+    # any leading shape ranks row by row
+    npt.assert_array_equal(tab.slots(E[None, :, :]), [expect])
 
 
 def test_full_from_compact_matches_entry_oracle():
