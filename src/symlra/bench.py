@@ -1,7 +1,12 @@
 """Batch experiment harnesses.
 
 Three drivers, all deterministic in (seed, parameters) and independent
-of the thread count:
+of the thread count.  `threads` runs that many trials at once; BLAS stays
+on one thread for the whole run (`numerics.one_blas_thread`), so the
+trials, not the BLAS pools, share the cores, and the caller's BLAS
+thread counts are restored on return.  `environment` records the BLAS
+thread counts in effect inside a run, the usable cores and the numpy and
+scipy versions.
 
 * `run_table`: random rank-r instances perturbed to a known noise norm;
   distribution of the algebraic and refined errors relative to the
@@ -13,13 +18,15 @@ of the thread count:
   whose relative residual clears a tolerance.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
-from .numerics import LMConfig
+from .numerics import LMConfig, blas_threads, one_blas_thread
 from .tensors import Decomposition, random_low_rank, perturb
 from .pipeline import approximate, decompose, refine, seed_key
 
@@ -36,6 +43,22 @@ STOCK_NLS_CONFIG = LMConfig(max_iterations=400,
 def _order_stats(x):
     # exact order statistics (1st/5th/10th/15th/20th for 20 trials)
     return [float(v) for v in np.quantile(x, QUANTS, method="lower")]
+
+
+def environment():
+    """Where a run executes: the BLAS thread counts in effect inside symlra
+    calls, the usable cores, and the numpy and scipy versions."""
+    with one_blas_thread:
+        threads = blas_threads()
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return {"blas_threads": threads, "nproc": nproc,
+            "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _check_count(name, value):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _map_trials(worker, trials, threads):
@@ -73,9 +96,11 @@ class TrialStats:
         return out
 
 
+@one_blas_thread
 def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
               lm_config=None):
     """Error distribution of `approximate` over random perturbed instances."""
+    _check_count("trials", trials)
 
     def worker(t):
         F0, _ = random_low_rank(n, m, r, seed=seed_key(seed, t, 0), tau=tau)
@@ -138,6 +163,7 @@ class NlsStats:
         return out
 
 
+@one_blas_thread
 def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
                        tau=None, threads=1, lm_config=None, nls_config=None):
     """Paired comparison on scaled instances: pipeline vs. best of
@@ -146,6 +172,8 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
     The random starts are complex standard normal and each restart runs
     under `nls_config` (default `STOCK_NLS_CONFIG`); `lm_config` governs
     the pipeline leg as everywhere else."""
+    _check_count("trials", trials)
+    _check_count("nls_restarts", nls_restarts)
     if tau is None:
         tau = 1000.0 ** (1.0 / r)
     if nls_config is None:
@@ -214,12 +242,14 @@ class CaseStats:
         return out
 
 
+@one_blas_thread
 def run_decomposition_table(cases, trials=20, seed=0, restarts=0,
                             residual_tol=1e-6, threads=1, lm_config=None):
     """Decomposition success rates on exact rank-r instances.
 
     `cases` is an iterable of (n, m, r) triples; returns one CaseStats per
     case, in order."""
+    _check_count("trials", trials)
     out = []
     for (n, m, r) in cases:
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import compact_size, table
-from .numerics import singular_values
+from .numerics import one_blas_thread, singular_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +57,7 @@ def estimate_rank(sv, rel_tol=1e-6):
     return RankEstimate(rank, sv, ratios, rel_tol)
 
 
+@one_blas_thread
 def catalecticant_spectrum(F):
     """Singular values of the most-square flattening, descending."""
     return singular_values(catalecticant(F).matrix)

@@ -5,7 +5,9 @@ that misses its tolerance, or a linear-algebra breakdown), 2 on input
 errors (bad files, bad flags, invalid parameters).
 
 JSON output is byte-identical for identical flags and seed; wall-clock
-timings are therefore omitted unless --timing is passed.
+timings are therefore omitted unless --timing is passed, which for the
+bench commands also adds the environment of the run (BLAS thread counts
+inside symlra calls, usable cores, numpy and scipy versions).
 """
 
 import functools
@@ -62,6 +64,12 @@ def _lm_config(max_iter, max_fev):
 
 def _emit(payload):
     click.echo(dumps(_jsonable(payload)), nl=False)
+
+
+def _emit_bench(payload, timing):
+    if timing:
+        payload["environment"] = benchmod.environment()
+    _emit(payload)
 
 
 INPUT = click.argument("input", type=click.Path(exists=True, dir_okay=False))
@@ -226,7 +234,8 @@ def gen(family, n, m, r, seed, tau, eps, output):
 
 @main.group()
 def bench():
-    """Batch experiments over random instances."""
+    """Batch experiments over random instances; --threads runs that many
+    trials at once, each with single-threaded BLAS."""
 
 
 def _ints(text):
@@ -277,7 +286,8 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
     if fmt == "table":
         click.echo(benchmod.format_trial_table(stats))
         return
-    _emit({"rows": [st.to_dict(include_timing=timing) for st in stats]})
+    _emit_bench({"rows": [st.to_dict(include_timing=timing) for st in stats]},
+                timing)
 
 
 @bench.command("nls")
@@ -302,7 +312,7 @@ def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
     if fmt == "table":
         click.echo(benchmod.format_nls_table([st]))
         return
-    _emit(st.to_dict(include_timing=timing))
+    _emit_bench(st.to_dict(include_timing=timing), timing)
 
 
 @bench.command("decomp")
@@ -330,7 +340,8 @@ def bench_decomp(cases, restarts, residual_tol, trials, seed, threads,
     if fmt == "table":
         click.echo(benchmod.format_decomp_table(stats))
         return
-    _emit({"rows": [st.to_dict(include_timing=timing) for st in stats]})
+    _emit_bench({"rows": [st.to_dict(include_timing=timing) for st in stats]},
+                timing)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,104 @@
 """Shared numerical kernels: rank-revealing least squares, Hermitian and
-Schur eigen-kernels, complex<->real lifting, and a damped least-squares
-(Levenberg-Marquardt) minimizer with analytic Jacobians."""
+Schur eigen-kernels, complex<->real lifting, a damped least-squares
+(Levenberg-Marquardt) minimizer with analytic Jacobians, and the BLAS
+thread policy of every public call."""
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 EPS = np.finfo(float).eps
+
+# (setter, getter) symbols of the OpenBLAS builds numpy (64-bit integers)
+# and scipy ship in their wheels
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """{package: (setter, getter)} for each OpenBLAS copy mapped into the
+    process (numpy and scipy each load their own), found once from
+    /proc/self/maps; empty where /proc is missing or none is loaded.  Both
+    copies are mapped by the time this module has imported scipy.linalg."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return {}
+    found = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found[Path(path).parent.name.removesuffix(".libs")] = (setter, getter)
+                break
+    return found
+
+
+def blas_threads():
+    """Thread count now in effect for each loaded OpenBLAS copy, keyed by
+    the package that ships it, e.g. {"numpy": 2, "scipy": 2}."""
+    return {name: getter() for name, (_, getter) in _openblas().items()}
+
+
+def _set_blas_threads(counts):
+    for name, (setter, _) in _openblas().items():
+        setter(counts[name])
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator that runs its body with every loaded
+    OpenBLAS copy at one thread, then restores the caller's counts.
+
+    The systems solved here are small (a few hundred unknowns), and two
+    thread pools, one per copy, only contend for the cores; parallelism
+    comes from running independent trials at once (`bench`'s `threads`).
+    The counts are process-wide, so the scope is reference-counted: the
+    outermost entry saves and pins them and the last exit restores them,
+    which keeps nested calls and concurrent callers from restoring a count
+    another call still relies on.  BLAS work that other threads do while a
+    scope is open also runs on one thread.  Without a discoverable OpenBLAS
+    the scope does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = {}
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = blas_threads()
+                _set_blas_threads(dict.fromkeys(self._saved, 1))
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                _set_blas_threads(self._saved)
+        return False
+
+
+one_blas_thread = _OneBlasThread()
 
 
 def minnorm_lstsq(A, b, rank_tol=None):

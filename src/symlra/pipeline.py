@@ -18,7 +18,9 @@ when not supplied):
 `approximate` runs the stages once; `decompose` repeats them over
 several starting points of the commutator minimization and accepts runs
 whose relative residual clears a tolerance, optionally collecting all
-distinct decompositions found.
+distinct decompositions found.  `approximate`, `decompose` and `refine`
+run BLAS on one thread and restore the caller's thread counts on return
+(`numerics.one_blas_thread`).
 """
 
 import time
@@ -34,7 +36,8 @@ from .genfit import monomial_basis, fit_generating, optimize_generating, \
     companion_matrices
 from .zerosolve import commutation_gram, select_mixing, extract_zeros
 from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
-                       real_from_complex, complex_from_real, lift_jacobian)
+                       real_from_complex, complex_from_real, lift_jacobian,
+                       one_blas_thread)
 
 # zeros with coordinates beyond this are treated as an artifact of a leading
 # vector entry near zero; a random unitary change of coordinates fixes it
@@ -110,6 +113,7 @@ def _refine_closures(F, r):
     return residual, jacobian
 
 
+@one_blas_thread
 def refine(F, start, config=None):
     """Jointly optimize all vector entries by damped least squares, starting
     from `start`.  Only improving steps are taken, so the returned error is
@@ -225,6 +229,7 @@ def _approximate_once(F, r, *, shuffle, seed, omega_starts, lm_config,
     return ApproxResult(gp, refined, err_gp, err_opt, diag)
 
 
+@one_blas_thread
 def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
                 lm_config=None, skip_refine=False, coordinate_shuffle=None,
                 omega_starts=None):
@@ -293,6 +298,7 @@ class DecomposeResult:
     diagnostics: dict
 
 
+@one_blas_thread
 def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
               distinct=False, lm_config=None, rank_tol=1e-6):
     """Exact-rank decomposition search.

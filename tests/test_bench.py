@@ -1,10 +1,11 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from symlra.bench import (_order_stats, run_table, format_trial_table,
                           run_nls_comparison, format_nls_table,
                           run_decomposition_table, format_decomp_table,
-                          STOCK_NLS_CONFIG)
+                          STOCK_NLS_CONFIG, environment)
 
 
 def test_order_stats_are_exact_order_statistics():
@@ -84,3 +85,23 @@ def test_decomposition_table_deterministic():
     a = run_decomposition_table([(4, 3, 2)], trials=3, seed=7)[0]
     b = run_decomposition_table([(4, 3, 2)], trials=3, seed=7, threads=2)[0]
     npt.assert_array_equal(a.residuals, b.residuals)
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda: run_table(3, 3, 1, 1e-2, trials=0), "trials"),
+    (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=0), "trials"),
+    (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=1, nls_restarts=0),
+     "nls_restarts"),
+    (lambda: run_decomposition_table([(3, 3, 2)], trials=0), "trials"),
+])
+def test_counts_below_one_raise(run, match):
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
+def test_environment_record():
+    env = environment()
+    assert set(env) == {"blas_threads", "nproc", "numpy", "scipy"}
+    assert env["nproc"] >= 1
+    assert all(n == 1 for n in env["blas_threads"].values())
+    assert env["numpy"] == np.__version__

@@ -254,6 +254,21 @@ def test_bench_decomp_smoke_and_bad_cases(runner):
 
 
 @pytest.mark.parametrize("args", [
+    ["bench", "table", "--n", "3", "--m", "3", "--r", "1", "--trials", "2"],
+    ["bench", "nls", "--n", "3", "--m", "3", "--r", "1", "--eps", "1e-2",
+     "--trials", "1", "--nls-restarts", "1"],
+    ["bench", "decomp", "--cases", "3,3,2", "--trials", "2"],
+])
+def test_bench_timing_records_the_environment(runner, args):
+    plain = invoke(runner, *args).output
+    assert plain == invoke(runner, *args).output
+    assert "environment" not in json.loads(plain)
+    env = json.loads(invoke(runner, *args, "--timing").output)["environment"]
+    assert env["nproc"] >= 1 and env["numpy"] == np.__version__
+    assert all(n == 1 for n in env["blas_threads"].values())
+
+
+@pytest.mark.parametrize("args", [
     ["approx", "--restarts", "-1"],
     ["decompose", "--restarts", "-1"],
     ["approx", "--max-iter", "-1"],
