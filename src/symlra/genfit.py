@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensors import compact_size, table
-from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
-                       real_from_complex, complex_from_real, lift_jacobian)
+from .numerics import LMConfig, levenberg_marquardt, minnorm_lstsq
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,15 +242,11 @@ def optimize_generating(fit, config=None, restarts=0, seed=0, starts=None):
                              objective=objective_at(None), status=None,
                              start_objectives=[objective_at(None)], start_index=0)
 
-    def residual(x):
-        omega = complex_from_real(x)
-        M = companion_matrices(fit.matrix(omega), basis)
-        return real_from_complex(commutator_residuals(M))
+    def residual(omega):
+        return commutator_residuals(companion_matrices(fit.matrix(omega), basis))
 
-    def jacobian(x):
-        omega = complex_from_real(x)
-        M = companion_matrices(fit.matrix(omega), basis)
-        return lift_jacobian(_commutator_jacobian(fit, M))
+    def jacobian(omega):
+        return _commutator_jacobian(fit, companion_matrices(fit.matrix(omega), basis))
 
     cfg = config if config is not None else LMConfig()
     if starts is None:
@@ -265,19 +260,17 @@ def optimize_generating(fit, config=None, restarts=0, seed=0, starts=None):
     objectives = []
     for start in starts:
         if start == 0:
-            x0 = np.zeros(2 * fit.n_params)
+            x0 = np.zeros(fit.n_params, dtype=complex)
         else:
             rng = np.random.default_rng(entropy + [int(start)])
-            x0 = real_from_complex(
-                rng.standard_normal(fit.n_params)
-                + 1j * rng.standard_normal(fit.n_params))
+            x0 = (rng.standard_normal(fit.n_params)
+                  + 1j * rng.standard_normal(fit.n_params))
         lm = levenberg_marquardt(residual, jacobian, x0, cfg)
         obj = lm.residual_norm ** 2
         objectives.append(obj)
         if best is None or obj < best[0]:
             best = (obj, lm, start)
     obj, lm, start = best
-    omega = complex_from_real(lm.x)
-    return GeneratingOpt(matrix=fit.matrix(omega), omega=omega, objective=obj,
+    return GeneratingOpt(matrix=fit.matrix(lm.x), omega=lm.x, objective=obj,
                          status=lm.status, start_objectives=objectives,
                          start_index=start)

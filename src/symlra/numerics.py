@@ -1,7 +1,7 @@
 """Shared numerical kernels: rank-revealing least squares, Hermitian and
-Schur eigen-kernels, complex<->real lifting, a damped least-squares
-(Levenberg-Marquardt) minimizer with analytic Jacobians, and the BLAS
-thread policy of every public call."""
+Schur eigen-kernels, a damped least-squares (Levenberg-Marquardt)
+minimizer over real or complex unknowns with analytic Jacobians, and the
+BLAS thread policy of every public call."""
 
 import contextlib
 import ctypes
@@ -150,25 +150,6 @@ def complex_schur(L):
     return Q, T
 
 
-def real_from_complex(z):
-    """Stack a complex vector as [Re z; Im z]."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
-
-
-def complex_from_real(x):
-    """Inverse of `real_from_complex`."""
-    x = np.asarray(x, dtype=float)
-    k = x.size // 2
-    return x[:k] + 1j * x[k:]
-
-
-def lift_jacobian(Dc):
-    """Real 2p x 2q Jacobian of the lifted map, given the complex Jacobian of
-    a holomorphic residual (stacking convention of `real_from_complex`)."""
-    return np.block([[Dc.real, -Dc.imag], [Dc.imag, Dc.real]])
-
-
 @dataclass(frozen=True)
 class LMConfig:
     max_iterations: int = 1000
@@ -192,45 +173,46 @@ class LMResult:
 
 
 def levenberg_marquardt(residual, jacobian, x0, config=None):
-    """Minimize 0.5 * ||residual(x)||^2 over real x by damped least squares.
+    """Minimize 0.5 * ||residual(x)||^2 by damped least squares over real or
+    complex x; the dtype of x0 decides, so real problems stay real.  A
+    complex residual must be holomorphic and `jacobian` its derivative.
 
-    args:
-        residual: x -> 1-d real residual vector
-        jacobian: x -> real Jacobian of `residual` at x
-        x0: real starting point
-        config: LMConfig (all tolerances and budgets live there)
-
-    Damping uses Marquardt diagonal scaling with a gain-ratio update; only
-    improving steps are accepted, so the objective is nonincreasing along
-    the iterates.  Raises ValueError if the residual at x0 is not finite.
+    Each step solves (J^H J + lam diag(J^H J)) delta = -J^H f, which is the
+    normal system of the problem lifted to [Re x; Im x] with the same
+    Marquardt diagonal, so the iterates are the lifted problem's; the
+    gradient test bounds Re and Im of J^H f separately, as the lifted one
+    does.  The damping follows a gain ratio and only improving steps are
+    accepted, so the objective is nonincreasing.  `config` is an LMConfig.
+    Raises ValueError if the residual at x0 is not finite.
     """
     cfg = config if config is not None else LMConfig()
-    x = np.array(x0, dtype=float)
-    f = np.asarray(residual(x), dtype=float)
+    x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
+    f = np.asarray(residual(x), dtype=x.dtype)
     nfev = 1
     if not np.isfinite(f).all():
         raise ValueError("residual is not finite at the starting point")
-    cost = 0.5 * float(f @ f)
+    cost = 0.5 * np.vdot(f, f).real
     lam = cfg.initial_damping
     nu = 2.0
     status = "max-iterations"
     iterations = 0
 
     for _ in range(cfg.max_iterations):
-        J = np.asarray(jacobian(x), dtype=float)
-        g = J.T @ f
-        if np.max(np.abs(g), initial=0.0) <= cfg.gradient_tolerance:
+        J = np.asarray(jacobian(x), dtype=x.dtype)
+        Jh = J.conj().T
+        g = Jh @ f
+        if np.max(np.abs(g.view(float)), initial=0.0) <= cfg.gradient_tolerance:
             status = "converged-gradient"
             break
         iterations += 1
-        JtJ = J.T @ J
-        d = np.diag(JtJ)
+        JhJ = Jh @ J
+        d = np.diag(JhJ).real
         dmax = d.max() if d.size else 0.0
         scale = np.maximum(d, 1e-14 * max(dmax, 1.0))
 
         while True:
             try:
-                cf = scipy.linalg.cho_factor(JtJ + np.diag(lam * scale))
+                cf = scipy.linalg.cho_factor(JhJ + np.diag(lam * scale))
                 delta = scipy.linalg.cho_solve(cf, -g)
             except scipy.linalg.LinAlgError:
                 lam *= nu
@@ -243,11 +225,11 @@ def levenberg_marquardt(residual, jacobian, x0, config=None):
             if nfev >= cfg.max_residual_evaluations:
                 status = "max-evaluations"
                 break
-            fn = np.asarray(residual(x + delta), dtype=float)
+            fn = np.asarray(residual(x + delta), dtype=x.dtype)
             nfev += 1
-            costn = 0.5 * float(fn @ fn) if np.isfinite(fn).all() else np.inf
+            costn = 0.5 * np.vdot(fn, fn).real if np.isfinite(fn).all() else np.inf
             if costn < cost:
-                predicted = 0.5 * float(delta @ (lam * scale * delta - g))
+                predicted = 0.5 * np.vdot(delta, lam * scale * delta - g).real
                 rho = (cost - costn) / max(predicted, np.finfo(float).tiny)
                 if cfg.function_tolerance > 0.0 and (
                         cost - costn <= cfg.function_tolerance * cost):
@@ -270,10 +252,11 @@ def levenberg_marquardt(residual, jacobian, x0, config=None):
 
 
 def finite_difference_jacobian(residual, x, step=1e-6):
-    """Central-difference Jacobian, for cross-checking analytic ones."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(residual(x), dtype=float)
-    J = np.empty((f0.size, x.size))
+    """Central-difference Jacobian along the real directions of a real or
+    complex x, in the residual's dtype; for cross-checking analytic ones."""
+    x = np.asarray(x, dtype=np.result_type(np.asarray(x), float))
+    f0 = np.asarray(residual(x))
+    J = np.empty((f0.size, x.size), dtype=np.result_type(f0, float))
     for j in range(x.size):
         h = step * max(1.0, abs(x[j]))
         xp = x.copy(); xp[j] += h

@@ -36,12 +36,23 @@ from .genfit import monomial_basis, fit_generating, optimize_generating, \
     companion_matrices
 from .zerosolve import commutation_gram, select_mixing, extract_zeros
 from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
-                       real_from_complex, complex_from_real, lift_jacobian,
                        one_blas_thread)
 
 # zeros with coordinates beyond this are treated as an artifact of a leading
 # vector entry near zero; a random unitary change of coordinates fixes it
 SHUFFLE_TRIGGER = 1e6
+
+# every diagnostics key after `rank`, `coordinate_shuffle` and
+# `beyond_flattening`, at its value for a stage that did not run
+_NOT_RUN = {"n_free_params": 0, "generating_residual": None,
+            "commutator_objective": None, "omega_status": None,
+            "omega_start_objectives": None, "omega_start_index": None,
+            "mixing_fallback": False, "schur_repeated": False,
+            "poly_residual": None, "zero_magnitude": 0.0,
+            "refine_status": None, "refine_iterations": None,
+            "refine_evaluations": None, "nonreal_output": False,
+            "wall_time": None, "rank_estimated": False, "spectrum": None,
+            "auto_shuffled": False}
 
 
 def seed_key(seed, *extra):
@@ -82,21 +93,22 @@ class RefineResult:
 
 
 def _refine_closures(F, r):
-    """Real residual and analytic Jacobian of the weighted fit error as
-    functions of the lifted vector entries (length 2*r*n)."""
+    """Residual and analytic Jacobian of the weighted fit error as
+    holomorphic functions of the flattened complex vector entries (length
+    r*n)."""
     n = F.n
     tab = F.table
     pw = tab.powers
     sw = tab.sqrt_weights
     target = sw * F.values
 
-    def residual(x):
-        U = complex_from_real(x).reshape(r, n)
+    def residual(u):
+        U = u.reshape(r, n)
         P = np.prod(U[:, None, :] ** pw[None, :, :], axis=2)
-        return real_from_complex(sw * P.sum(axis=0) - target)
+        return sw * P.sum(axis=0) - target
 
-    def jacobian(x):
-        U = complex_from_real(x).reshape(r, n)
+    def jacobian(u):
+        U = u.reshape(r, n)
         Dc = np.empty((len(tab), r * n), dtype=complex)
         for i in range(r):
             Pi = U[i][None, :] ** pw
@@ -108,7 +120,7 @@ def _refine_closures(F, r):
             # split off one factor so a zero entry stays differentiable
             Pm1 = U[i][None, :] ** np.maximum(pw - 1, 0)
             Dc[:, i * n:(i + 1) * n] = pw * Pm1 * left * right
-        return lift_jacobian(sw[:, None] * Dc)
+        return sw[:, None] * Dc
 
     return residual, jacobian
 
@@ -122,8 +134,9 @@ def refine(F, start, config=None):
     if r == 0:
         return RefineResult(start, F.norm(), None)
     residual, jacobian = _refine_closures(F, r)
-    lm = levenberg_marquardt(residual, jacobian, real_from_complex(start.vectors.ravel()), config)
-    refined = Decomposition(F.m, complex_from_real(lm.x).reshape(r, n))
+    lm = levenberg_marquardt(residual, jacobian,
+                             start.vectors.astype(complex).ravel(), config)
+    refined = Decomposition(F.m, lm.x.reshape(r, n))
     return RefineResult(refined, lm.residual_norm, lm)
 
 
@@ -137,7 +150,6 @@ class ApproxResult:
 
 
 def _maybe_warn_nonreal(F, refined, diag):
-    diag["nonreal_output"] = False
     if np.any(F.values.imag != 0) or refined.rank == 0:
         return
     U = refined.vectors
@@ -179,30 +191,27 @@ def _run_stages(F, r, *, seed, omega_starts, lm_config, skip_refine, diag):
         "zero_magnitude": float(np.abs(ext.zeros).max()) if ext.zeros.size else 0.0,
     })
     if skip_refine:
-        refined, err_opt = gp, err_gp
-        diag["refine_status"] = None
-    else:
-        rr = refine(F, gp, lm_config)
-        refined, err_opt = rr.decomposition, rr.error
-        diag["refine_status"] = rr.lm.status
-        diag["refine_iterations"] = rr.lm.iterations
-        diag["refine_evaluations"] = rr.lm.residual_evaluations
-    return gp, refined, err_gp, err_opt
+        return gp, gp, err_gp, err_gp
+    rr = refine(F, gp, lm_config)
+    diag.update({"refine_status": rr.lm.status,
+                 "refine_iterations": rr.lm.iterations,
+                 "refine_evaluations": rr.lm.residual_evaluations})
+    return gp, rr.decomposition, err_gp, rr.error
 
 
 def _approximate_once(F, r, *, shuffle, seed, omega_starts, lm_config,
                       skip_refine):
     t0 = time.perf_counter()
-    diag = {"rank": int(r), "coordinate_shuffle": bool(shuffle)}
     m1 = F.m // 2
-    diag["beyond_flattening"] = bool(
-        r > min(compact_size(F.n, m1), compact_size(F.n, F.m - m1)))
+    diag = {"rank": int(r), "coordinate_shuffle": bool(shuffle),
+            "beyond_flattening": bool(
+                r > min(compact_size(F.n, m1), compact_size(F.n, F.m - m1))),
+            **_NOT_RUN}
 
     if r == 0:
         empty = Decomposition(F.m, np.zeros((0, F.n)))
         err = F.norm()
-        diag.update({"n_free_params": 0, "zero_magnitude": 0.0,
-                     "refine_status": None, "wall_time": time.perf_counter() - t0})
+        diag["wall_time"] = time.perf_counter() - t0
         return ApproxResult(empty, empty, err, err, diag)
 
     if shuffle:
@@ -244,7 +253,10 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     and undoes it afterwards; the default None auto-enables it when the
     extracted zeros have coordinates beyond 1e6 (a symptom of a leading
     vector entry near zero, which the compact parameterization cannot
-    represent).  `skip_refine` stops after the algebraic stage.
+    represent) or when a rank >= 1 result explains none of a nonzero F
+    (err_opt = ||F||, which some rank-one term always beats; every u_1 = 0
+    gives it).  A result that still explains nothing is returned with a
+    warning.  `skip_refine` stops after the algebraic stage.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -259,18 +271,25 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
         res = _approximate_once(F, rank, shuffle=shuffle, seed=seed,
                                 omega_starts=omega_starts, lm_config=lm_config,
                                 skip_refine=skip_refine)
-        res.diagnostics["rank_estimated"] = spectrum is not None
         if spectrum is not None:
+            res.diagnostics["rank_estimated"] = True
             res.diagnostics["spectrum"] = [float(v) for v in spectrum]
         return res
 
-    if coordinate_shuffle is None:
-        res = run(False)
-        if res.diagnostics["zero_magnitude"] > SHUFFLE_TRIGGER:
-            res = run(True)
-            res.diagnostics["auto_shuffled"] = True
-        return res
-    return run(bool(coordinate_shuffle))
+    def explains_nothing(res):
+        norm = F.norm()
+        return rank >= 1 and norm > 0 and res.err_opt >= (1 - 1e-6) * norm
+
+    res = run(bool(coordinate_shuffle))
+    if coordinate_shuffle is None and (
+            res.diagnostics["zero_magnitude"] > SHUFFLE_TRIGGER
+            or explains_nothing(res)):
+        res = run(True)
+        res.diagnostics["auto_shuffled"] = True
+    if explains_nothing(res):
+        warnings.warn(f"the rank-{rank} approximation explains none of the "
+                      "tensor (err_opt = ||F||)", stacklevel=3)
+    return res
 
 
 def match_distance(a, b):
@@ -326,7 +345,7 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
         rel = res.err_opt / scale
         ok = rel <= residual_tol
         per_start.append({"start": s, "relative_residual": rel, "success": ok,
-                          "commutator_objective": res.diagnostics.get("commutator_objective")})
+                          "commutator_objective": res.diagnostics["commutator_objective"]})
         if best is None or rel < best[0]:
             best = (rel, res)
         if ok:
@@ -342,7 +361,7 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
                 kept.append(res.refined)
                 break
         # with no free parameters every start is identical; stop early
-        if res.diagnostics.get("n_free_params", 0) == 0 and not distinct:
+        if res.diagnostics["n_free_params"] == 0 and not distinct:
             break
     rel, res = best
     success = rel <= residual_tol

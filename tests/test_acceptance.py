@@ -19,8 +19,7 @@ from symlra.families import (linear_tensor, octet_tensor, rootsum_tensor,
 from symlra.genfit import (commutator_residuals, companion_matrices,
                            fit_generating, monomial_basis,
                            optimize_generating, _commutator_jacobian)
-from symlra.numerics import (complex_from_real, finite_difference_jacobian,
-                             lift_jacobian, real_from_complex)
+from symlra.numerics import finite_difference_jacobian
 from symlra.pipeline import (_refine_closures, approximate, decompose,
                              match_distance)
 from symlra.tensors import (Decomposition, SymTensor, compact_size, exponents,
@@ -265,33 +264,37 @@ def test_criterion_10_numerical_hygiene():
             worst = max(worst, abs(F.norm() - dense) / dense)
     checks.append(("norm_rel_err", f"{worst:.1e}", worst <= 1e-12))
 
-    # (b) both analytic Jacobians against central differences
+    # (b) both analytic Jacobians against complex central differences: a
+    # holomorphic residual moves by J along the real directions and by 1j*J
+    # along the imaginary ones
+    def holomorphic_fd_error(residual, jacobian, z):
+        J = jacobian(z)
+        along_re = finite_difference_jacobian(residual, z)
+        along_im = finite_difference_jacobian(lambda t: residual(z + 1j * t),
+                                              np.zeros(z.size))
+        return (max(np.abs(along_re - J).max(), np.abs(along_im - 1j * J).max())
+                / max(1.0, np.abs(J).max()))
+
+    def complex_normal(k):
+        return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
     F, _ = random_low_rank(4, 3, 3, seed=5)
     residual, jacobian = _refine_closures(F, 3)
-    worst = 0.0
-    for _ in range(10):
-        x = rng.standard_normal(2 * 3 * 4)
-        J = jacobian(x)
-        Jfd = finite_difference_jacobian(residual, x)
-        worst = max(worst, np.abs(J - Jfd).max() / max(1.0, np.abs(J).max()))
+    worst = max(holomorphic_fd_error(residual, jacobian, complex_normal(3 * 4))
+                for _ in range(10))
     checks.append(("refine_jacobian", f"{worst:.1e}", worst <= 1e-5))
 
     fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
 
-    def residual(x):
-        M = companion_matrices(fit.matrix(complex_from_real(x)), fit.basis)
-        return real_from_complex(commutator_residuals(M))
+    def residual(omega):
+        return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
 
-    def jacobian(x):
-        M = companion_matrices(fit.matrix(complex_from_real(x)), fit.basis)
-        return lift_jacobian(_commutator_jacobian(fit, M))
+    def jacobian(omega):
+        M = companion_matrices(fit.matrix(omega), fit.basis)
+        return _commutator_jacobian(fit, M)
 
-    worst = 0.0
-    for _ in range(10):
-        x = rng.standard_normal(2 * fit.n_params)
-        J = jacobian(x)
-        Jfd = finite_difference_jacobian(residual, x)
-        worst = max(worst, np.abs(J - Jfd).max() / max(1.0, np.abs(J).max()))
+    worst = max(holomorphic_fd_error(residual, jacobian, complex_normal(fit.n_params))
+                for _ in range(10))
     checks.append(("commutator_jacobian", f"{worst:.1e}", worst <= 1e-5))
 
     # (c) core closure and border structure, exhaustively

@@ -3,11 +3,15 @@ import numpy.testing as npt
 import pytest
 import scipy.optimize
 
+from symlra.families import ternary_tensor
+from symlra.genfit import (_commutator_jacobian, commutator_residuals,
+                           companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
     minnorm_lstsq, singular_values, hermitian_smallest, complex_schur,
-    real_from_complex, complex_from_real, lift_jacobian,
     LMConfig, levenberg_marquardt, finite_difference_jacobian,
 )
+from symlra.pipeline import _refine_closures
+from symlra.tensors import perturb, random_low_rank
 
 
 class TestMinNormLstsq:
@@ -87,18 +91,6 @@ def test_complex_schur_defective_matrix():
     # double eigenvalue 1 with a single Jordan block
     Q, T = complex_schur(np.array([[0.0, -1.0], [1.0, 2.0]], dtype=complex))
     npt.assert_allclose(np.diag(T), [1.0, 1.0], atol=1e-7)
-
-
-def test_complex_real_lift_round_trip():
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    npt.assert_array_equal(complex_from_real(real_from_complex(z)), z)
-
-    # lifted Jacobian of a holomorphic linear map is the map itself
-    A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    J = lift_jacobian(A)
-    npt.assert_allclose(J @ real_from_complex(z), real_from_complex(A @ z),
-                        atol=1e-13)
 
 
 class TestLevenbergMarquardt:
@@ -219,3 +211,93 @@ def test_finite_difference_jacobian():
     expect = np.array([[np.cos(x[0]) * x[1], np.sin(x[0])],
                        [3 * x[0] ** 2, 0.0]])
     npt.assert_allclose(finite_difference_jacobian(f, x), expect, atol=1e-8)
+
+
+def test_finite_difference_jacobian_keeps_complex_dtype():
+    # along the real directions of a holomorphic map the differences are J
+    A = np.array([[1.0 + 2.0j, -0.5j], [0.3, 2.0 - 1.0j]])
+    x = np.array([0.4 - 0.2j, -1.1 + 0.7j])
+    J = finite_difference_jacobian(lambda z: A @ z + z ** 2, x)
+    assert J.dtype == complex
+    npt.assert_allclose(J, A + np.diag(2 * x), atol=1e-8)
+
+
+# The real-lifted form [Re z; Im z] of a holomorphic problem: the reference
+# the complex LM must reproduce step for step.
+def real_from_complex(z):
+    return np.concatenate([z.real, z.imag])
+
+
+def complex_from_real(x):
+    k = x.size // 2
+    return x[:k] + 1j * x[k:]
+
+
+def lift_jacobian(Dc):
+    return np.block([[Dc.real, -Dc.imag], [Dc.imag, Dc.real]])
+
+
+def lifted(residual, jacobian):
+    return (lambda x: real_from_complex(residual(complex_from_real(x))),
+            lambda x: lift_jacobian(jacobian(complex_from_real(x))))
+
+
+def commutator_closures():
+    fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
+
+    def residual(omega):
+        return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
+
+    def jacobian(omega):
+        return _commutator_jacobian(fit, companion_matrices(fit.matrix(omega), fit.basis))
+    return fit.n_params, residual, jacobian
+
+
+class TestComplexLM:
+    def assert_same_run(self, residual, jacobian, z0, config=None):
+        ref = levenberg_marquardt(*lifted(residual, jacobian),
+                                  real_from_complex(z0), config)
+        out = levenberg_marquardt(residual, jacobian, z0, config)
+        assert out.x.dtype == complex
+        assert (out.status, out.iterations, out.residual_evaluations) == (
+            ref.status, ref.iterations, ref.residual_evaluations)
+        x_ref = complex_from_real(ref.x)
+        assert np.linalg.norm(out.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        npt.assert_allclose(out.residual_norm, ref.residual_norm,
+                            rtol=1e-8, atol=1e-14)
+        return out
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_matches_lifted_commutator(self, seed):
+        k, residual, jacobian = commutator_closures()
+        if seed is None:
+            z0 = np.zeros(k, dtype=complex)
+        else:
+            rng = np.random.default_rng(seed)
+            z0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        self.assert_same_run(residual, jacobian, z0)
+
+    def test_matches_lifted_refine(self):
+        F0, d = random_low_rank(4, 3, 3, seed=30)
+        F = perturb(F0, 1e-2, seed=31)
+        rng = np.random.default_rng(32)
+        z0 = (d.vectors + 0.3 * (rng.standard_normal(d.vectors.shape)
+                                 + 1j * rng.standard_normal(d.vectors.shape))).ravel()
+        out = self.assert_same_run(*_refine_closures(F, 3), z0)
+        assert out.iterations > 5
+
+    def test_gradient_test_reads_parts_separately(self):
+        # g = J^H f = -c at z0 = 0: max(|Re g|, |Im g|) = 1e-10 <= tolerance
+        # < |g| = sqrt(2) * 1e-10, so the run stops before any step
+        c = np.array([1e-10 + 1e-10j])
+        cfg = LMConfig(gradient_tolerance=1e-10)
+        out = levenberg_marquardt(lambda z: z - c, lambda z: np.eye(1),
+                                  np.zeros(1, dtype=complex), cfg)
+        assert out.status == "converged-gradient"
+        assert out.iterations == 0 and out.residual_evaluations == 1
+
+    def test_real_start_stays_real(self):
+        out = levenberg_marquardt(lambda x: x - 2.0, lambda x: np.eye(2),
+                                  [0, 1])
+        assert out.x.dtype == float
+        npt.assert_allclose(out.x, [2.0, 2.0])

@@ -65,20 +65,28 @@ class TestTermsFromZeros:
 
 class TestRefine:
     def test_jacobian_matches_differences(self):
+        # holomorphic: the differences along the real directions give J,
+        # along the imaginary ones 1j * J
         F, _ = random_low_rank(3, 3, 2, seed=3)
         residual, jacobian = _refine_closures(F, 2)
         rng = np.random.default_rng(4)
         for _ in range(4):
-            x = rng.standard_normal(2 * 2 * 3)
-            npt.assert_allclose(jacobian(x),
-                                finite_difference_jacobian(residual, x),
+            u = rng.standard_normal(2 * 3) + 1j * rng.standard_normal(2 * 3)
+            npt.assert_allclose(jacobian(u),
+                                finite_difference_jacobian(residual, u),
                                 atol=1e-5)
+            npt.assert_allclose(
+                1j * jacobian(u),
+                finite_difference_jacobian(lambda t: residual(u + 1j * t),
+                                           np.zeros(u.size)),
+                atol=1e-5)
 
     def test_jacobian_at_zero_entries(self):
         # entries exactly zero: the power rule must not produce NaN
         F, _ = random_low_rank(3, 3, 2, seed=5)
         _, jacobian = _refine_closures(F, 2)
-        J = jacobian(np.zeros(12))
+        J = jacobian(np.zeros(2 * 3, dtype=complex))
+        assert J.shape == (F.values.size, 2 * 3)
         assert np.isfinite(J).all()
 
     def test_improves_and_reports(self):
@@ -182,15 +190,49 @@ class TestApproximate:
         assert b.diagnostics["coordinate_shuffle"]
         npt.assert_allclose(b.err_opt, a.err_opt, rtol=1e-6)
 
+    @pytest.mark.filterwarnings("ignore:nearly repeated Schur values")
+    def test_auto_shuffle_rescues_silent_total_failure(self):
+        # every u_1 = 0: no zero runs off, yet the unshuffled run explains
+        # nothing (err_opt = ||F||), which no rank >= 1 optimum does
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        U[:, 0] = 0
+        F = Decomposition(3, U).tensor()
+        with pytest.warns(UserWarning, match="explains none of the tensor"):
+            plain = approximate(F, 2, coordinate_shuffle=False)
+        assert plain.diagnostics["zero_magnitude"] <= SHUFFLE_TRIGGER
+        assert plain.err_opt >= (1 - 1e-6) * F.norm()
+        auto = approximate(F, 2)
+        assert auto.diagnostics["auto_shuffled"]
+        assert auto.err_opt <= 1e-10 * (1 + F.norm())
+
     def test_diagnostics_keys(self):
         F, _ = random_low_rank(4, 3, 2, seed=22)
-        d = approximate(F, 2).diagnostics
+        runs = {
+            "full": approximate(F, 2),
+            "skip_refine": approximate(F, 2, skip_refine=True),
+            "rank_zero": approximate(F, 0),
+            "forced_shuffle": approximate(F, 2, coordinate_shuffle=True),
+            "auto_shuffle": approximate(Decomposition(3, np.array(
+                [[1e-9, 1.0, 1.0], [1.0, -0.7, 0.3]], dtype=complex)).tensor(), 2),
+        }
+        d = runs["full"].diagnostics
         for key in ("rank", "n_free_params", "generating_residual",
                     "commutator_objective", "mixing_fallback",
                     "schur_repeated", "poly_residual", "zero_magnitude",
-                    "refine_status", "wall_time", "beyond_flattening"):
+                    "refine_status", "wall_time", "beyond_flattening",
+                    "auto_shuffled", "nonreal_output", "refine_iterations",
+                    "refine_evaluations"):
             assert key in d
         assert d["wall_time"] > 0
+        for name, res in runs.items():
+            assert res.diagnostics.keys() == d.keys(), name
+        assert runs["auto_shuffle"].diagnostics["auto_shuffled"]
+        assert not runs["forced_shuffle"].diagnostics["auto_shuffled"]
+        assert runs["skip_refine"].diagnostics["refine_iterations"] is None
+        zero = runs["rank_zero"].diagnostics
+        assert zero["commutator_objective"] is None and zero["omega_status"] is None
+        assert zero["mixing_fallback"] is False and zero["nonreal_output"] is False
 
 
 class TestMatchDistance:
