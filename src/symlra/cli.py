@@ -179,7 +179,8 @@ def approx(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
 def decompose(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
               residual_tol, distinct, fmt, timing):
     """Search for an exact rank-r decomposition; exits 1 when no start
-    reaches the tolerance."""
+    reaches the tolerance.  The JSON carries the search's diagnostics:
+    rank, attempts, norm scale and one record per start."""
     F = read_tensor(input)
     res = decompose_fn(F, rank, residual_tol=residual_tol, restarts=restarts,
                        seed=seed, distinct=distinct,
@@ -197,13 +198,15 @@ def decompose(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
                 entries = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
                 click.echo(f"  u[{i}] = {entries}")
         return
+    diag = {**res.diagnostics, "attempts": res.attempts}
     if distinct:
         _emit({"count": len(res.decompositions),
                "relative_residual": res.relative_residual,
                "decompositions": [decomposition_to_dict(d)
-                                  for d in res.decompositions]})
+                                  for d in res.decompositions],
+               "diagnostics": diag})
     else:
-        _emit(decomposition_to_dict(res.decomposition))
+        _emit({**decomposition_to_dict(res.decomposition), "diagnostics": diag})
 
 
 @main.command()

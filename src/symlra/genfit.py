@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensors import compact_size, table
-from .numerics import LMConfig, levenberg_marquardt, minnorm_lstsq
+from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
+                       normal_equations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +266,7 @@ def optimize_generating(fit, config=None, restarts=0, seed=0, starts=None):
             rng = np.random.default_rng(entropy + [int(start)])
             x0 = (rng.standard_normal(fit.n_params)
                   + 1j * rng.standard_normal(fit.n_params))
-        lm = levenberg_marquardt(residual, jacobian, x0, cfg)
+        lm = levenberg_marquardt(residual, normal_equations(jacobian), x0, cfg)
         obj = lm.residual_norm ** 2
         objectives.append(obj)
         if best is None or obj < best[0]:

@@ -1,7 +1,9 @@
 """Shared numerical kernels: rank-revealing least squares, Hermitian and
 Schur eigen-kernels, a damped least-squares (Levenberg-Marquardt)
-minimizer over real or complex unknowns with analytic Jacobians, and the
-BLAS thread policy of every public call."""
+minimizer over real or complex unknowns that takes its Gauss-Newton
+normal system (J^H J, J^H f) from the caller, so a structured problem can
+build it without forming J (`normal_equations` forms it from an explicit
+Jacobian), and the BLAS thread policy of every public call."""
 
 import contextlib
 import ctypes
@@ -172,10 +174,23 @@ class LMResult:
     residual_evaluations: int
 
 
-def levenberg_marquardt(residual, jacobian, x0, config=None):
+def normal_equations(jacobian):
+    """The `normal` argument of `levenberg_marquardt` for an explicit
+    Jacobian: (J^H J, J^H f) with J = jacobian(x)."""
+    def normal(x, f):
+        J = np.asarray(jacobian(x), dtype=x.dtype)
+        Jh = J.conj().T
+        return Jh @ J, Jh @ f
+    return normal
+
+
+def levenberg_marquardt(residual, normal, x0, config=None):
     """Minimize 0.5 * ||residual(x)||^2 by damped least squares over real or
     complex x; the dtype of x0 decides, so real problems stay real.  A
-    complex residual must be holomorphic and `jacobian` its derivative.
+    complex residual must be holomorphic.  `normal(x, f)` returns the
+    Gauss-Newton normal system (J^H J, J^H f) at x, where f = residual(x)
+    and J is the residual's derivative; `normal_equations(jacobian)` builds
+    it from an explicit J, and a structured problem can build it directly.
 
     Each step solves (J^H J + lam diag(J^H J)) delta = -J^H f, which is the
     normal system of the problem lifted to [Re x; Im x] with the same
@@ -198,14 +213,13 @@ def levenberg_marquardt(residual, jacobian, x0, config=None):
     iterations = 0
 
     for _ in range(cfg.max_iterations):
-        J = np.asarray(jacobian(x), dtype=x.dtype)
-        Jh = J.conj().T
-        g = Jh @ f
+        JhJ, g = normal(x, f)
+        JhJ = np.asarray(JhJ, dtype=x.dtype)
+        g = np.asarray(g, dtype=x.dtype)
         if np.max(np.abs(g.view(float)), initial=0.0) <= cfg.gradient_tolerance:
             status = "converged-gradient"
             break
         iterations += 1
-        JhJ = Jh @ J
         d = np.diag(JhJ).real
         dmax = d.max() if d.size else 0.0
         scale = np.maximum(d, 1e-14 * max(dmax, 1.0))

@@ -93,48 +93,68 @@ class RefineResult:
 
 
 def _refine_closures(F, r):
-    """Residual and analytic Jacobian of the weighted fit error as
-    holomorphic functions of the flattened complex vector entries (length
-    r*n)."""
-    n = F.n
+    """Residual of the weighted fit error and its Gauss-Newton normal
+    system, as holomorphic functions of the flattened complex vector
+    entries u (length r*n, term i in u[i*n:(i+1)*n]).
+
+    The residual is the explicit weighted difference f = sqrt(w) * R with
+    R = sum_i u_i^(m) - F in compact entries; expanding ||R||^2 through
+    Gram terms instead would cancel away the 1e-12-level residuals that
+    `decompose` accepts on.  The weighted compact inner product is the
+    dense one, so with G[i, l] = u_i^H u_l the (i, l) block of J^H J is
+
+        m G_il^(m-1) I + m (m-1) G_il^(m-2) u_l conj(u_i)^T,
+
+    and J^H f = m conj(V) (w' * R[beta + e_j]), where V[i, beta] = u_i^beta
+    over the degree-(m-1) exponents beta (the first compact_size(n, m-1)
+    rows of `alpha_mat`), w'_beta = (m-1)!/beta! and beta + e_j is
+    gathered through `ExponentTable.slots`.  Neither forms the N x rn
+    Jacobian; zero entries need no special case."""
+    n, m = F.n, F.m
     tab = F.table
     pw = tab.powers
     sw = tab.sqrt_weights
     target = sw * F.values
+    below = tab.alpha_mat[:compact_size(n, m - 1)]
+    beta = np.column_stack([m - 1 - below.sum(axis=1), below])
+    # slots of beta + e_j: j = 0 raises the slack power, j >= 1 alpha_j
+    up = tab.slots(below[:, None, :] + np.eye(n, n - 1, -1, dtype=np.int64))
+    # w'_beta = w_alpha * alpha_0 / m for alpha = beta + e_0
+    wb = tab.weights[up[:, 0]] * (beta[:, 0] + 1) / m
 
     def residual(u):
         U = u.reshape(r, n)
         P = np.prod(U[:, None, :] ** pw[None, :, :], axis=2)
         return sw * P.sum(axis=0) - target
 
-    def jacobian(u):
+    def normal(u, f):
         U = u.reshape(r, n)
-        Dc = np.empty((len(tab), r * n), dtype=complex)
-        for i in range(r):
-            Pi = U[i][None, :] ** pw
-            left = np.ones_like(Pi)
-            left[:, 1:] = np.cumprod(Pi[:, :-1], axis=1)
-            right = np.ones_like(Pi)
-            if n > 1:
-                right[:, :-1] = np.cumprod(Pi[:, :0:-1], axis=1)[:, ::-1]
-            # split off one factor so a zero entry stays differentiable
-            Pm1 = U[i][None, :] ** np.maximum(pw - 1, 0)
-            Dc[:, i * n:(i + 1) * n] = pw * Pm1 * left * right
-        return sw[:, None] * Dc
+        G = U.conj() @ U.T
+        JhJ = ((m * (m - 1) * G ** max(m - 2, 0))[:, None, :, None]
+               * U.T[None, :, :, None] * U.conj()[:, None, None, :])
+        j = np.arange(n)
+        JhJ[:, j, :, j] += m * G ** (m - 1)     # the delta_jk term
+        V = np.prod(U[:, None, :] ** beta[None, :, :], axis=2)
+        R = f / sw
+        Jhf = m * (V.conj() @ (wb[:, None] * R[up]))
+        return JhJ.reshape(r * n, r * n), Jhf.ravel()
 
-    return residual, jacobian
+    return residual, normal
 
 
 @one_blas_thread
 def refine(F, start, config=None):
     """Jointly optimize all vector entries by damped least squares, starting
-    from `start`.  Only improving steps are taken, so the returned error is
-    at most the starting error (up to roundoff in its evaluation)."""
+    from `start`.  Each step takes the Gauss-Newton normal system in closed
+    form from the Gram matrix of the vectors (`_refine_closures`, after
+    Phan, Tichavsky and Cichocki, SIMAX 2013), so no N x rn Jacobian is
+    formed.  Only improving steps are taken, so the returned error is at
+    most the starting error (up to roundoff in its evaluation)."""
     r, n = start.rank, start.n
     if r == 0:
         return RefineResult(start, F.norm(), None)
-    residual, jacobian = _refine_closures(F, r)
-    lm = levenberg_marquardt(residual, jacobian,
+    residual, normal = _refine_closures(F, r)
+    lm = levenberg_marquardt(residual, normal,
                              start.vectors.astype(complex).ravel(), config)
     refined = Decomposition(F.m, lm.x.reshape(r, n))
     return RefineResult(refined, lm.residual_norm, lm)

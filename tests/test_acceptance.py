@@ -264,25 +264,35 @@ def test_criterion_10_numerical_hygiene():
             worst = max(worst, abs(F.norm() - dense) / dense)
     checks.append(("norm_rel_err", f"{worst:.1e}", worst <= 1e-12))
 
-    # (b) both analytic Jacobians against complex central differences: a
-    # holomorphic residual moves by J along the real directions and by 1j*J
-    # along the imaginary ones
-    def holomorphic_fd_error(residual, jacobian, z):
-        J = jacobian(z)
-        along_re = finite_difference_jacobian(residual, z)
+    # (b) the refine normal system and the commutator Jacobian against
+    # complex central differences: a holomorphic residual moves by J along
+    # the real directions and by 1j*J along the imaginary ones
+    def fd_jacobians(residual, z):
         along_im = finite_difference_jacobian(lambda t: residual(z + 1j * t),
                                               np.zeros(z.size))
-        return (max(np.abs(along_re - J).max(), np.abs(along_im - 1j * J).max())
-                / max(1.0, np.abs(J).max()))
+        return finite_difference_jacobian(residual, z), along_im / 1j
+
+    def rel_error(got, want):
+        return np.abs(got - want).max() / max(1.0, np.abs(got).max())
+
+    def holomorphic_fd_error(residual, jacobian, z):
+        J = jacobian(z)
+        return max(rel_error(J, J_fd) for J_fd in fd_jacobians(residual, z))
+
+    def normal_fd_error(residual, normal, z):
+        f = residual(z)
+        JhJ, Jhf = normal(z, f)
+        return max(max(rel_error(JhJ, J.conj().T @ J), rel_error(Jhf, J.conj().T @ f))
+                   for J in fd_jacobians(residual, z))
 
     def complex_normal(k):
         return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
     F, _ = random_low_rank(4, 3, 3, seed=5)
-    residual, jacobian = _refine_closures(F, 3)
-    worst = max(holomorphic_fd_error(residual, jacobian, complex_normal(3 * 4))
+    residual, normal = _refine_closures(F, 3)
+    worst = max(normal_fd_error(residual, normal, complex_normal(3 * 4))
                 for _ in range(10))
-    checks.append(("refine_jacobian", f"{worst:.1e}", worst <= 1e-5))
+    checks.append(("refine_normal_system", f"{worst:.1e}", worst <= 1e-5))
 
     fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
 

@@ -199,6 +199,21 @@ def test_decompose_failure_exits_1(runner, tmp_path):
     assert "no decomposition" in result.output
 
 
+@pytest.mark.parametrize("mode", [[], ["--distinct"]])
+def test_decompose_diagnostics_byte_identical(runner, tmp_path, mode):
+    path = gen_file(runner, tmp_path, "r.json", "--family", "random", "--n", "3",
+                    "--m", "4", "--r", "5", "--seed", "3")
+    args = ["decompose", path, "--rank", "5", "--restarts", "2", *mode]
+    first = invoke(runner, *args).output
+    assert invoke(runner, *args).output == first
+    diag = json.loads(first)["diagnostics"]
+    assert set(diag) == {"rank", "attempts", "norm_scale", "starts"}
+    assert diag["rank"] == 5
+    assert len(diag["starts"]) == diag["attempts"] >= 1
+    assert any(start["success"] for start in diag["starts"])
+    assert diag["norm_scale"] > 1.0
+
+
 @pytest.mark.filterwarnings("ignore:input tensor is real")
 def test_decompose_distinct_octet(runner, tmp_path):
     path = tmp_path / "octet.json"

@@ -1,12 +1,17 @@
 """End-to-end pipeline tests: coefficient fit, reconstruction, refinement,
 approximation driver, and the decomposition search."""
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symlra.numerics import LMConfig, finite_difference_jacobian
+from symlra.bench import STOCK_NLS_CONFIG
+from symlra.numerics import (LMConfig, finite_difference_jacobian,
+                             levenberg_marquardt, normal_equations)
 from symlra.tensors import (SymTensor, Decomposition, rank_one,
-                            random_low_rank, perturb)
+                            random_low_rank, perturb, compact_size)
 from symlra.pipeline import (fit_coefficients, terms_from_zeros, refine,
                              _refine_closures, approximate, decompose,
                              match_distance, seed_key, SHUFFLE_TRIGGER)
@@ -63,31 +68,111 @@ class TestTermsFromZeros:
         assert d.vectors[1, 0] != 0
 
 
+def reference_refine_jacobian(F, r):
+    """The explicit N x rn Jacobian of the refine residual, one term at a
+    time with prefix and suffix products: the reference the closed-form
+    normal system must reproduce."""
+    n = F.n
+    tab = F.table
+    pw = tab.powers
+
+    def jacobian(u):
+        U = u.reshape(r, n)
+        Dc = np.empty((len(tab), r * n), dtype=complex)
+        for i in range(r):
+            Pi = U[i][None, :] ** pw
+            left = np.ones_like(Pi)
+            left[:, 1:] = np.cumprod(Pi[:, :-1], axis=1)
+            right = np.ones_like(Pi)
+            if n > 1:
+                right[:, :-1] = np.cumprod(Pi[:, :0:-1], axis=1)[:, ::-1]
+            # split off one factor so a zero entry stays differentiable
+            Pm1 = U[i][None, :] ** np.maximum(pw - 1, 0)
+            Dc[:, i * n:(i + 1) * n] = pw * Pm1 * left * right
+        return tab.sqrt_weights[:, None] * Dc
+    return jacobian
+
+
+def difference_normal_systems(residual, u):
+    """(J^H J, J^H f) from the central-difference Jacobians of a holomorphic
+    residual: it moves by J along the real directions of u and by 1j * J
+    along the imaginary ones."""
+    f = residual(u)
+    along_re = finite_difference_jacobian(residual, u)
+    along_im = finite_difference_jacobian(lambda t: residual(u + 1j * t),
+                                          np.zeros(u.size))
+    return [(J.conj().T @ J, J.conj().T @ f) for J in (along_re, along_im / 1j)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
+       st.sampled_from(["dense", "zero entries", "all zero"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_normal_system_matches_reference_jacobian(n, m, r, entries, seed):
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    u = rng.standard_normal(r * n) + 1j * rng.standard_normal(r * n)
+    if entries == "zero entries":
+        u[rng.random(r * n) < 0.4] = 0.0
+    elif entries == "all zero":
+        u[:] = 0.0
+    residual, normal = _refine_closures(F, r)
+    f = residual(u)
+    JhJ, Jhf = normal(u, f)
+    J = reference_refine_jacobian(F, r)(u)
+    assert JhJ.shape == (r * n, r * n) and Jhf.shape == (r * n,)
+    for got, want in ((JhJ, J.conj().T @ J), (Jhf, J.conj().T @ f)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,m,r,scaled", [(4, 3, 3, False), (10, 3, 12, True)])
+def test_structured_lm_follows_the_explicit_one(n, m, r, scaled):
+    # the (10, 3, 12) case is a random-start leg of the NLS baseline on the
+    # scaled criterion-6 instance, stopped mid-descent at 40 iterations
+    rng = np.random.default_rng(42)
+    if scaled:
+        F0, _ = random_low_rank(n, m, r, seed=43, tau=1000.0 ** (1.0 / r))
+        F = perturb(F0, 1e-4, seed=44)
+        u0 = rng.standard_normal(r * n) + 1j * rng.standard_normal(r * n)
+        config = replace(STOCK_NLS_CONFIG, max_iterations=40)
+    else:
+        F0, d = random_low_rank(n, m, r, seed=30)
+        F = perturb(F0, 1e-2, seed=31)
+        u0 = (d.vectors + 0.3 * (rng.standard_normal(d.vectors.shape)
+                                 + 1j * rng.standard_normal(d.vectors.shape))).ravel()
+        config = None
+    residual, normal = _refine_closures(F, r)
+    out = levenberg_marquardt(residual, normal, u0, config)
+    ref = levenberg_marquardt(
+        residual, normal_equations(reference_refine_jacobian(F, r)), u0, config)
+    assert (out.status, out.iterations, out.residual_evaluations) == (
+        ref.status, ref.iterations, ref.residual_evaluations)
+    assert out.iterations > 5
+    assert abs(out.residual_norm - ref.residual_norm) <= 1e-7 * ref.residual_norm
+
+
 class TestRefine:
     def test_jacobian_matches_differences(self):
-        # holomorphic: the differences along the real directions give J,
-        # along the imaginary ones 1j * J
+        # the normal system against the one built from central differences
         F, _ = random_low_rank(3, 3, 2, seed=3)
-        residual, jacobian = _refine_closures(F, 2)
+        residual, normal = _refine_closures(F, 2)
         rng = np.random.default_rng(4)
         for _ in range(4):
             u = rng.standard_normal(2 * 3) + 1j * rng.standard_normal(2 * 3)
-            npt.assert_allclose(jacobian(u),
-                                finite_difference_jacobian(residual, u),
-                                atol=1e-5)
-            npt.assert_allclose(
-                1j * jacobian(u),
-                finite_difference_jacobian(lambda t: residual(u + 1j * t),
-                                           np.zeros(u.size)),
-                atol=1e-5)
+            JhJ, Jhf = normal(u, residual(u))
+            for JhJ_fd, Jhf_fd in difference_normal_systems(residual, u):
+                npt.assert_allclose(JhJ, JhJ_fd, atol=1e-5)
+                npt.assert_allclose(Jhf, Jhf_fd, atol=1e-5)
 
     def test_jacobian_at_zero_entries(self):
         # entries exactly zero: the power rule must not produce NaN
         F, _ = random_low_rank(3, 3, 2, seed=5)
-        _, jacobian = _refine_closures(F, 2)
-        J = jacobian(np.zeros(2 * 3, dtype=complex))
-        assert J.shape == (F.values.size, 2 * 3)
-        assert np.isfinite(J).all()
+        residual, normal = _refine_closures(F, 2)
+        u = np.zeros(2 * 3, dtype=complex)
+        JhJ, Jhf = normal(u, residual(u))
+        assert JhJ.shape == (2 * 3, 2 * 3) and Jhf.shape == (2 * 3,)
+        assert np.isfinite(JhJ).all() and np.isfinite(Jhf).all()
 
     def test_improves_and_reports(self):
         F0, d = random_low_rank(4, 3, 2, seed=6)
