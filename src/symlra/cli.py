@@ -180,7 +180,7 @@ def decompose(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
               residual_tol, distinct, fmt, timing):
     """Search for an exact rank-r decomposition; exits 1 when no start
     reaches the tolerance.  The JSON carries the search's diagnostics:
-    rank, attempts, norm scale and one record per start."""
+    rank, attempts, norm scale, per-start records and (--timing) wall time."""
     F = read_tensor(input)
     res = decompose_fn(F, rank, residual_tol=residual_tol, restarts=restarts,
                        seed=seed, distinct=distinct,
@@ -199,6 +199,8 @@ def decompose(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
                 click.echo(f"  u[{i}] = {entries}")
         return
     diag = {**res.diagnostics, "attempts": res.attempts}
+    if not timing:
+        diag.pop("wall_time")
     if distinct:
         _emit({"count": len(res.decompositions),
                "relative_residual": res.relative_residual,

@@ -264,16 +264,3 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                     status=status, iterations=iterations,
                     residual_evaluations=nfev)
 
-
-def finite_difference_jacobian(residual, x, step=1e-6):
-    """Central-difference Jacobian along the real directions of a real or
-    complex x, in the residual's dtype; for cross-checking analytic ones."""
-    x = np.asarray(x, dtype=np.result_type(np.asarray(x), float))
-    f0 = np.asarray(residual(x))
-    J = np.empty((f0.size, x.size), dtype=np.result_type(f0, float))
-    for j in range(x.size):
-        h = step * max(1.0, abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        J[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * h)
-    return J

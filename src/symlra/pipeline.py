@@ -65,9 +65,9 @@ def seed_key(seed, *extra):
 def fit_coefficients(F, zeros):
     """Minimum-norm weighted least squares for the coefficients c_i in
     sum_i c_i (1, v_i)^{(m)} ~ F; the weights make the objective the
-    Hilbert-Schmidt error of the fit."""
+    Hilbert-Schmidt error; v^alpha is the homogeneous monomial of (1, v)."""
     tab = F.table
-    P = np.prod(zeros[:, None, :] ** tab.alpha_mat[None, :, :], axis=2)
+    P = tab.monomials(np.column_stack([np.ones(len(zeros)), zeros]))
     design = tab.sqrt_weights[:, None] * P.T
     rhs = tab.sqrt_weights * F.values
     c, _, _ = minnorm_lstsq(design, rhs)
@@ -108,24 +108,21 @@ def _refine_closures(F, r):
     and J^H f = m conj(V) (w' * R[beta + e_j]), where V[i, beta] = u_i^beta
     over the degree-(m-1) exponents beta (the first compact_size(n, m-1)
     rows of `alpha_mat`), w'_beta = (m-1)!/beta! and beta + e_j is
-    gathered through `ExponentTable.slots`.  Neither forms the N x rn
-    Jacobian; zero entries need no special case."""
+    gathered through `ExponentTable.slots`.  The residual's u_i^alpha and V
+    are one kernel, `ExponentTable.monomials` at degrees m and m-1.
+    Neither forms the N x rn Jacobian; zero entries need no special case."""
     n, m = F.n, F.m
     tab = F.table
-    pw = tab.powers
     sw = tab.sqrt_weights
     target = sw * F.values
     below = tab.alpha_mat[:compact_size(n, m - 1)]
-    beta = np.column_stack([m - 1 - below.sum(axis=1), below])
     # slots of beta + e_j: j = 0 raises the slack power, j >= 1 alpha_j
     up = tab.slots(below[:, None, :] + np.eye(n, n - 1, -1, dtype=np.int64))
     # w'_beta = w_alpha * alpha_0 / m for alpha = beta + e_0
-    wb = tab.weights[up[:, 0]] * (beta[:, 0] + 1) / m
+    wb = tab.weights[up[:, 0]] * (m - below.sum(axis=1)) / m
 
     def residual(u):
-        U = u.reshape(r, n)
-        P = np.prod(U[:, None, :] ** pw[None, :, :], axis=2)
-        return sw * P.sum(axis=0) - target
+        return sw * tab.monomials(u.reshape(r, n)).sum(axis=0) - target
 
     def normal(u, f):
         U = u.reshape(r, n)
@@ -134,7 +131,7 @@ def _refine_closures(F, r):
                * U.T[None, :, :, None] * U.conj()[:, None, None, :])
         j = np.arange(n)
         JhJ[:, j, :, j] += m * G ** (m - 1)     # the delta_jk term
-        V = np.prod(U[:, None, :] ** beta[None, :, :], axis=2)
+        V = tab.monomials(U, m - 1)
         R = f / sw
         Jhf = m * (V.conj() @ (wb[:, None] * R[up]))
         return JhJ.reshape(r * n, r * n), Jhf.ravel()
@@ -347,10 +344,12 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     accepts a run when err_opt <= residual_tol * (1 + ||F||).  Stops at
     the first success unless `distinct` is set, in which case all starts
     run and the successful decompositions are deduplicated by
-    `match_distance` greater than 0.1 * (largest vector norm).
+    `match_distance` greater than 0.1 * (largest vector norm).  The
+    diagnostics include the search's `wall_time` in seconds.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    t0 = time.perf_counter()
     if rank is None:
         rank = estimate_rank(catalecticant_spectrum(F), rank_tol).rank
     scale = 1.0 + F.norm()
@@ -391,5 +390,5 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
         relative_residual=rel,
         decompositions=kept if distinct else ([res.refined] if success else []),
         attempts=attempts,
-        diagnostics={"rank": rank, "starts": per_start,
-                     "norm_scale": scale})
+        diagnostics={"rank": rank, "starts": per_start, "norm_scale": scale,
+                     "wall_time": time.perf_counter() - t0})

@@ -17,6 +17,7 @@ in these compact coordinates; the dense (n,)*m array only appears at
 interface boundaries (`full_from_compact`, `compact_from_full`).
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -24,26 +25,14 @@ import numpy as np
 import scipy.linalg
 
 
-def _homogeneous(nbar, d):
-    # exponent tuples of total degree d over nbar variables, first variable major
-    if nbar == 0:
-        return [()] if d == 0 else []
-    out = []
-    for lead in range(d, -1, -1):
-        for rest in _homogeneous(nbar - 1, d - lead):
-            out.append((lead,) + rest)
-    return out
-
-
 def exponents(nbar, degree):
     """All exponent tuples over `nbar` variables with total degree <= `degree`,
-    in graded lexicographic order."""
+    in graded lexicographic order: the multisets of `degree` coordinates of
+    u = (u_0, ..., u_nbar) in lex order, counted over u_1..u_nbar."""
     if nbar < 0 or degree < 0:
         raise ValueError("nbar and degree must be nonnegative")
-    out = []
-    for d in range(degree + 1):
-        out.extend(_homogeneous(nbar, d))
-    return out
+    combos = itertools.combinations_with_replacement(range(nbar + 1), degree)
+    return [tuple(c.count(j) for j in range(1, nbar + 1)) for c in combos]
 
 
 def multinomial(alpha, m):
@@ -75,10 +64,17 @@ class ExponentTable:
     <= d are the first compact_size(n, d) rows of `alpha_mat`: the
     Hankel gathers (catalecticant, generating systems) rely on this
     prefix property.
+
+    `monomials` reads the same prefix as the homogeneous exponents
+    (d - |alpha|, alpha) of degree d and builds them by degree recursion:
+    u^beta is its parent u^(beta - e_j) of degree d - 1 times u_j, with j
+    the first coordinate of beta with a positive power (j = 0 below degree
+    d, the parent then in the same slot).  `_steps` holds each level's
+    parent slots and j, found once per table through `slots`.
     """
 
-    __slots__ = ("n", "m", "alphas", "index", "alpha_mat", "powers",
-                 "weights", "sqrt_weights", "_below")
+    __slots__ = ("n", "m", "alphas", "index", "alpha_mat", "weights",
+                 "sqrt_weights", "_below", "_steps")
 
     def __init__(self, n, m):
         nbar = n - 1
@@ -88,14 +84,19 @@ class ExponentTable:
         self.index = {a: k for k, a in enumerate(self.alphas)}
         N = len(self.alphas)
         A = np.array(self.alphas, dtype=np.int64).reshape(N, nbar)
-        # powers of every coordinate of u = (u_1, ..., u_n); column 0 gets the slack
         self.alpha_mat = A
-        self.powers = np.column_stack([m - A.sum(axis=1), A])
         self.weights = np.array([multinomial(a, m) for a in self.alphas], dtype=float)
         self.sqrt_weights = np.sqrt(self.weights)
         # _below[k, t] = S(k, t) for k <= n-1 variables and degrees t <= m
         self._below = np.array([[0] + [math.comb(k + t, k) for t in range(m)]
                                 for k in range(n)], dtype=np.int64)
+        # degree recursion: level d's parent slots and coordinates j
+        deg = A.sum(axis=1)
+        first = (np.cumsum(A, axis=1) == 0).sum(axis=1)   # leading zeros
+        parent = self.slots(A - (np.arange(nbar) == first[:, None]))
+        self._steps = tuple((np.where(deg[:k] < d, np.arange(k), parent[:k]),
+                             np.where(deg[:k] < d, 0, first[:k] + 1))
+                            for d in range(1, m + 1) for k in [compact_size(n, d)])
 
     def __len__(self):
         return len(self.alphas)
@@ -106,6 +107,20 @@ class ExponentTable:
         E = np.asarray(E, dtype=np.int64)
         suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
         return self._below[np.arange(self.n - 1, 0, -1), suffix].sum(axis=-1)
+
+    def monomials(self, U, degree=None):
+        """(r, compact_size(n, degree)) values of the rows of U (shape
+        (r, n)) at the homogeneous exponents (degree - |alpha|, alpha) of
+        the first rows of `alpha_mat`; degree defaults to m.  One gather and
+        one multiply per degree (class docstring), no (r, N, n) array."""
+        degree = self.m if degree is None else degree
+        if not 0 <= degree <= self.m:
+            raise ValueError(f"degree must be in 0..{self.m}, got {degree}")
+        UT = np.array(U, dtype=complex).T   # a copy: level 1 is U itself
+        P = UT if degree else np.ones((1, UT.shape[1]), dtype=complex)
+        for parent, first in self._steps[1:degree]:
+            P = P[parent] * UT[first]
+        return P.T
 
 
 @lru_cache(maxsize=None)
@@ -215,11 +230,8 @@ class Decomposition:
 
     def tensor(self):
         """The represented tensor sum_i u_i^{(m)} in compact coordinates."""
-        tab = table(self.n, self.m)
-        if self.rank == 0:
-            return SymTensor.zeros(self.n, self.m)
-        # (r, N): compact entries of each u_i^{(m)} are plain monomials u_i^powers
-        P = np.prod(self.vectors[:, None, :] ** tab.powers[None, :, :], axis=2)
+        # compact entries of each u_i^{(m)} are its degree-m monomials
+        P = table(self.n, self.m).monomials(self.vectors)
         return SymTensor(self.n, self.m, P.sum(axis=0))
 
     def __repr__(self):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import hermitian_smallest, complex_schur
+from .tensors import table
 
 
 def commutation_gram(M):
@@ -68,12 +69,6 @@ class ZeroExtraction:
                                # columns (NaN when G is not supplied)
 
 
-def _monomials_at(points, exps):
-    # (r, len(exps)) values of the monomials x^e at each point
-    E = np.array(exps, dtype=np.int64).reshape(len(exps), points.shape[1])
-    return np.prod(points[:, None, :] ** E[None, :, :], axis=2)
-
-
 def extract_zeros(M, xi, G=None, basis=None):
     """Candidate common zeros of the multiplication family.
 
@@ -108,9 +103,13 @@ def extract_zeros(M, xi, G=None, basis=None):
                           stacklevel=2)
     poly_residual = float("nan")
     if G is not None and basis is not None:
-        core_vals = _monomials_at(zeros, basis.core)       # (r, rank)
-        border_vals = _monomials_at(zeros, basis.border)   # (r, n_border)
-        poly_residual = float(np.abs(core_vals @ G - border_vals).max()) \
-            if len(basis.border) else 0.0
+        poly_residual = 0.0
+        if basis.border:
+            # monomials of (1, zero) to the (last) border's degree; core first
+            tab = table(basis.n, basis.m)
+            P = tab.monomials(np.column_stack([np.ones(r), zeros]),
+                              sum(basis.border[-1]))
+            poly_residual = float(np.abs(P[:, :basis.rank] @ G
+                                         - P[:, tab.slots(basis.border)]).max())
     return ZeroExtraction(zeros=zeros, schur_values=tvals,
                           repeated=repeated, poly_residual=poly_residual)

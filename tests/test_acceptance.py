@@ -19,12 +19,13 @@ from symlra.families import (linear_tensor, octet_tensor, rootsum_tensor,
 from symlra.genfit import (commutator_residuals, companion_matrices,
                            fit_generating, monomial_basis,
                            optimize_generating, _commutator_jacobian)
-from symlra.numerics import finite_difference_jacobian
 from symlra.pipeline import (_refine_closures, approximate, decompose,
                              match_distance)
 from symlra.tensors import (Decomposition, SymTensor, compact_size, exponents,
                             full_from_compact, perturb, random_low_rank)
 from symlra.zerosolve import commutation_gram, extract_zeros, select_mixing
+
+from helpers import finite_difference_jacobian
 
 pytestmark = pytest.mark.filterwarnings("ignore:input tensor is real")
 

@@ -214,6 +214,19 @@ def test_decompose_diagnostics_byte_identical(runner, tmp_path, mode):
     assert diag["norm_scale"] > 1.0
 
 
+@pytest.mark.parametrize("mode", [[], ["--distinct"]])
+def test_decompose_timing_flag_adds_wall_time(runner, tmp_path, mode):
+    path = gen_file(runner, tmp_path, "r.json", "--family", "random", "--n", "3",
+                    "--m", "4", "--r", "5", "--seed", "3")
+    args = ["decompose", path, "--rank", "5", "--restarts", "2", *mode]
+    plain = json.loads(invoke(runner, *args).output)
+    timed = json.loads(invoke(runner, *args, "--timing").output)
+    wall = timed["diagnostics"].pop("wall_time")
+    assert isinstance(wall, float) and wall >= 0
+    # the flag adds the wall time and changes nothing else
+    assert timed == plain
+
+
 @pytest.mark.filterwarnings("ignore:input tensor is real")
 def test_decompose_distinct_octet(runner, tmp_path):
     path = tmp_path / "octet.json"

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symlra.bench import STOCK_NLS_CONFIG
-from symlra.numerics import (LMConfig, finite_difference_jacobian,
-                             levenberg_marquardt, normal_equations)
+from symlra.numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
+                             normal_equations)
 from symlra.tensors import (SymTensor, Decomposition, rank_one,
                             random_low_rank, perturb, compact_size)
 from symlra.pipeline import (fit_coefficients, terms_from_zeros, refine,
                              _refine_closures, approximate, decompose,
                              match_distance, seed_key, SHUFFLE_TRIGGER)
 from symlra.families import sin_tensor, ternary_tensor, octet_decomposition
+
+from helpers import (finite_difference_jacobian, homogeneous_exponents,
+                     reference_monomials)
 
 
 def normalized_instance(n, m, r, seed):
@@ -47,6 +50,16 @@ class TestFitCoefficients:
         perm = [2, 0, 1]
         npt.assert_allclose(fit_coefficients(F, Z[perm]), c[perm], rtol=1e-10)
 
+    def test_matches_power_form_design(self):
+        # an inexact fit, so the least-squares solution depends on every row
+        F, Z, _ = normalized_instance(4, 4, 3, seed=5)
+        F = perturb(F, 0.1 * F.norm(), seed=6)
+        Z[0, 1] = 0.0
+        tab = F.table
+        design = tab.sqrt_weights[:, None] * reference_monomials(Z, tab.alpha_mat).T
+        want, _, _ = minnorm_lstsq(design, tab.sqrt_weights * F.values)
+        npt.assert_allclose(fit_coefficients(F, Z), want, rtol=1e-12)
+
 
 class TestTermsFromZeros:
     def test_principal_root(self):
@@ -74,7 +87,7 @@ def reference_refine_jacobian(F, r):
     normal system must reproduce."""
     n = F.n
     tab = F.table
-    pw = tab.powers
+    pw = homogeneous_exponents(tab, F.m)
 
     def jacobian(u):
         U = u.reshape(r, n)
@@ -119,6 +132,10 @@ def test_normal_system_matches_reference_jacobian(n, m, r, entries, seed):
         u[:] = 0.0
     residual, normal = _refine_closures(F, r)
     f = residual(u)
+    # the residual against the per-entry power form of its monomials
+    P = reference_monomials(u.reshape(r, n), homogeneous_exponents(F.table, m))
+    want = F.table.sqrt_weights * (P.sum(axis=0) - F.values)
+    assert np.abs(f - want).max() <= 1e-13 * np.abs(want).max()
     JhJ, Jhf = normal(u, f)
     J = reference_refine_jacobian(F, r)(u)
     assert JhJ.shape == (r * n, r * n) and Jhf.shape == (r * n,)

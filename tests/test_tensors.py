@@ -13,6 +13,8 @@ from symlra.tensors import (
     random_low_rank, perturb,
 )
 
+from helpers import homogeneous_exponents, reference_monomials
+
 
 def dense_oracle(F):
     """Dense n^m array built entry-by-entry, no shortcuts."""
@@ -110,6 +112,51 @@ def test_slots_agree_with_index(case):
     npt.assert_array_equal(tab.slots(E), expect)
     # any leading shape ranks row by row
     npt.assert_array_equal(tab.slots(E[None, :, :]), [expect])
+
+
+def random_rows(kinds, n, seed):
+    """One complex row per kind: dense, 40% zero entries, or all zero."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((len(kinds), n)) + 1j * rng.standard_normal((len(kinds), n))
+    for i, kind in enumerate(kinds):
+        if kind == "zero entries":
+            U[i, rng.random(n) < 0.4] = 0.0
+        elif kind == "all zero":
+            U[i] = 0.0
+    return U
+
+
+ROW_KINDS = st.lists(st.sampled_from(["dense", "zero entries", "all zero"]),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 7), ROW_KINDS,
+       st.integers(0, 2 ** 32 - 1))
+def test_monomials_match_power_form(n, m, kinds, seed):
+    U = random_rows(kinds, n, seed)
+    tab = table(n, m)
+    for d in range(m + 1):
+        got = tab.monomials(U, d)
+        assert got.shape == (len(kinds), compact_size(n, d))
+        npt.assert_allclose(got, reference_monomials(U, homogeneous_exponents(tab, d)),
+                            rtol=1e-13, atol=0)
+    npt.assert_array_equal(tab.monomials(U), tab.monomials(U, m))
+
+
+def test_monomials_reject_degree_beyond_table():
+    with pytest.raises(ValueError, match="degree"):
+        table(3, 2).monomials(np.ones((1, 3)), 3)
+    with pytest.raises(ValueError, match="degree"):
+        table(3, 2).monomials(np.ones((1, 3)), -1)
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (3, 5), (6, 3), (8, 7)])
+def test_decomposition_tensor_matches_power_form(n, m):
+    U = random_rows(["dense", "zero entries", "all zero", "dense"], n, seed=n + m)
+    want = reference_monomials(U, homogeneous_exponents(table(n, m), m)).sum(axis=0)
+    got = Decomposition(m, U).tensor().values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_full_from_compact_matches_entry_oracle():

@@ -8,6 +8,8 @@ from symlra.tensors import random_low_rank
 from symlra.zerosolve import (commutation_gram, select_mixing, extract_zeros,
                               DEGENERACY_TOL)
 
+from helpers import reference_monomials
+
 
 def random_matrices(nbar, r, seed):
     rng = np.random.default_rng(seed)
@@ -126,3 +128,16 @@ class TestExtractZeros:
         M = random_matrices(2, 2, 10)
         ext = extract_zeros(M, np.array([1.0, 0.5 + 0.5j]), G=G, basis=basis)
         assert ext.poly_residual > 1e-3
+
+    def test_poly_residual_matches_power_form(self):
+        # core of degree <= 2, border up to degree 3, inconsistent G
+        basis = monomial_basis(3, 4, 5)
+        rng = np.random.default_rng(11)
+        G = rng.standard_normal((5, len(basis.border))) \
+            + 1j * rng.standard_normal((5, len(basis.border)))
+        ext = extract_zeros(random_matrices(2, 5, 12), np.array([1.0, 0.3 - 0.6j]),
+                            G=G, basis=basis)
+        Z = ext.zeros
+        want = np.abs(reference_monomials(Z, basis.core) @ G
+                      - reference_monomials(Z, basis.border)).max()
+        npt.assert_allclose(ext.poly_residual, want, rtol=1e-12)
