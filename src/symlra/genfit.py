@@ -17,8 +17,18 @@ the r x |border| generating matrix G, from which one multiplication
 matrix per variable follows.  The free parameters are tuned so the
 multiplication matrices commute (they do exactly when F has rank r and
 the core is interpolating).
+
+G(omega) and the multiplication matrices M(omega) are affine in the free
+parameters omega.  Each fit keeps that map as arrays built once: the
+stacked null directions and a 0/1 placement of each parameter in its
+border column (G(omega) is one matmul), and the companion wiring of the
+basis as (variable, core slot, border column) index arrays (M(omega) is
+one fancy-index write of G's columns over the unit columns).  The
+commutator residual is one batched product over the pairs i < j, and its
+Jacobian is scattered from precomputed indices, with no loop over feeds.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +45,12 @@ class MonomialBasis:
     rank: int
     core: tuple                 # first `rank` exponents, graded lex
     border: tuple               # multiplicative border of the core, graded lex
-    # companion wiring, one list per variable: shifting core slot nu by e_i
-    # lands either on another core slot (unit column) or on a border column
-    unit_cols: tuple = field(repr=False)    # unit_cols[i] = ((nu, core_pos), ...)
-    border_cols: tuple = field(repr=False)  # border_cols[i] = ((nu, border_col), ...)
-    feeds: tuple = field(repr=False)        # feeds[col] = ((i, nu), ...) inverse wiring
+    # companion wiring as index arrays: shifting core slot nu by e_i lands
+    # either on core slot `target` (column nu of M_i is a unit vector) or on
+    # border monomial `col` (column nu of M_i is column col of G); a border
+    # monomial is core[nu] + e_i for at most one nu per variable i
+    units: tuple = field(repr=False)    # (i, nu, target)
+    wires: tuple = field(repr=False)    # (i, nu, col)
 
 
 def monomial_basis(n, m, r):
@@ -61,24 +72,16 @@ def monomial_basis(n, m, r):
         raise ValueError(
             f"rank {r} is too large for n={n}, m={m}: the border monomial "
             f"{tuple(max(too_deep))} has degree {m + 1} > m")
-    slot = tab.slots(shifted)
+    slot = tab.slots(shifted).T                  # slot[i, nu]
     border_slots = np.unique(slot[slot >= r])
-    col = np.searchsorted(border_slots, slot)
-    unit_cols = [[] for _ in range(nbar)]
-    bord_cols = [[] for _ in range(nbar)]
-    feeds = [[] for _ in border_slots]
-    for nu, i in np.ndindex(r, nbar):
-        if slot[nu, i] < r:
-            unit_cols[i].append((nu, int(slot[nu, i])))
-        else:
-            bord_cols[i].append((nu, int(col[nu, i])))
-            feeds[col[nu, i]].append((i, nu))
+    unit_i, unit_nu = np.nonzero(slot < r)
+    wire_i, wire_nu = np.nonzero(slot >= r)
     return MonomialBasis(
         n=n, m=m, rank=r, core=tab.alphas[:r],
         border=tuple(tab.alphas[k] for k in border_slots),
-        unit_cols=tuple(tuple(c) for c in unit_cols),
-        border_cols=tuple(tuple(c) for c in bord_cols),
-        feeds=tuple(tuple(f) for f in feeds))
+        units=(unit_i, unit_nu, slot[unit_i, unit_nu]),
+        wires=(wire_i, wire_nu,
+               np.searchsorted(border_slots, slot[wire_i, wire_nu])))
 
 
 def generating_system(F, alpha, basis):
@@ -98,7 +101,10 @@ class GeneratingFit:
 
     `matrix(omega)` assembles G = gls + (null-space directions) * omega,
     where omega is the complex free-parameter vector (length n_params,
-    column slices in `param_slices`)."""
+    column slices in `param_slices`).  G is affine in omega, and so are
+    the companion matrices; `directions`, `placement` and `sides` are that
+    affine map's parts, built once per fit: G(omega) is one matmul and the
+    commutator Jacobian one scatter per side of a variable pair."""
     basis: MonomialBasis
     gls: np.ndarray                 # (rank, n_border) minimum-norm solutions
     nulls: tuple                    # per column, orthonormal (rank, k_col)
@@ -106,24 +112,46 @@ class GeneratingFit:
     residuals: np.ndarray           # ||A g - b|| per column at omega = 0
     param_slices: tuple
     n_params: int
+    directions: np.ndarray = field(repr=False)  # (rank, n_params): the nulls side by side
+    placement: np.ndarray = field(repr=False)   # (n_params, n_border): 1 at each parameter's column
+    sides: tuple = field(repr=False)            # `_commutator_jacobian`'s scatter indices
 
     def matrix(self, omega=None):
-        G = self.gls.copy()
-        if omega is not None and self.n_params:
-            omega = np.asarray(omega, dtype=complex)
-            if omega.shape != (self.n_params,):
-                raise ValueError(
-                    f"expected {self.n_params} free parameters, got {omega.shape}")
-            for col, sl in enumerate(self.param_slices):
-                if sl.stop > sl.start:
-                    G[:, col] += self.nulls[col] @ omega[sl]
-        return G
+        if omega is None or not self.n_params:
+            return self.gls.copy()
+        omega = np.asarray(omega, dtype=complex)
+        if omega.shape != (self.n_params,):
+            raise ValueError(
+                f"expected {self.n_params} free parameters, got {omega.shape}")
+        return self.gls + (self.directions * omega) @ self.placement
+
+
+def _jacobian_sides(basis, param_col):
+    """Scatter indices of `_commutator_jacobian`, one (rows, nu, p, y) tuple
+    of arrays per side of a pair (a, b), a < b.  Entry l: parameter p moves
+    column nu of M_x (x = a on the first side, x = b on the second) and
+    enters pair k, whose other matrix is M_y; rows[l] holds the flat
+    positions (k r^2 + s r + t) P + p of its r x r block in J.  Parameter p
+    lies in border column param_col[p] and moves every wire to it."""
+    nbar, r, n_params = basis.n - 1, basis.rank, param_col.size
+    wire_i, wire_nu, wire_col = basis.wires
+    w, p = np.nonzero(wire_col[:, None] == param_col)
+    x = wire_i[w]
+    e, y = np.nonzero(x[:, None] != np.arange(nbar))
+    pair = np.zeros((nbar, nbar), dtype=np.intp)
+    a, b = _pairs(nbar)
+    pair[a, b] = pair[b, a] = np.arange(a.size)
+    x, nu, p = x[e], wire_nu[w][e], p[e]
+    rows = (pair[x, y][:, None] * r * r + np.arange(r * r)) * n_params + p[:, None]
+    return tuple((rows[side].ravel(), nu[side], p[side], y[side])
+                 for side in (x < y, x > y))
 
 
 def fit_generating(F, basis, rank_tol=None):
     """Solve every border column by minimum-norm least squares."""
+    r = basis.rank
     n_border = len(basis.border)
-    gls = np.empty((basis.rank, n_border), dtype=complex)
+    gls = np.empty((r, n_border), dtype=complex)
     nulls = []
     ranks = np.empty(n_border, dtype=int)
     residuals = np.empty(n_border)
@@ -138,9 +166,16 @@ def fit_generating(F, basis, rank_tol=None):
         residuals[col] = np.linalg.norm(A @ x - b)
         slices.append(slice(offset, offset + null.shape[1]))
         offset += null.shape[1]
+    param_col = np.repeat(np.arange(n_border),
+                          [null.shape[1] for null in nulls]).astype(np.intp)
+    placement = np.zeros((offset, n_border), dtype=complex)
+    placement[np.arange(offset), param_col] = 1.0
     return GeneratingFit(basis=basis, gls=gls, nulls=tuple(nulls),
                          ranks=ranks, residuals=residuals,
-                         param_slices=tuple(slices), n_params=offset)
+                         param_slices=tuple(slices), n_params=offset,
+                         directions=np.concatenate([np.zeros((r, 0)), *nulls], axis=1),
+                         placement=placement,
+                         sides=_jacobian_sides(basis, param_col))
 
 
 def companion_matrices(G, basis):
@@ -150,66 +185,59 @@ def companion_matrices(G, basis):
     the shifted monomial is again in the core, else the matching column of G.
     """
     r = basis.rank
-    nbar = basis.n - 1
-    M = np.zeros((nbar, r, r), dtype=complex)
-    for i in range(nbar):
-        for nu, target in basis.unit_cols[i]:
-            M[i, target, nu] = 1.0
-        for nu, col in basis.border_cols[i]:
-            M[i, :, nu] = G[:, col]
+    M = np.zeros((basis.n - 1, r, r), dtype=complex)
+    i, nu, target = basis.units
+    M[i, target, nu] = 1.0
+    i, nu, col = basis.wires
+    M[i, :, nu] = G[:, col].T
     return M
 
 
+@functools.cache
+def _pairs(nbar):
+    """Read-only index arrays (a, b) of the variable pairs a < b, ordered by
+    a, then b; built once per variable count."""
+    pairs = np.triu_indices(nbar, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def commutator_residuals(M):
-    """Entries of all pairwise commutators M_i M_j - M_j M_i, i < j, stacked."""
-    nbar = M.shape[0]
-    parts = [
-        (M[i] @ M[j] - M[j] @ M[i]).ravel()
-        for i in range(nbar) for j in range(i + 1, nbar)
-    ]
-    if not parts:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(parts)
+    """Entries of all pairwise commutators M_i M_j - M_j M_i, i < j, stacked
+    pair by pair (i, then j, ascending), each pair's r x r block row-major."""
+    a, b = _pairs(M.shape[0])
+    A, B = M[a], M[b]
+    return (A @ B - B @ A).ravel()
 
 
 def _commutator_jacobian(fit, M):
-    """Complex Jacobian of `commutator_residuals` in the free parameters.
+    """Complex Jacobian of `commutator_residuals` in the free parameters, at
+    the companion matrices M = M(omega).
 
-    The parameter block of border column c moves only the companion columns
-    fed by c, so each block is assembled from rank-one updates."""
-    basis = fit.basis
-    r = basis.rank
-    nbar = basis.n - 1
-    npairs = nbar * (nbar - 1) // 2
-    pair_row = {}
-    k = 0
-    for i in range(nbar):
-        for j in range(i + 1, nbar):
-            pair_row[(i, j)] = k * r * r
-            k += 1
-    Dc = np.zeros((npairs * r * r, fit.n_params), dtype=complex)
-    for col, sl in enumerate(fit.param_slices):
-        if sl.stop == sl.start:
-            continue
-        W = fit.nulls[col]                     # (r, k_col)
-        for i, nu in basis.feeds[col]:
-            # dM_i = W[:, l] e_nu^T for each direction l
-            for j in range(nbar):
-                if j == i:
-                    continue
-                a, b = (i, j) if i < j else (j, i)
-                base = pair_row[(a, b)]
-                D = np.zeros((r, r, W.shape[1]), dtype=complex)
-                if i == a:
-                    # d(M_a M_b - M_b M_a) = (dM_a) M_b - M_b (dM_a)
-                    D += W[:, None, :] * M[b][nu, :][None, :, None]
-                    D[:, nu, :] -= M[b] @ W
-                else:
-                    # d(M_a M_b - M_b M_a) = M_a (dM_b) - (dM_b) M_a
-                    D[:, nu, :] += M[a] @ W
-                    D -= W[:, None, :] * M[a][nu, :][None, :, None]
-                Dc[base:base + r * r, sl] += D.reshape(r * r, W.shape[1])
-    return Dc
+    Parameter p with direction w moves column nu of M_x by w, i.e.
+    dM_x = w e_nu^T.  On pair (a, b) that gives w M_b[nu, :] - (M_b w) e_nu^T
+    when x = a and the negative of w M_a[nu, :] - (M_a w) e_nu^T when x = b:
+    per side, the outer products less the M_y W columns, scattered at once
+    through the fit's flat indices.  A border column feeds at most one nu per
+    variable, so no side repeats an index; the two sides can share entries,
+    so the first is written and the second subtracted from it."""
+    r, P = fit.directions.shape
+    W = fit.directions
+    MW = M @ W
+
+    def blocks(nu, p, y):
+        # w M_y[nu, :] - (M_y w) e_nu^T for each entry's direction w
+        D = W.T[p][:, :, None] * M[y, nu][:, None, :]
+        D[np.arange(p.size), :, nu] -= MW[y, :, p]
+        return D.ravel()
+
+    npairs = M.shape[0] * (M.shape[0] - 1) // 2
+    J = np.zeros(npairs * r * r * P, dtype=complex)
+    (rows_a, *first), (rows_b, *second) = fit.sides
+    J[rows_a] = blocks(*first)
+    J[rows_b] -= blocks(*second)
+    return J.reshape(npairs * r * r, P)
 
 
 @dataclass(eq=False)
@@ -224,6 +252,12 @@ class GeneratingOpt:
 
 def optimize_generating(fit, config=None, restarts=0, seed=0, starts=None):
     """Minimize the total squared commutator norm over the free parameters.
+
+    The residual at omega is `commutator_residuals` of the companion
+    matrices of `fit.matrix(omega)`, and its Jacobian comes from the fit's
+    affine map (`_commutator_jacobian`), so an LM step does one matmul for
+    G, one index write for M and a few scatters for J, whatever the
+    number of border columns.
 
     Runs one minimization per start index: index 0 is omega = 0, index
     k > 0 is a complex standard normal draw seeded by (seed, k), so a

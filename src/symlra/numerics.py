@@ -196,12 +196,21 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     normal system of the problem lifted to [Re x; Im x] with the same
     Marquardt diagonal, so the iterates are the lifted problem's; the
     gradient test bounds Re and Im of J^H f separately, as the lifted one
-    does.  The damping follows a gain ratio and only improving steps are
-    accepted, so the objective is nonincreasing.  `config` is an LMConfig.
-    Raises ValueError if the residual at x0 is not finite.
+    does.  The solve calls LAPACK's Cholesky pair potrf/potrs directly, with
+    the arguments `scipy.linalg.cho_factor` and `cho_solve` pass (upper
+    triangle, factor not cleaned), so the steps are theirs to the bit; their
+    finiteness check becomes one test of the damped system and J^H f.  A
+    factorization that finds the damped matrix not positive definite raises
+    the damping and tries again.  The damping follows a gain ratio and only
+    improving steps are accepted, so the objective is nonincreasing; the
+    accepted point is the very array the residual was evaluated at, so
+    `normal` can recognise it.  `config` is an LMConfig.  Raises ValueError
+    if the residual at x0 is not finite, or if a normal system is not
+    finite.
     """
     cfg = config if config is not None else LMConfig()
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=x.dtype)
     f = np.asarray(residual(x), dtype=x.dtype)
     nfev = 1
     if not np.isfinite(f).all():
@@ -225,13 +234,15 @@ def levenberg_marquardt(residual, normal, x0, config=None):
         scale = np.maximum(d, 1e-14 * max(dmax, 1.0))
 
         while True:
-            try:
-                cf = scipy.linalg.cho_factor(JhJ + np.diag(lam * scale))
-                delta = scipy.linalg.cho_solve(cf, -g)
-            except scipy.linalg.LinAlgError:
+            A = JhJ + np.diag(lam * scale)
+            if not (np.isfinite(A).all() and np.isfinite(g).all()):
+                raise ValueError("the normal system is not finite")
+            c, info = potrf(A, lower=False, overwrite_a=True, clean=False)
+            if info > 0:      # not positive definite at this damping
                 lam *= nu
                 nu *= 2.0
                 continue
+            delta, _ = potrs(c, -g, lower=False, overwrite_b=True)
             if np.linalg.norm(delta) <= cfg.step_tolerance * (
                     np.linalg.norm(x) + cfg.step_tolerance):
                 status = "converged-step"
@@ -239,7 +250,8 @@ def levenberg_marquardt(residual, normal, x0, config=None):
             if nfev >= cfg.max_residual_evaluations:
                 status = "max-evaluations"
                 break
-            fn = np.asarray(residual(x + delta), dtype=x.dtype)
+            xn = x + delta
+            fn = np.asarray(residual(xn), dtype=x.dtype)
             nfev += 1
             costn = 0.5 * np.vdot(fn, fn).real if np.isfinite(fn).all() else np.inf
             if costn < cost:
@@ -248,8 +260,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                 if cfg.function_tolerance > 0.0 and (
                         cost - costn <= cfg.function_tolerance * cost):
                     status = "converged-function"
-                x = x + delta
-                f, cost = fn, costn
+                x, f, cost = xn, fn, costn
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 break

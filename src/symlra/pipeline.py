@@ -5,7 +5,7 @@ when not supplied):
 
 1. fit the generating matrix columns by least squares (`genfit`),
    tuning any free parameters to make the multiplication matrices
-   commute;
+   commute (an LM over the fit's affine companion map);
 2. extract candidate zeros through a mixed Schur decomposition
    (`zerosolve`);
 3. fit one coefficient per zero by weighted least squares and fold the
@@ -18,11 +18,14 @@ when not supplied):
 `approximate` runs the stages once; `decompose` repeats them over
 several starting points of the commutator minimization and accepts runs
 whose relative residual clears a tolerance, optionally collecting all
-distinct decompositions found.  `approximate`, `decompose` and `refine`
-run BLAS on one thread and restore the caller's thread counts on return
-(`numerics.one_blas_thread`).
+distinct decompositions found.  The fit does not depend on the start, so
+a search builds it once per coordinate frame and only reruns the
+commutator minimization and the stages after it.  `approximate`,
+`decompose` and `refine` run BLAS on one thread and restore the caller's
+thread counts on return (`numerics.one_blas_thread`).
 """
 
+import contextvars
 import time
 import warnings
 from dataclasses import dataclass
@@ -37,6 +40,11 @@ from .genfit import monomial_basis, fit_generating, optimize_generating, \
 from .zerosolve import commutation_gram, select_mixing, extract_zeros
 from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
                        one_blas_thread)
+
+# the coordinate frames of the running `decompose` search (see `_frame`);
+# the search reaches the stages through `approximate`, whose signature is
+# public, so it hands them down in a context variable set for the search
+_search_frames = contextvars.ContextVar("search_frames", default=None)
 
 # zeros with coordinates beyond this are treated as an artifact of a leading
 # vector entry near zero; a random unitary change of coordinates fixes it
@@ -109,8 +117,11 @@ def _refine_closures(F, r):
     over the degree-(m-1) exponents beta (the first compact_size(n, m-1)
     rows of `alpha_mat`), w'_beta = (m-1)!/beta! and beta + e_j is
     gathered through `ExponentTable.slots`.  The residual's u_i^alpha and V
-    are one kernel, `ExponentTable.monomials` at degrees m and m-1.
-    Neither forms the N x rn Jacobian; zero entries need no special case."""
+    are one kernel, `ExponentTable.monomials` at degrees m and m-1: the
+    residual passes through V on its way to degree m and keeps it, and
+    `normal` reuses it when handed the very array the residual last saw,
+    as `levenberg_marquardt` does with the point it accepts.  Neither forms
+    the N x rn Jacobian; zero entries need no special case."""
     n, m = F.n, F.m
     tab = F.table
     sw = tab.sqrt_weights
@@ -121,8 +132,13 @@ def _refine_closures(F, r):
     # w'_beta = w_alpha * alpha_0 / m for alpha = beta + e_0
     wb = tab.weights[up[:, 0]] * (m - below.sum(axis=1)) / m
 
+    last = [None, None]     # the residual's latest point and its V
+
     def residual(u):
-        return sw * tab.monomials(u.reshape(r, n)).sum(axis=0) - target
+        U = u.reshape(r, n)
+        V = tab.monomials(U, m - 1)
+        last[:] = u, V
+        return sw * tab.monomials(U, m, below=V).sum(axis=0) - target
 
     def normal(u, f):
         U = u.reshape(r, n)
@@ -131,7 +147,7 @@ def _refine_closures(F, r):
                * U.T[None, :, :, None] * U.conj()[:, None, None, :])
         j = np.arange(n)
         JhJ[:, j, :, j] += m * G ** (m - 1)     # the delta_jk term
-        V = tab.monomials(U, m - 1)
+        V = last[1] if last[0] is u else tab.monomials(U, m - 1)
         R = f / sw
         Jhf = m * (V.conj() @ (wb[:, None] * R[up]))
         return JhJ.reshape(r * n, r * n), Jhf.ravel()
@@ -182,9 +198,29 @@ def _maybe_warn_nonreal(F, refined, diag):
                       "genuinely complex", stacklevel=3)
 
 
-def _run_stages(F, r, *, seed, omega_starts, lm_config, skip_refine, diag):
-    basis = monomial_basis(F.n, F.m, r)
-    fit = fit_generating(F, basis)
+def _frame(F, r, shuffle, seed):
+    """(G, Q, fit): F in the run's coordinate frame, the Haar unitary Q that
+    took it there (None without the shuffle) and G's generating fit.  Inside
+    a `decompose` search, whose F, r and seed are fixed, each of the two
+    frames is built once and kept for the remaining starts."""
+    frames = _search_frames.get()
+    if frames is not None and shuffle in frames:
+        return frames[shuffle]
+    G, Q = F, None
+    if shuffle:
+        rng = np.random.default_rng(seed_key(seed, 3))
+        Z = rng.standard_normal((F.n, F.n)) + 1j * rng.standard_normal((F.n, F.n))
+        Q, R = np.linalg.qr(Z)
+        Q = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]   # Haar unitary
+        G = transform(F, Q)
+    frame = (G, Q, fit_generating(G, monomial_basis(G.n, G.m, r)))
+    if frames is not None:
+        frames[shuffle] = frame
+    return frame
+
+
+def _run_stages(F, fit, *, seed, omega_starts, lm_config, skip_refine, diag):
+    basis = fit.basis
     opt = optimize_generating(fit, lm_config, seed=seed_key(seed, 1),
                               starts=omega_starts)
     M = companion_matrices(opt.matrix, basis)
@@ -231,24 +267,16 @@ def _approximate_once(F, r, *, shuffle, seed, omega_starts, lm_config,
         diag["wall_time"] = time.perf_counter() - t0
         return ApproxResult(empty, empty, err, err, diag)
 
-    if shuffle:
-        rng = np.random.default_rng(seed_key(seed, 3))
-        Z = rng.standard_normal((F.n, F.n)) + 1j * rng.standard_normal((F.n, F.n))
-        Q, R = np.linalg.qr(Z)
-        Q = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]   # Haar unitary
-        G = transform(F, Q)
-        gp, refined, _, _ = _run_stages(
-            G, r, seed=seed, omega_starts=omega_starts, lm_config=lm_config,
-            skip_refine=skip_refine, diag=diag)
+    G, Q, fit = _frame(F, r, shuffle, seed)
+    gp, refined, err_gp, err_opt = _run_stages(
+        G, fit, seed=seed, omega_starts=omega_starts, lm_config=lm_config,
+        skip_refine=skip_refine, diag=diag)
+    if Q is not None:
         # map the vectors back: each term (Q u)^{(m)} of G is u^{(m)} of F
         gp = Decomposition(F.m, gp.vectors @ Q.conj())
         refined = Decomposition(F.m, refined.vectors @ Q.conj())
         err_gp = (gp.tensor() - F).norm()
         err_opt = (refined.tensor() - F).norm()
-    else:
-        gp, refined, err_gp, err_opt = _run_stages(
-            F, r, seed=seed, omega_starts=omega_starts, lm_config=lm_config,
-            skip_refine=skip_refine, diag=diag)
 
     _maybe_warn_nonreal(F, refined, diag)
     diag["wall_time"] = time.perf_counter() - t0
@@ -344,8 +372,13 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     accepts a run when err_opt <= residual_tol * (1 + ||F||).  Stops at
     the first success unless `distinct` is set, in which case all starts
     run and the successful decompositions are deduplicated by
-    `match_distance` greater than 0.1 * (largest vector norm).  The
-    diagnostics include the search's `wall_time` in seconds.
+    `match_distance` greater than 0.1 * (largest vector norm).  Every
+    start runs `approximate` on the same F, rank and seed, so the basis and
+    the generating fit (with its affine companion map) are built once per
+    coordinate frame, at most twice per search, and reused by the later
+    starts; each start's result is the one a separate `approximate` call
+    with `omega_starts=[start]` returns.  The diagnostics include the
+    search's `wall_time` in seconds.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -357,31 +390,35 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     kept = []
     per_start = []
     attempts = 0
-    for s in range(restarts + 1):
-        res = approximate(F, rank, seed=seed, lm_config=lm_config,
-                          omega_starts=[s])
-        attempts += 1
-        rel = res.err_opt / scale
-        ok = rel <= residual_tol
-        per_start.append({"start": s, "relative_residual": rel, "success": ok,
-                          "commutator_objective": res.diagnostics["commutator_objective"]})
-        if best is None or rel < best[0]:
-            best = (rel, res)
-        if ok:
-            if distinct:
-                is_new = all(
-                    match_distance(res.refined, d) >
-                    0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
-                              np.abs(d.vectors).max(initial=0.0))
-                    for d in kept)
-                if is_new:
+    token = _search_frames.set({})   # one fit per frame for all starts
+    try:
+        for s in range(restarts + 1):
+            res = approximate(F, rank, seed=seed, lm_config=lm_config,
+                              omega_starts=[s])
+            attempts += 1
+            rel = res.err_opt / scale
+            ok = rel <= residual_tol
+            per_start.append({"start": s, "relative_residual": rel, "success": ok,
+                              "commutator_objective": res.diagnostics["commutator_objective"]})
+            if best is None or rel < best[0]:
+                best = (rel, res)
+            if ok:
+                if distinct:
+                    is_new = all(
+                        match_distance(res.refined, d) >
+                        0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
+                                  np.abs(d.vectors).max(initial=0.0))
+                        for d in kept)
+                    if is_new:
+                        kept.append(res.refined)
+                else:
                     kept.append(res.refined)
-            else:
-                kept.append(res.refined)
+                    break
+            # with no free parameters every start is identical; stop early
+            if res.diagnostics["n_free_params"] == 0 and not distinct:
                 break
-        # with no free parameters every start is identical; stop early
-        if res.diagnostics["n_free_params"] == 0 and not distinct:
-            break
+    finally:
+        _search_frames.reset(token)
     rel, res = best
     success = rel <= residual_tol
     return DecomposeResult(

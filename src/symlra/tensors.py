@@ -108,15 +108,20 @@ class ExponentTable:
         suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
         return self._below[np.arange(self.n - 1, 0, -1), suffix].sum(axis=-1)
 
-    def monomials(self, U, degree=None):
+    def monomials(self, U, degree=None, below=None):
         """(r, compact_size(n, degree)) values of the rows of U (shape
         (r, n)) at the homogeneous exponents (degree - |alpha|, alpha) of
         the first rows of `alpha_mat`; degree defaults to m.  One gather and
-        one multiply per degree (class docstring), no (r, N, n) array."""
+        one multiply per degree (class docstring), no (r, N, n) array.
+        `below`, this method's result for U at degree - 1, skips the levels
+        up to it: the result is the same to the bit."""
         degree = self.m if degree is None else degree
         if not 0 <= degree <= self.m:
             raise ValueError(f"degree must be in 0..{self.m}, got {degree}")
         UT = np.array(U, dtype=complex).T   # a copy: level 1 is U itself
+        if below is not None:
+            parent, first = self._steps[degree - 1]
+            return (below.T[parent] * UT[first]).T
         P = UT if degree else np.ones((1, UT.shape[1]), dtype=complex)
         for parent, first in self._steps[1:degree]:
             P = P[parent] * UT[first]

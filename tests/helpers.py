@@ -1,6 +1,9 @@
 """Reference computations shared by the test files: a central-difference
-Jacobian for cross-checking analytic ones, and the per-entry power form
-of the monomials that `ExponentTable.monomials` evaluates."""
+Jacobian for cross-checking analytic ones, the per-entry power form of the
+monomials that `ExponentTable.monomials` evaluates, the per-column,
+per-feed loop forms of the generating matrix, the companion matrices and
+the commutator residual and Jacobian that `genfit` builds from its affine
+map."""
 
 import numpy as np
 
@@ -33,3 +36,105 @@ def homogeneous_exponents(tab, d):
     over the first compact_size(n, d) rows alpha of the table."""
     A = tab.alpha_mat[:compact_size(tab.n, d)]
     return np.column_stack([d - A.sum(axis=1), A])
+
+
+def reference_wiring(basis):
+    """The companion wiring by dictionary lookup: unit_cols[i] lists
+    (nu, core slot) and border_cols[i] (nu, border column) for each core
+    monomial nu whose shift by e_i lands in the core or the border;
+    feeds[col] lists the (i, nu) that land on border column col."""
+    nbar = basis.n - 1
+    core = {a: k for k, a in enumerate(basis.core)}
+    border = {a: k for k, a in enumerate(basis.border)}
+    unit_cols = [[] for _ in range(nbar)]
+    border_cols = [[] for _ in range(nbar)]
+    feeds = [[] for _ in basis.border]
+    for nu, alpha in enumerate(basis.core):
+        for i in range(nbar):
+            shifted = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            if shifted in core:
+                unit_cols[i].append((nu, core[shifted]))
+            else:
+                border_cols[i].append((nu, border[shifted]))
+                feeds[border[shifted]].append((i, nu))
+    return unit_cols, border_cols, feeds
+
+
+def reference_matrix(fit, omega=None):
+    """G = gls plus each column's null directions times its parameters."""
+    G = fit.gls.copy()
+    if omega is not None:
+        for col, sl in enumerate(fit.param_slices):
+            if sl.stop > sl.start:
+                G[:, col] += fit.nulls[col] @ np.asarray(omega, dtype=complex)[sl]
+    return G
+
+
+def reference_companions(G, basis):
+    """Companion matrices filled column by column from the wiring."""
+    r = basis.rank
+    unit_cols, border_cols, _ = reference_wiring(basis)
+    M = np.zeros((basis.n - 1, r, r), dtype=complex)
+    for i in range(basis.n - 1):
+        for nu, target in unit_cols[i]:
+            M[i, target, nu] = 1.0
+        for nu, col in border_cols[i]:
+            M[i, :, nu] = G[:, col]
+    return M
+
+
+def reference_commutator_residuals(M):
+    """M_i M_j - M_j M_i for i < j, one pair at a time."""
+    parts = [(M[i] @ M[j] - M[j] @ M[i]).ravel()
+             for i in range(M.shape[0]) for j in range(i + 1, M.shape[0])]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+
+
+def reference_commutator_jacobian(fit, M):
+    """Jacobian of the commutator residual in the free parameters, one
+    rank-one update per feed (i, nu) of each border column and each other
+    variable j."""
+    r = fit.basis.rank
+    nbar = fit.basis.n - 1
+    _, _, feeds = reference_wiring(fit.basis)
+    pair_row = {}
+    k = 0
+    for i in range(nbar):
+        for j in range(i + 1, nbar):
+            pair_row[(i, j)] = k * r * r
+            k += 1
+    Dc = np.zeros((k * r * r, fit.n_params), dtype=complex)
+    for col, sl in enumerate(fit.param_slices):
+        if sl.stop == sl.start:
+            continue
+        W = fit.nulls[col]                     # (r, k_col)
+        for i, nu in feeds[col]:
+            # dM_i = W[:, l] e_nu^T for each direction l
+            for j in range(nbar):
+                if j == i:
+                    continue
+                a, b = (i, j) if i < j else (j, i)
+                base = pair_row[(a, b)]
+                D = np.zeros((r, r, W.shape[1]), dtype=complex)
+                if i == a:
+                    # d(M_a M_b - M_b M_a) = (dM_a) M_b - M_b (dM_a)
+                    D += W[:, None, :] * M[b][nu, :][None, :, None]
+                    D[:, nu, :] -= M[b] @ W
+                else:
+                    # d(M_a M_b - M_b M_a) = M_a (dM_b) - (dM_b) M_a
+                    D[:, nu, :] += M[a] @ W
+                    D -= W[:, None, :] * M[a][nu, :][None, :, None]
+                Dc[base:base + r * r, sl] += D.reshape(r * r, W.shape[1])
+    return Dc
+
+
+def reference_commutator_closures(fit):
+    """(residual, jacobian) of omega along the loop forms above."""
+    def residual(omega):
+        return reference_commutator_residuals(
+            reference_companions(reference_matrix(fit, omega), fit.basis))
+
+    def jacobian(omega):
+        return reference_commutator_jacobian(
+            fit, reference_companions(reference_matrix(fit, omega), fit.basis))
+    return residual, jacobian

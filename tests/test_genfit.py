@@ -1,15 +1,22 @@
 """Tests for the core/border monomial sets, the per-column least-squares
 fit, companion matrices, and the commutator minimization."""
+from functools import lru_cache
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symlra.genfit import (monomial_basis, generating_system, fit_generating,
                            companion_matrices, commutator_residuals,
                            _commutator_jacobian, optimize_generating)
 from symlra.numerics import LMConfig
-from symlra.tensors import compact_size, exponents, perturb, random_low_rank
+from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
+                            random_low_rank)
 from symlra.families import linear_tensor, ternary_tensor
+
+from helpers import (reference_commutator_closures, reference_companions,
+                     reference_matrix)
 
 
 class TestMonomialBasis:
@@ -213,6 +220,61 @@ def test_commutator_jacobian_matches_differences():
         e[j] = h
         col = (resid(omega + e) - resid(omega - e)) / (2 * h)
         npt.assert_allclose(J[:, j], col, atol=1e-9 * max(1, np.abs(J).max()))
+
+
+@lru_cache(maxsize=None)
+def ranks_with_parameters(n, m):
+    """The three smallest ranks whose fit of a generic tensor keeps free
+    parameters: border column alpha has max(0, r - rows) of them, with
+    compact_size(n, m - |alpha|) rows."""
+    found = []
+    for r in range(1, compact_size(n, m - 1) + 1):
+        basis = monomial_basis(n, m, r)
+        if any(r > compact_size(n, m - sum(a)) for a in basis.border):
+            found.append(r)
+    return tuple(found[:3])
+
+
+def assert_closures_match_loop_forms(n, m, r, seed, at_zero):
+    """G, the companion matrices, and the commutator residual and Jacobian
+    from the fit's affine map against the per-column, per-feed loop forms,
+    to 1e-12 of the largest reference entry."""
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    fit = fit_generating(F, monomial_basis(n, m, r))
+    assert fit.n_params > 0
+    k = fit.n_params
+    omega = (np.zeros(k, dtype=complex) if at_zero
+             else rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    residual, jacobian = reference_commutator_closures(fit)
+    G = fit.matrix(omega)
+    M = companion_matrices(G, fit.basis)
+    pairs = [(commutator_residuals(M), residual(omega)),
+             (_commutator_jacobian(fit, M), jacobian(omega)),
+             (G, reference_matrix(fit, omega)),
+             (M, reference_companions(G, fit.basis))]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        tol = 1e-12 * np.abs(ref).max(initial=1.0)
+        assert np.abs(got - ref).max(initial=0.0) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(2, 5), pick=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1), at_zero=st.booleans())
+def test_commutator_closures_match_loop_forms(n, m, pick, seed, at_zero):
+    ranks = ranks_with_parameters(n, m)
+    assert_closures_match_loop_forms(n, m, ranks[min(pick, len(ranks) - 1)],
+                                     seed, at_zero)
+
+
+@pytest.mark.parametrize("at_zero", [True, False])
+@pytest.mark.parametrize("n,m,r", [(2, 6, 4), (10, 3, 12)])
+def test_commutator_closures_fixed_cases(n, m, r, at_zero):
+    # (2, 6, 4): one free parameter and no commutator pair, so the residual
+    # and the Jacobian have no rows; (10, 3, 12): criterion 6's size
+    assert_closures_match_loop_forms(n, m, r, 5, at_zero)
 
 
 class TestOptimizeGenerating:

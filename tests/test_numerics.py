@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from symlra.families import ternary_tensor
@@ -308,3 +309,119 @@ class TestComplexLM:
                                   normal_equations(lambda x: np.eye(2)), [0, 1])
         assert out.x.dtype == float
         npt.assert_allclose(out.x, [2.0, 2.0])
+
+
+def cho_factor_lm(residual, normal, x0, config=None):
+    """The LM with each step through `scipy.linalg.cho_factor` and
+    `cho_solve`: the reference for the LAPACK step, identical otherwise."""
+    cfg = config if config is not None else LMConfig()
+    x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
+    f = np.asarray(residual(x), dtype=x.dtype)
+    nfev = 1
+    if not np.isfinite(f).all():
+        raise ValueError("residual is not finite at the starting point")
+    cost = 0.5 * np.vdot(f, f).real
+    lam, nu = cfg.initial_damping, 2.0
+    status = "max-iterations"
+    iterations = 0
+    for _ in range(cfg.max_iterations):
+        JhJ, g = normal(x, f)
+        JhJ = np.asarray(JhJ, dtype=x.dtype)
+        g = np.asarray(g, dtype=x.dtype)
+        if np.max(np.abs(g.view(float)), initial=0.0) <= cfg.gradient_tolerance:
+            status = "converged-gradient"
+            break
+        iterations += 1
+        d = np.diag(JhJ).real
+        dmax = d.max() if d.size else 0.0
+        scale = np.maximum(d, 1e-14 * max(dmax, 1.0))
+        while True:
+            try:
+                cf = scipy.linalg.cho_factor(JhJ + np.diag(lam * scale))
+                delta = scipy.linalg.cho_solve(cf, -g)
+            except scipy.linalg.LinAlgError:
+                lam *= nu
+                nu *= 2.0
+                continue
+            if np.linalg.norm(delta) <= cfg.step_tolerance * (
+                    np.linalg.norm(x) + cfg.step_tolerance):
+                status = "converged-step"
+                break
+            if nfev >= cfg.max_residual_evaluations:
+                status = "max-evaluations"
+                break
+            fn = np.asarray(residual(x + delta), dtype=x.dtype)
+            nfev += 1
+            costn = 0.5 * np.vdot(fn, fn).real if np.isfinite(fn).all() else np.inf
+            if costn < cost:
+                predicted = 0.5 * np.vdot(delta, lam * scale * delta - g).real
+                rho = (cost - costn) / max(predicted, np.finfo(float).tiny)
+                if cfg.function_tolerance > 0.0 and (
+                        cost - costn <= cfg.function_tolerance * cost):
+                    status = "converged-function"
+                x = x + delta
+                f, cost = fn, costn
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                break
+            lam *= nu
+            nu = min(2.0 * nu, 1e8)
+        if status in ("converged-step", "max-evaluations", "converged-function"):
+            break
+    return x, float(np.sqrt(2.0 * cost)), status, iterations, nfev
+
+
+class TestLapackStep:
+    def assert_same_trajectory(self, residual, normal, x0):
+        # every point the residual is evaluated at, bit for bit
+        seen = {"lapack": [], "cho_factor": []}
+
+        def logged(key):
+            def wrapped(x):
+                seen[key].append(np.array(x).tobytes())
+                return residual(x)
+            return wrapped
+        out = levenberg_marquardt(logged("lapack"), normal, x0)
+        x, norm, status, iterations, nfev = cho_factor_lm(
+            logged("cho_factor"), normal, x0)
+        assert seen["lapack"] == seen["cho_factor"]
+        assert out.x.tobytes() == x.tobytes()
+        assert (out.residual_norm, out.status, out.iterations,
+                out.residual_evaluations) == (norm, status, iterations, nfev)
+        return out
+
+    def test_refine_trajectory(self):
+        F0, d = random_low_rank(4, 3, 3, seed=30)
+        F = perturb(F0, 1e-2, seed=31)
+        rng = np.random.default_rng(32)
+        u0 = (d.vectors + 0.3 * (rng.standard_normal(d.vectors.shape)
+                                 + 1j * rng.standard_normal(d.vectors.shape))).ravel()
+        out = self.assert_same_trajectory(*_refine_closures(F, 3), u0)
+        assert out.iterations > 5
+
+    def test_commutator_trajectory(self):
+        k, residual, jacobian = commutator_closures()
+        rng = np.random.default_rng(1)
+        z0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        out = self.assert_same_trajectory(residual, normal_equations(jacobian), z0)
+        assert out.iterations > 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_normal_system_raises(self, bad):
+        def normal(x, f):
+            return np.array([[1.0, 0.0], [0.0, bad]]), f
+        with pytest.raises(ValueError, match="not finite"):
+            levenberg_marquardt(lambda x: x - 1.0, normal, np.zeros(2))
+
+    def test_indefinite_system_backs_off(self):
+        # eigenvalues 3 and -1: not positive definite until the Marquardt
+        # term lam * I exceeds 1, so the first damping values fail
+        JhJ = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(JhJ + 1e-3 * np.eye(2))
+
+        def normal(x, f):
+            return JhJ, f
+        out = self.assert_same_trajectory(lambda x: x - np.array([1.0, 2.0]),
+                                          normal, np.zeros(2))
+        assert out.iterations >= 1

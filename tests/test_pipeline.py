@@ -16,6 +16,7 @@ from symlra.pipeline import (fit_coefficients, terms_from_zeros, refine,
                              _refine_closures, approximate, decompose,
                              match_distance, seed_key, SHUFFLE_TRIGGER)
 from symlra.families import sin_tensor, ternary_tensor, octet_decomposition
+from symlra import pipeline
 
 from helpers import (finite_difference_jacobian, homogeneous_exponents,
                      reference_monomials)
@@ -190,6 +191,21 @@ class TestRefine:
         JhJ, Jhf = normal(u, residual(u))
         assert JhJ.shape == (2 * 3, 2 * 3) and Jhf.shape == (2 * 3,)
         assert np.isfinite(JhJ).all() and np.isfinite(Jhf).all()
+
+    def test_normal_reuses_only_the_residuals_latest_point(self):
+        # normal reuses the residual's degree-(m-1) monomials only for the
+        # very array the residual saw last; elsewhere it recomputes them,
+        # and both give the same bits
+        F, _ = random_low_rank(4, 3, 3, seed=9)
+        residual, normal = _refine_closures(F, 3)
+        rng = np.random.default_rng(10)
+        u, v = (rng.standard_normal(12) + 1j * rng.standard_normal(12)
+                for _ in range(2))
+        f = residual(u)
+        reused = normal(u, f)
+        residual(v)
+        for other in (normal(u, f), normal(u.copy(), f)):
+            assert [a.tobytes() for a in other] == [a.tobytes() for a in reused]
 
     def test_improves_and_reports(self):
         F0, d = random_low_rank(4, 3, 2, seed=6)
@@ -408,6 +424,42 @@ class TestDecompose:
         for fn in (approximate, decompose):
             with pytest.raises(ValueError, match="restarts"):
                 fn(F, 2, restarts=-1)
+
+    @pytest.mark.parametrize("case", ["distinct-3-5-8", "tiny-leading-entry"])
+    def test_search_fits_once_per_frame(self, case, monkeypatch):
+        # one basis and fit per coordinate frame for the whole search, and
+        # each start's result exactly what a separate, refitting
+        # `approximate` call returns
+        if case == "distinct-3-5-8":
+            F, r = random_low_rank(3, 5, 8, seed=[7, 3, 0, 0])[0], 8
+        else:   # every start runs in the shuffled frame after the plain one
+            U = np.array([[1e-9, 1.0, 1.0], [1.0, -0.7, 0.3]], dtype=complex)
+            F, r = Decomposition(3, U).tensor(), 2
+        key = [7, 3, 0, 1]
+        calls = []
+        fit = pipeline.fit_generating
+        monkeypatch.setattr(pipeline, "fit_generating",
+                            lambda *a, **k: calls.append(1) or fit(*a, **k))
+        out = decompose(F, r, restarts=5, seed=key, distinct=True)
+        searched = len(calls)
+        separate = [approximate(F, r, seed=key, omega_starts=[s])
+                    for s in range(6)]
+        shuffled = [res.diagnostics["auto_shuffled"] for res in separate]
+        assert searched == 1 + any(shuffled)
+        assert len(calls) - searched == 6 + sum(shuffled)
+        assert shuffled == [case == "tiny-leading-entry"] * 6
+        assert out.attempts == 6
+        for rec, res in zip(out.diagnostics["starts"], separate):
+            assert rec["relative_residual"] == res.err_opt / (1 + F.norm())
+            assert rec["commutator_objective"] == res.diagnostics["commutator_objective"]
+        best = min(separate, key=lambda res: res.err_opt)
+        assert out.decomposition.vectors.tobytes() == best.refined.vectors.tobytes()
+        refined = {res.refined.vectors.tobytes() for res in separate}
+        assert out.decompositions
+        assert all(d.vectors.tobytes() in refined for d in out.decompositions)
+        # the frames do not outlive the search
+        approximate(F, r, seed=key)
+        assert len(calls) - searched == 7 + sum(shuffled) + shuffled[0]
 
     @pytest.mark.filterwarnings("ignore:input tensor is real")
     def test_deterministic(self):
