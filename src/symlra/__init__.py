@@ -18,8 +18,8 @@ from .pipeline import (approximate, decompose, refine, fit_coefficients,
                        terms_from_zeros, match_distance, ApproxResult,
                        DecomposeResult, RefineResult)
 from .numerics import (LMConfig, LMResult, levenberg_marquardt,
-                       normal_equations, minnorm_lstsq, singular_values,
-                       hermitian_smallest, complex_schur)
+                       minnorm_lstsq, singular_values, hermitian_smallest,
+                       complex_schur)
 from .bench import (STOCK_NLS_CONFIG,
                     run_table, run_nls_comparison, run_decomposition_table,
                     TrialStats, NlsStats, CaseStats)
@@ -40,8 +40,7 @@ __all__ = [
     "approximate", "decompose", "refine", "fit_coefficients",
     "terms_from_zeros", "match_distance", "ApproxResult", "DecomposeResult",
     "RefineResult",
-    "LMConfig", "LMResult", "levenberg_marquardt", "normal_equations",
-    "minnorm_lstsq",
+    "LMConfig", "LMResult", "levenberg_marquardt", "minnorm_lstsq",
     "singular_values", "hermitian_smallest", "complex_schur",
     "STOCK_NLS_CONFIG",
     "run_table", "run_nls_comparison", "run_decomposition_table",

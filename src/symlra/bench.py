@@ -62,7 +62,7 @@ def _check_count(name, value):
 
 
 def _map_trials(worker, trials, threads):
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(worker, range(trials)))
     return [worker(t) for t in range(trials)]
@@ -101,6 +101,7 @@ def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
               lm_config=None):
     """Error distribution of `approximate` over random perturbed instances."""
     _check_count("trials", trials)
+    _check_count("threads", threads)
 
     def worker(t):
         F0, _ = random_low_rank(n, m, r, seed=seed_key(seed, t, 0), tau=tau)
@@ -173,6 +174,7 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
     under `nls_config` (default `STOCK_NLS_CONFIG`); `lm_config` governs
     the pipeline leg as everywhere else."""
     _check_count("trials", trials)
+    _check_count("threads", threads)
     _check_count("nls_restarts", nls_restarts)
     if tau is None:
         tau = 1000.0 ** (1.0 / r)
@@ -250,6 +252,7 @@ def run_decomposition_table(cases, trials=20, seed=0, restarts=0,
     `cases` is an iterable of (n, m, r) triples; returns one CaseStats per
     case, in order."""
     _check_count("trials", trials)
+    _check_count("threads", threads)
     out = []
     for (n, m, r) in cases:
 

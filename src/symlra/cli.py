@@ -11,7 +11,6 @@ inside symlra calls, usable cores, numpy and scipy versions).
 """
 
 import functools
-import json
 import sys
 
 import click
@@ -64,6 +63,12 @@ def _lm_config(max_iter, max_fev):
 
 def _emit(payload):
     click.echo(dumps(_jsonable(payload)), nl=False)
+
+
+def _echo_vectors(decomposition, indent=""):
+    for i, row in enumerate(decomposition.vectors):
+        entries = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
+        click.echo(f"{indent}u[{i}] = {entries}")
 
 
 def _emit_bench(payload, timing):
@@ -155,9 +160,7 @@ def approx(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
         click.echo(f"n={F.n} m={F.m} rank={diag['rank']}")
         click.echo(f"err-gp  = {res.err_gp:.6e}")
         click.echo(f"err-opt = {res.err_opt:.6e}")
-        for i, row in enumerate(res.refined.vectors):
-            entries = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
-            click.echo(f"u[{i}] = {entries}")
+        _echo_vectors(res.refined)
         return
     _emit({"n": F.n, "m": F.m, "rank": diag["rank"],
            "err_gp": res.err_gp, "err_opt": res.err_opt,
@@ -194,9 +197,7 @@ def decompose(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
     if fmt == "table":
         for d in (res.decompositions if distinct else [res.decomposition]):
             click.echo(f"decomposition (rank {d.rank}):")
-            for i, row in enumerate(d.vectors):
-                entries = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
-                click.echo(f"  u[{i}] = {entries}")
+            _echo_vectors(d, indent="  ")
         return
     diag = {**res.diagnostics, "attempts": res.attempts}
     if not timing:
@@ -261,7 +262,7 @@ def _bench_options(fn):
     for opt in reversed([
         click.option("--trials", type=POSITIVE, default=20, show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--threads", type=int, default=1, show_default=True),
+        click.option("--threads", type=POSITIVE, default=1, show_default=True),
         click.option("--max-iter", type=COUNT, default=None),
         click.option("--max-fev", type=COUNT, default=None),
     ]):

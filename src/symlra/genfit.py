@@ -11,12 +11,13 @@ rows over all |gamma| <= m - |alpha|, columns over the core.  The rows
 and the core are prefixes of the compact layout, so each system is one
 gather through `ExponentTable.slots`.  A solution g expresses x^alpha as
 sum_beta g_beta x^beta on the (unknown) zero set.
-Column solutions are decoupled; rank-deficient columns keep their null
-space as free parameters.  Stacking the border coefficient vectors gives
-the r x |border| generating matrix G, from which one multiplication
-matrix per variable follows.  The free parameters are tuned so the
-multiplication matrices commute (they do exactly when F has rank r and
-the core is interpolating).
+A depends only on |alpha|, so each border degree is one system with a
+right-hand side per column, and A's null space gives every column of
+that degree its free parameters.  Stacking the border coefficient vectors
+gives the r x |border| generating matrix G, from which one
+multiplication matrix per variable follows.  The free parameters are
+tuned so the multiplication matrices commute (they do exactly when F
+has rank r and the core is interpolating).
 
 G(omega) and the multiplication matrices M(omega) are affine in the free
 parameters omega.  Each fit keeps that map as arrays built once: the
@@ -34,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensors import compact_size, table
-from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
-                       normal_equations)
+from .numerics import levenberg_marquardt, minnorm_lstsq, seed_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,34 +85,37 @@ def monomial_basis(n, m, r):
 
 
 def generating_system(F, alpha, basis):
-    """The least-squares system (A, b) tying border monomial alpha to the core."""
-    d = F.m - sum(alpha)
+    """The least-squares system (A, B) tying border monomials alpha to the
+    core: one exponent gives a 1-D b, a (k, n-1) group of one degree gives
+    one column of B per exponent."""
+    alpha = np.asarray(alpha, dtype=np.int64)
+    degree = np.unique(alpha.sum(axis=-1))
+    if degree.size != 1:
+        raise ValueError(f"border exponents {alpha.tolist()} are not of one degree")
+    d = F.m - int(degree[0])
     if d < 0:
-        raise ValueError(f"exponent {alpha} exceeds degree {F.m}")
+        raise ValueError(f"exponent {alpha.tolist()} exceeds degree {F.m}")
     tab = table(F.n, F.m)
     gammas = tab.alpha_mat[:compact_size(F.n, d)]
     return (F.values[tab.slots(gammas[:, None] + tab.alpha_mat[:basis.rank])],
-            F.values[tab.slots(gammas + np.array(alpha, dtype=np.int64))])
+            F.values[tab.slots(alpha[..., None, :] + gammas)].T)
 
 
 @dataclass(eq=False)
 class GeneratingFit:
-    """Per-column minimum-norm solutions plus null-space parameterization.
+    """Minimum-norm solutions plus null-space parameterization.
 
     `matrix(omega)` assembles G = gls + (null-space directions) * omega,
     where omega is the complex free-parameter vector (length n_params,
-    column slices in `param_slices`).  G is affine in omega, and so are
+    border column by border column).  G is affine in omega, and so are
     the companion matrices; `directions`, `placement` and `sides` are that
     affine map's parts, built once per fit: G(omega) is one matmul and the
     commutator Jacobian one scatter per side of a variable pair."""
     basis: MonomialBasis
     gls: np.ndarray                 # (rank, n_border) minimum-norm solutions
-    nulls: tuple                    # per column, orthonormal (rank, k_col)
-    ranks: np.ndarray               # numerical rank of each column system
     residuals: np.ndarray           # ||A g - b|| per column at omega = 0
-    param_slices: tuple
     n_params: int
-    directions: np.ndarray = field(repr=False)  # (rank, n_params): the nulls side by side
+    directions: np.ndarray = field(repr=False)  # (rank, n_params): each column's null basis
     placement: np.ndarray = field(repr=False)   # (n_params, n_border): 1 at each parameter's column
     sides: tuple = field(repr=False)            # `_commutator_jacobian`'s scatter indices
 
@@ -148,32 +151,30 @@ def _jacobian_sides(basis, param_col):
 
 
 def fit_generating(F, basis, rank_tol=None):
-    """Solve every border column by minimum-norm least squares."""
-    r = basis.rank
+    """Minimum-norm least squares for the border, one system per degree."""
     n_border = len(basis.border)
-    gls = np.empty((r, n_border), dtype=complex)
-    nulls = []
-    ranks = np.empty(n_border, dtype=int)
+    border = np.array(basis.border, dtype=np.int64).reshape(n_border, basis.n - 1)
+    degree = border.sum(axis=1)
+    gls = np.empty((basis.rank, n_border), dtype=complex)
     residuals = np.empty(n_border)
-    slices = []
-    offset = 0
-    for col, alpha in enumerate(basis.border):
-        A, b = generating_system(F, alpha, basis)
-        x, null, rank = minnorm_lstsq(A, b, rank_tol)
-        gls[:, col] = x
-        nulls.append(null)
-        ranks[col] = rank
-        residuals[col] = np.linalg.norm(A @ x - b)
-        slices.append(slice(offset, offset + null.shape[1]))
-        offset += null.shape[1]
-    param_col = np.repeat(np.arange(n_border),
-                          [null.shape[1] for null in nulls]).astype(np.intp)
-    placement = np.zeros((offset, n_border), dtype=complex)
-    placement[np.arange(offset), param_col] = 1.0
-    return GeneratingFit(basis=basis, gls=gls, nulls=tuple(nulls),
-                         ranks=ranks, residuals=residuals,
-                         param_slices=tuple(slices), n_params=offset,
-                         directions=np.concatenate([np.zeros((r, 0)), *nulls], axis=1),
+    n_free = np.zeros(n_border, dtype=np.intp)
+    nulls = {}
+    for d in np.unique(degree):
+        cols = degree == d
+        A, B = generating_system(F, border[cols], basis)
+        X, nulls[d], _ = minnorm_lstsq(A, B, rank_tol)
+        gls[:, cols] = X
+        residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
+        n_free[cols] = nulls[d].shape[1]
+    # parameters run column by column; a column's are its degree's null basis
+    param_col = np.repeat(np.arange(n_border), n_free)
+    directions = np.empty((basis.rank, param_col.size), dtype=complex)
+    for d, null in nulls.items():
+        directions[:, degree[param_col] == d] = np.tile(null, np.sum(degree == d))
+    placement = np.zeros((param_col.size, n_border), dtype=complex)
+    placement[np.arange(param_col.size), param_col] = 1.0
+    return GeneratingFit(basis=basis, gls=gls, residuals=residuals,
+                         n_params=param_col.size, directions=directions,
                          placement=placement,
                          sides=_jacobian_sides(basis, param_col))
 
@@ -250,57 +251,58 @@ class GeneratingOpt:
     start_index: int            # which start won
 
 
-def optimize_generating(fit, config=None, restarts=0, seed=0, starts=None):
+def optimize_generating(fit, config=None, seed=0, starts=(0,)):
     """Minimize the total squared commutator norm over the free parameters.
 
     The residual at omega is `commutator_residuals` of the companion
     matrices of `fit.matrix(omega)`, and its Jacobian comes from the fit's
     affine map (`_commutator_jacobian`), so an LM step does one matmul for
     G, one index write for M and a few scatters for J, whatever the
-    number of border columns.
+    number of border columns; the normal system reuses the M the residual
+    built at the point the LM accepted.
 
     Runs one minimization per start index: index 0 is omega = 0, index
     k > 0 is a complex standard normal draw seeded by (seed, k), so a
     start's point does not depend on which other starts run.  `starts`
-    defaults to range(restarts + 1); the best final objective wins.
+    defaults to the zero start alone; the best final objective wins.
     With no free parameters the assembled G is returned with its
     objective evaluated.
     """
     basis = fit.basis
-
-    def objective_at(omega):
-        res = commutator_residuals(companion_matrices(fit.matrix(omega), basis))
-        return float(np.sum(res.real ** 2 + res.imag ** 2))
-
-    if fit.n_params == 0:
-        return GeneratingOpt(matrix=fit.matrix(), omega=np.zeros(0, dtype=complex),
-                             objective=objective_at(None), status=None,
-                             start_objectives=[objective_at(None)], start_index=0)
+    last = [None, None]     # the residual's latest point and its M
 
     def residual(omega):
-        return commutator_residuals(companion_matrices(fit.matrix(omega), basis))
+        M = companion_matrices(fit.matrix(omega), basis)
+        last[:] = omega, M
+        return commutator_residuals(M)
 
-    def jacobian(omega):
-        return _commutator_jacobian(fit, companion_matrices(fit.matrix(omega), basis))
+    if fit.n_params == 0:
+        res = residual(None)
+        obj = float(np.sum(res.real ** 2 + res.imag ** 2))
+        return GeneratingOpt(matrix=fit.matrix(), omega=np.zeros(0, dtype=complex),
+                             objective=obj, status=None, start_objectives=[obj],
+                             start_index=0)
 
-    cfg = config if config is not None else LMConfig()
-    if starts is None:
-        starts = range(restarts + 1)
+    def normal(omega, f):
+        M = (last[1] if last[0] is omega
+             else companion_matrices(fit.matrix(omega), basis))
+        J = _commutator_jacobian(fit, M)
+        Jh = J.conj().T
+        return Jh @ J, Jh @ f
+
     starts = list(starts)
     if not starts:
         raise ValueError("need at least one start")
-    entropy = [int(seed)] if isinstance(seed, (int, np.integer)) \
-        else [int(v) for v in seed]
     best = None
     objectives = []
     for start in starts:
         if start == 0:
             x0 = np.zeros(fit.n_params, dtype=complex)
         else:
-            rng = np.random.default_rng(entropy + [int(start)])
+            rng = np.random.default_rng(seed_key(seed, int(start)))
             x0 = (rng.standard_normal(fit.n_params)
                   + 1j * rng.standard_normal(fit.n_params))
-        lm = levenberg_marquardt(residual, normal_equations(jacobian), x0, cfg)
+        lm = levenberg_marquardt(residual, normal, x0, config)
         obj = lm.residual_norm ** 2
         objectives.append(obj)
         if best is None or obj < best[0]:

@@ -2,8 +2,8 @@
 Schur eigen-kernels, a damped least-squares (Levenberg-Marquardt)
 minimizer over real or complex unknowns that takes its Gauss-Newton
 normal system (J^H J, J^H f) from the caller, so a structured problem can
-build it without forming J (`normal_equations` forms it from an explicit
-Jacobian), and the BLAS thread policy of every public call."""
+build it without forming J, seed keys for random draws, and the BLAS
+thread policy of every public call."""
 
 import contextlib
 import ctypes
@@ -103,9 +103,17 @@ class _OneBlasThread(contextlib.ContextDecorator):
 one_blas_thread = _OneBlasThread()
 
 
+def seed_key(seed, *extra):
+    """Flatten a seed plus derivation tags into one entropy list."""
+    if isinstance(seed, (int, np.integer)):
+        return [int(seed), *extra]
+    return [*map(int, seed), *extra]
+
+
 def minnorm_lstsq(A, b, rank_tol=None):
     """Minimum-norm least-squares solution of A x ~ b with null-space basis.
 
+    b is (p,) or (p, k), k right-hand sides, and x (q,) or (q, k).
     Singular values <= rank_tol * sigma_max count as zero; the default
     rank_tol is max(p, q) * machine epsilon.
 
@@ -123,7 +131,8 @@ def minnorm_lstsq(A, b, rank_tol=None):
         if rank_tol is None:
             rank_tol = max(p, q) * EPS
         rank = int(np.count_nonzero(s > rank_tol * s[0]))
-    x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ b) / s[:rank])
+    # .T / s .T divides row j of U^H b by s_j for a 1-D or a 2-D b
+    x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ b).T / s[:rank]).T
     null = Vh[rank:].conj().T
     return x, null, rank
 
@@ -174,23 +183,13 @@ class LMResult:
     residual_evaluations: int
 
 
-def normal_equations(jacobian):
-    """The `normal` argument of `levenberg_marquardt` for an explicit
-    Jacobian: (J^H J, J^H f) with J = jacobian(x)."""
-    def normal(x, f):
-        J = np.asarray(jacobian(x), dtype=x.dtype)
-        Jh = J.conj().T
-        return Jh @ J, Jh @ f
-    return normal
-
-
 def levenberg_marquardt(residual, normal, x0, config=None):
     """Minimize 0.5 * ||residual(x)||^2 by damped least squares over real or
     complex x; the dtype of x0 decides, so real problems stay real.  A
     complex residual must be holomorphic.  `normal(x, f)` returns the
     Gauss-Newton normal system (J^H J, J^H f) at x, where f = residual(x)
-    and J is the residual's derivative; `normal_equations(jacobian)` builds
-    it from an explicit J, and a structured problem can build it directly.
+    and J is the residual's derivative: refine builds it in closed form
+    without J, the commutator minimization from its explicit J.
 
     Each step solves (J^H J + lam diag(J^H J)) delta = -J^H f, which is the
     normal system of the problem lifted to [Re x; Im x] with the same

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .tensors import SymTensor, Decomposition, table, compact_size, transform
+from .tensors import Decomposition, compact_size, transform
 from .catalecticant import catalecticant_spectrum, estimate_rank
 from .genfit import monomial_basis, fit_generating, optimize_generating, \
     companion_matrices
 from .zerosolve import commutation_gram, select_mixing, extract_zeros
-from .numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
-                       one_blas_thread)
+from .numerics import levenberg_marquardt, minnorm_lstsq, one_blas_thread, seed_key
 
 # the coordinate frames of the running `decompose` search (see `_frame`);
 # the search reaches the stages through `approximate`, whose signature is
@@ -61,13 +60,6 @@ _NOT_RUN = {"n_free_params": 0, "generating_residual": None,
             "refine_evaluations": None, "nonreal_output": False,
             "wall_time": None, "rank_estimated": False, "spectrum": None,
             "auto_shuffled": False}
-
-
-def seed_key(seed, *extra):
-    """Flatten a seed plus derivation tags into one entropy list."""
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed), *extra]
-    return [*map(int, seed), *extra]
 
 
 def fit_coefficients(F, zeros):

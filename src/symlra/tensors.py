@@ -317,6 +317,8 @@ def random_low_rank(n, m, r, seed=0, tau=None):
 
     Returns (tensor, decomposition); the decomposition reproduces the tensor
     exactly (scaling is folded into the vectors as tau^(i/m))."""
+    if tau is not None and not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
     if tau is not None:

@@ -1,12 +1,17 @@
 """Reference computations shared by the test files: a central-difference
-Jacobian for cross-checking analytic ones, the per-entry power form of the
-monomials that `ExponentTable.monomials` evaluates, the per-column,
-per-feed loop forms of the generating matrix, the companion matrices and
-the commutator residual and Jacobian that `genfit` builds from its affine
-map."""
+Jacobian for cross-checking analytic ones, the LM's normal system formed
+from an explicit Jacobian, the per-entry power form of the monomials that
+`ExponentTable.monomials` evaluates, the generating fit solved one border
+column at a time, and the per-column, per-feed loop forms of the
+generating matrix, the companion matrices and the commutator residual and
+Jacobian that `genfit` builds from its affine map."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from symlra.genfit import generating_system
+from symlra.numerics import minnorm_lstsq
 from symlra.tensors import compact_size
 
 
@@ -22,6 +27,16 @@ def finite_difference_jacobian(residual, x, step=1e-6):
         xm = x.copy(); xm[j] -= h
         J[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * h)
     return J
+
+
+def normal_equations(jacobian):
+    """The `normal` argument of `levenberg_marquardt` for an explicit
+    Jacobian: (J^H J, J^H f) with J = jacobian(x)."""
+    def normal(x, f):
+        J = np.asarray(jacobian(x), dtype=x.dtype)
+        Jh = J.conj().T
+        return Jh @ J, Jh @ f
+    return normal
 
 
 def reference_monomials(X, E):
@@ -60,8 +75,31 @@ def reference_wiring(basis):
     return unit_cols, border_cols, feeds
 
 
+def reference_fit(F, basis, rank_tol=None):
+    """The generating fit one border column at a time: one gather and one
+    minimum-norm solve per column, keeping each column's null basis
+    (`nulls`) and parameter slice (`param_slices`); parameters run column
+    by column, as in `fit_generating`."""
+    gls = np.empty((basis.rank, len(basis.border)), dtype=complex)
+    nulls, residuals, slices = [], [], []
+    offset = 0
+    for col, alpha in enumerate(basis.border):
+        A, b = generating_system(F, alpha, basis)
+        x, null, _ = minnorm_lstsq(A, b, rank_tol)
+        gls[:, col] = x
+        nulls.append(null)
+        residuals.append(np.linalg.norm(A @ x - b))
+        slices.append(slice(offset, offset + null.shape[1]))
+        offset += null.shape[1]
+    return SimpleNamespace(
+        basis=basis, gls=gls, nulls=nulls, residuals=np.array(residuals),
+        param_slices=slices, n_params=offset,
+        directions=np.concatenate([np.zeros((basis.rank, 0)), *nulls], axis=1))
+
+
 def reference_matrix(fit, omega=None):
-    """G = gls plus each column's null directions times its parameters."""
+    """G = gls plus each column's null directions times its parameters, for
+    a `reference_fit`."""
     G = fit.gls.copy()
     if omega is not None:
         for col, sl in enumerate(fit.param_slices):
@@ -91,9 +129,9 @@ def reference_commutator_residuals(M):
 
 
 def reference_commutator_jacobian(fit, M):
-    """Jacobian of the commutator residual in the free parameters, one
-    rank-one update per feed (i, nu) of each border column and each other
-    variable j."""
+    """Jacobian of the commutator residual in the free parameters of a
+    `reference_fit`, one rank-one update per feed (i, nu) of each border
+    column and each other variable j."""
     r = fit.basis.rank
     nbar = fit.basis.n - 1
     _, _, feeds = reference_wiring(fit.basis)
@@ -129,7 +167,8 @@ def reference_commutator_jacobian(fit, M):
 
 
 def reference_commutator_closures(fit):
-    """(residual, jacobian) of omega along the loop forms above."""
+    """(residual, jacobian) of omega along the loop forms above, for a
+    `reference_fit`."""
     def residual(omega):
         return reference_commutator_residuals(
             reference_companions(reference_matrix(fit, omega), fit.basis))

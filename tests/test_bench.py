@@ -93,6 +93,11 @@ def test_decomposition_table_deterministic():
     (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=1, nls_restarts=0),
      "nls_restarts"),
     (lambda: run_decomposition_table([(3, 3, 2)], trials=0), "trials"),
+    (lambda: run_table(3, 3, 1, 1e-2, trials=1, threads=0), "threads"),
+    (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=1, threads=-4), "threads"),
+    (lambda: run_decomposition_table([(3, 3, 2)], trials=1, threads=-4),
+     "threads"),
+    (lambda: run_table(3, 3, 1, 1e-2, trials=1, tau=-1.0), "tau must be positive"),
 ])
 def test_counts_below_one_raise(run, match):
     with pytest.raises(ValueError, match=match):

@@ -262,6 +262,13 @@ def test_bench_table_bad_eps_list_exits_2(runner):
     assert "comma-separated" in result.output
 
 
+def test_bench_table_nonpositive_tau_exits_2(runner):
+    result = runner.invoke(main, ["bench", "table", "--n", "3", "--m", "3",
+                                  "--r", "1", "--trials", "1", "--tau", "-1"])
+    assert result.exit_code == 2
+    assert "tau must be positive" in result.output
+
+
 def test_bench_nls_smoke(runner):
     doc = json.loads(invoke(
         runner, "bench", "nls", "--n", "3", "--m", "3", "--r", "1",
@@ -306,6 +313,8 @@ def test_bench_timing_records_the_environment(runner, args):
     ["bench", "table", "--n", "3", "--m", "3", "--trials", "0"],
     ["bench", "nls", "--n", "3", "--m", "3", "--r", "1", "--eps", "1e-2",
      "--nls-restarts", "0"],
+    ["bench", "table", "--n", "3", "--m", "3", "--threads", "-4"],
+    ["bench", "decomp", "--cases", "3,3,2", "--threads", "0"],
 ])
 def test_bad_counts_exit_2_without_traceback(runner, tmp_path, args):
     if args[0] != "bench":

@@ -1,5 +1,6 @@
-"""Tests for the core/border monomial sets, the per-column least-squares
-fit, companion matrices, and the commutator minimization."""
+"""Tests for the core/border monomial sets, the least-squares fit (one
+system per border degree), companion matrices, and the commutator
+minimization."""
 from functools import lru_cache
 
 import numpy as np
@@ -7,16 +8,17 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symlra import genfit
 from symlra.genfit import (monomial_basis, generating_system, fit_generating,
                            companion_matrices, commutator_residuals,
                            _commutator_jacobian, optimize_generating)
-from symlra.numerics import LMConfig
+from symlra.numerics import LMConfig, levenberg_marquardt
 from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
                             random_low_rank)
 from symlra.families import linear_tensor, ternary_tensor
 
-from helpers import (reference_commutator_closures, reference_companions,
-                     reference_matrix)
+from helpers import (normal_equations, reference_commutator_closures,
+                     reference_companions, reference_fit, reference_matrix)
 
 
 class TestMonomialBasis:
@@ -118,13 +120,32 @@ class TestGeneratingSystem:
         with pytest.raises(ValueError, match="exceeds degree"):
             generating_system(F, (4, 0), monomial_basis(3, 3, 2))
 
+    @pytest.mark.parametrize("n,m,r", [(2, 5, 3), (3, 4, 6), (5, 3, 5)])
+    def test_group_stacks_single_columns(self, n, m, r):
+        # a group of one degree shares A; column j of B is exponent j's b
+        F = perturb(random_low_rank(n, m, r, seed=n)[0], 0.1, seed=2)
+        basis = monomial_basis(n, m, r)
+        for d in {sum(a) for a in basis.border}:
+            group = [a for a in basis.border if sum(a) == d]
+            A, B = generating_system(F, group, basis)
+            assert B.shape == (A.shape[0], len(group))
+            for j, alpha in enumerate(group):
+                A1, b1 = generating_system(F, alpha, basis)
+                assert A.tobytes() == A1.tobytes()
+                assert np.array_equal(B[:, j], b1)
+
+    def test_mixed_degree_group_rejected(self):
+        F, _ = random_low_rank(3, 3, 4, seed=0)
+        with pytest.raises(ValueError, match="one degree"):
+            generating_system(F, [(1, 1), (3, 0)], monomial_basis(3, 3, 4))
+
 
 class TestFitGenerating:
     def test_unique_columns_on_linear_tensor(self):
         fit = fit_generating(linear_tensor(), monomial_basis(5, 3, 2))
         assert fit.n_params == 0
         assert fit.residuals.max() < 1e-12
-        assert np.all(fit.ranks == 2)
+        assert fit.directions.shape == (2, 0)      # every system has rank 2
         col = list(fit.basis.border).index((0, 1, 0, 0))
         npt.assert_allclose(fit.gls[:, col], [-1.0, 2.0], atol=1e-12)
 
@@ -133,14 +154,16 @@ class TestFitGenerating:
         # degree-2 columns are 3x4 systems (1 free each); degree-3 columns
         # are 1x4 (3 free each)
         assert fit.n_params == 8
-        assert [s.stop - s.start for s in fit.param_slices] == [1, 1, 3, 3]
+        assert fit.placement.real.sum(axis=0).tolist() == [1, 1, 3, 3]
+        # parameters run border column by border column
+        assert fit.placement.real.argmax(axis=1).tolist() == [0, 1, 2, 2, 2, 3, 3, 3]
 
     def test_solution_line_of_free_column(self):
         # the (1,1) column's solutions form the line p + t*d; p (the t = 0
         # point) and d are hand-reducible from the 3x4 system above
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
         col = list(fit.basis.border).index((1, 1))
-        x, N = fit.gls[:, col], fit.nulls[col]
+        x, N = fit.gls[:, col], fit.directions[:, fit.placement[:, col] != 0]
         assert N.shape == (4, 1)
         p = np.array([0.0, -181 / 7019, 5942 / 7019, -4365 / 7019],
                      dtype=complex)
@@ -243,21 +266,78 @@ def assert_closures_match_loop_forms(n, m, r, seed, at_zero):
     N = compact_size(n, m)
     F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
     fit = fit_generating(F, monomial_basis(n, m, r))
+    ref = reference_fit(F, fit.basis)
     assert fit.n_params > 0
     k = fit.n_params
     omega = (np.zeros(k, dtype=complex) if at_zero
              else rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    residual, jacobian = reference_commutator_closures(fit)
+    residual, jacobian = reference_commutator_closures(ref)
     G = fit.matrix(omega)
     M = companion_matrices(G, fit.basis)
     pairs = [(commutator_residuals(M), residual(omega)),
              (_commutator_jacobian(fit, M), jacobian(omega)),
-             (G, reference_matrix(fit, omega)),
+             (G, reference_matrix(ref, omega)),
              (M, reference_companions(G, fit.basis))]
     for got, ref in pairs:
         assert got.shape == ref.shape
         tol = 1e-12 * np.abs(ref).max(initial=1.0)
         assert np.abs(got - ref).max(initial=0.0) <= tol
+
+
+def assert_within(got, ref, scale):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(2, 5), pick=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["generic", "zero", "deficient"]))
+def test_grouped_fit_matches_per_column_reference(n, m, pick, seed, kind):
+    ranks = ranks_with_parameters(n, m)
+    r = ranks[min(pick, len(ranks) - 1)]
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, m)
+    if kind == "generic":
+        F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    elif kind == "zero":
+        F = SymTensor(n, m, np.zeros(N, dtype=complex))
+    else:   # rank below r, so every system of a degree is rank-deficient
+        F, _ = random_low_rank(n, m, max(1, r // 2), seed=seed)
+    fit = fit_generating(F, monomial_basis(n, m, r))
+    ref = reference_fit(F, fit.basis)
+    assert fit.n_params == ref.n_params
+    for got, want in [(fit.gls, ref.gls), (fit.directions, ref.directions)]:
+        assert_within(got, want, np.abs(want).max(initial=0.0))
+    # consistent systems leave residuals at round-off, so they are measured
+    # against the size of the system's entries and solutions
+    scale = max(ref.residuals.max(initial=0.0),
+                np.abs(F.values).max() * max(1.0, np.abs(ref.gls).max(initial=0.0)))
+    assert_within(fit.residuals, ref.residuals, scale)
+
+
+@pytest.mark.parametrize("n,m,r", [(10, 6, 20), (3, 3, 4)])
+def test_one_system_per_border_degree(monkeypatch, n, m, r):
+    # (10, 6, 20): 35 border columns of degree 2 and 53 of degree 3;
+    # (3, 3, 4): two of each
+    calls = {"generating_system": 0, "minnorm_lstsq": 0}
+
+    def counted(name):
+        original = getattr(genfit, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(genfit, name, wrapper)
+    for name in calls:
+        counted(name)
+    rng = np.random.default_rng(0)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    basis = monomial_basis(n, m, r)
+    fit_generating(F, basis)
+    assert len({sum(a) for a in basis.border}) == 2
+    assert calls == {"generating_system": 2, "minnorm_lstsq": 2}
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +360,7 @@ def test_commutator_closures_fixed_cases(n, m, r, at_zero):
 class TestOptimizeGenerating:
     def test_drives_commutators_to_zero(self):
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
-        opt = optimize_generating(fit, seed=0, restarts=2)
+        opt = optimize_generating(fit, seed=0, starts=range(3))
         assert opt.objective < 1e-16
         assert opt.omega.shape == (8,)
         assert opt.status is not None
@@ -289,8 +369,8 @@ class TestOptimizeGenerating:
 
     def test_deterministic(self):
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
-        a = optimize_generating(fit, seed=3, restarts=1)
-        b = optimize_generating(fit, seed=3, restarts=1)
+        a = optimize_generating(fit, seed=3, starts=range(2))
+        b = optimize_generating(fit, seed=3, starts=range(2))
         npt.assert_array_equal(a.omega, b.omega)
         assert a.objective == b.objective
 
@@ -298,7 +378,7 @@ class TestOptimizeGenerating:
         # start k draws from its own stream: running {2} alone must equal
         # the start-2 member of {0, 1, 2}
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
-        all_three = optimize_generating(fit, seed=5, restarts=2)
+        all_three = optimize_generating(fit, seed=5, starts=range(3))
         only_two = optimize_generating(fit, seed=5, starts=[2])
         assert only_two.start_objectives[0] == all_three.start_objectives[2]
 
@@ -313,6 +393,27 @@ class TestOptimizeGenerating:
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
         with pytest.raises(ValueError, match="at least one start"):
             optimize_generating(fit, starts=[])
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_normal_system_matches_explicit_jacobian(self, start):
+        # the normal system reuses the residual's companion matrices; an LM
+        # that rebuilds them for an explicit Jacobian takes the same steps
+        fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
+        opt = optimize_generating(fit, seed=2, starts=[start])
+
+        def residual(omega):
+            return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
+
+        def jacobian(omega):
+            return _commutator_jacobian(
+                fit, companion_matrices(fit.matrix(omega), fit.basis))
+        x0 = np.zeros(8, dtype=complex)
+        if start:
+            rng = np.random.default_rng([2, start])
+            x0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        lm = levenberg_marquardt(residual, normal_equations(jacobian), x0, LMConfig())
+        assert opt.omega.tobytes() == lm.x.tobytes()
+        assert opt.objective == lm.residual_norm ** 2 and opt.status == lm.status
 
     def test_exact_rank_instance_commutes(self):
         F, _ = random_low_rank(6, 3, 3, seed=4)

@@ -9,12 +9,12 @@ from symlra.genfit import (_commutator_jacobian, commutator_residuals,
                            companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
     minnorm_lstsq, singular_values, hermitian_smallest, complex_schur,
-    LMConfig, levenberg_marquardt, normal_equations,
+    LMConfig, levenberg_marquardt,
 )
 from symlra.pipeline import _refine_closures
 from symlra.tensors import perturb, random_low_rank
 
-from helpers import finite_difference_jacobian
+from helpers import finite_difference_jacobian, normal_equations
 from test_pipeline import reference_refine_jacobian
 
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symlra.bench import STOCK_NLS_CONFIG
-from symlra.numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
-                             normal_equations)
+from symlra.numerics import LMConfig, levenberg_marquardt, minnorm_lstsq
 from symlra.tensors import (SymTensor, Decomposition, rank_one,
                             random_low_rank, perturb, compact_size)
 from symlra.pipeline import (fit_coefficients, terms_from_zeros, refine,
@@ -19,7 +18,7 @@ from symlra.families import sin_tensor, ternary_tensor, octet_decomposition
 from symlra import pipeline
 
 from helpers import (finite_difference_jacobian, homogeneous_exponents,
-                     reference_monomials)
+                     normal_equations, reference_monomials)
 
 
 def normalized_instance(n, m, r, seed):
