@@ -3,7 +3,8 @@
 The flattening pairs degrees m1 = floor(m/2) and m2 = ceil(m/2): entry
 (alpha, beta) is F_{alpha+beta} for row exponents |alpha| <= m1 and
 column exponents |beta| <= m2.  Both lists are prefixes of the compact
-layout, so the matrix is one gather through `ExponentTable.slots`.  Its
+layout, so the matrix is one gather through `ExponentTable.sum_slots`,
+which ranks each alpha+beta from the table's suffix sums.  Its
 rank lower-bounds the symmetric rank of F, and the decay of its singular
 values is the rank signal used when no target rank is supplied.
 """
@@ -31,7 +32,7 @@ def catalecticant(F):
     m2 = F.m - m1
     tab = table(F.n, F.m)
     p, q = compact_size(F.n, m1), compact_size(F.n, m2)
-    M = F.values[tab.slots(tab.alpha_mat[:p, None] + tab.alpha_mat[:q])]
+    M = F.values[tab.sum_slots(p, q)]
     return CatMatrix(matrix=M, row_exponents=tab.alphas[:p],
                      col_exponents=tab.alphas[:q], row_degree=m1, col_degree=m2)
 

@@ -8,9 +8,11 @@ the tensor imposes the least-squares system
     A[gamma, beta] = F_{beta+gamma},   b[gamma] = F_{alpha+gamma},
 
 rows over all |gamma| <= m - |alpha|, columns over the core.  The rows
-and the core are prefixes of the compact layout, so each system is one
-gather through `ExponentTable.slots`.  A solution g expresses x^alpha as
-sum_beta g_beta x^beta on the (unknown) zero set.
+and the core are prefixes of the compact layout, so each system, A and
+its right-hand sides together, is one slot matrix of
+`ExponentTable.sum_slots` (rows gamma, columns the core followed by the
+border slots).  A solution g expresses x^alpha as sum_beta g_beta x^beta
+on the (unknown) zero set.
 A depends only on |alpha|, so each border degree is one system with a
 right-hand side per column, and A's null space gives every column of
 that degree its free parameters.  Stacking the border coefficient vectors
@@ -96,9 +98,11 @@ def generating_system(F, alpha, basis):
     if d < 0:
         raise ValueError(f"exponent {alpha.tolist()} exceeds degree {F.m}")
     tab = table(F.n, F.m)
-    gammas = tab.alpha_mat[:compact_size(F.n, d)]
-    return (F.values[tab.slots(gammas[:, None] + tab.alpha_mat[:basis.rank])],
-            F.values[tab.slots(alpha[..., None, :] + gammas)].T)
+    r = basis.rank
+    S = tab.sum_slots(compact_size(F.n, d), np.append(np.arange(r), tab.slots(alpha)))
+    # two gathers, so A and B are C-contiguous: strided views of one gather
+    # move the least-squares solve's round-off
+    return F.values[S[:, :r]], F.values[S[:, r] if alpha.ndim == 1 else S[:, r:]]
 
 
 @dataclass(eq=False)

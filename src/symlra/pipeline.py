@@ -108,7 +108,8 @@ def _refine_closures(F, r):
     and J^H f = m conj(V) (w' * R[beta + e_j]), where V[i, beta] = u_i^beta
     over the degree-(m-1) exponents beta (the first compact_size(n, m-1)
     rows of `alpha_mat`), w'_beta = (m-1)!/beta! and beta + e_j is
-    gathered through `ExponentTable.slots`.  The residual's u_i^alpha and V
+    gathered through `ExponentTable.sum_slots`, e_0 .. e_{n-1} being the
+    table's first n exponents.  The residual's u_i^alpha and V
     are one kernel, `ExponentTable.monomials` at degrees m and m-1: the
     residual passes through V on its way to degree m and keeps it, and
     `normal` reuses it when handed the very array the residual last saw,
@@ -118,11 +119,11 @@ def _refine_closures(F, r):
     tab = F.table
     sw = tab.sqrt_weights
     target = sw * F.values
-    below = tab.alpha_mat[:compact_size(n, m - 1)]
+    k = compact_size(n, m - 1)     # the degree-(m-1) exponents beta
     # slots of beta + e_j: j = 0 raises the slack power, j >= 1 alpha_j
-    up = tab.slots(below[:, None, :] + np.eye(n, n - 1, -1, dtype=np.int64))
+    up = tab.sum_slots(k, n)
     # w'_beta = w_alpha * alpha_0 / m for alpha = beta + e_0
-    wb = tab.weights[up[:, 0]] * (m - below.sum(axis=1)) / m
+    wb = tab.weights[up[:, 0]] * (m - tab.alpha_mat[:k].sum(axis=1)) / m
 
     last = [None, None]     # the residual's latest point and its V
 

@@ -52,18 +52,27 @@ def multinomial(alpha, m):
 class ExponentTable:
     """Per-(n, m) index data for the compact layout, built once and cached.
 
-    `slots` ranks exponents in closed form.  With S(k, t) = C(k+t-1, k)
+    Exponents are ranked in closed form.  With S(k, t) = C(k+t-1, k)
     (0 at t = 0) the number of exponents over k variables of degree < t,
+    and suffix_j(alpha) = alpha_j + ... + alpha_{n-1},
 
-        slot(alpha) = sum_{j=1..n-1} S(n-j, alpha_j + ... + alpha_{n-1}):
+        slot(alpha) = sum_{j=1..n-1} S(n-j, suffix_j(alpha)):
 
     term 1 counts the exponents of lower degree, term j > 1 those of
     degree |alpha| that share alpha_1..alpha_{j-2} and carry a larger
     power of x_{j-1}.  Each S is at most the table length, so int64
-    holds it.  The order is degree-graded, so the exponents of degree
+    holds it.  The ranking runs one coordinate at a time: one lookup in
+    `_below[n-j]` per coordinate, summed.
+
+    Suffix sums add: suffix_j(alpha + beta) = suffix_j(alpha) +
+    suffix_j(beta).  The table keeps every exponent's suffix sums in
+    `_suffix` ((n-1) x N, row j-1 holding suffix_j), so `sum_slots` ranks
+    each entry F_{alpha+beta} of a Hankel-type matrix from one (p, q) add
+    and one lookup per coordinate, with no (p, q, n-1) array of summed
+    exponents.  The order is degree-graded, so the exponents of degree
     <= d are the first compact_size(n, d) rows of `alpha_mat`: the
-    Hankel gathers (catalecticant, generating systems) rely on this
-    prefix property.
+    Hankel gathers (catalecticant, generating systems, refine) pass such
+    prefixes as rows and columns.
 
     `monomials` reads the same prefix as the homogeneous exponents
     (d - |alpha|, alpha) of degree d and builds them by degree recursion:
@@ -74,7 +83,7 @@ class ExponentTable:
     """
 
     __slots__ = ("n", "m", "alphas", "index", "alpha_mat", "weights",
-                 "sqrt_weights", "_below", "_steps")
+                 "sqrt_weights", "_below", "_suffix", "_steps")
 
     def __init__(self, n, m):
         nbar = n - 1
@@ -90,6 +99,8 @@ class ExponentTable:
         # _below[k, t] = S(k, t) for k <= n-1 variables and degrees t <= m
         self._below = np.array([[0] + [math.comb(k + t, k) for t in range(m)]
                                 for k in range(n)], dtype=np.int64)
+        # _suffix[j-1, k] = suffix_j of exponent k, row by row for `sum_slots`
+        self._suffix = np.cumsum(A[:, ::-1], axis=1)[:, ::-1].T.copy()
         # degree recursion: level d's parent slots and coordinates j
         deg = A.sum(axis=1)
         first = (np.cumsum(A, axis=1) == 0).sum(axis=1)   # leading zeros
@@ -101,12 +112,37 @@ class ExponentTable:
     def __len__(self):
         return len(self.alphas)
 
+    def _rank(self, shape, suffixes):
+        # sum over j = n-1, ..., 1 of S(n-j, s_j), `suffixes` yielding the
+        # suffix-sum arrays s_j in that order
+        out = np.zeros(shape, dtype=np.int64)
+        for below, s in zip(self._below[1:], suffixes):
+            out += below[s]
+        return out
+
     def slots(self, E):
         """Compact slots of the exponents in the integer array E of shape
         (..., n-1); each exponent must be nonnegative with degree <= m."""
         E = np.asarray(E, dtype=np.int64)
-        suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
-        return self._below[np.arange(self.n - 1, 0, -1), suffix].sum(axis=-1)
+        if E.shape[-1:] != (self.n - 1,):
+            raise ValueError(f"exponents must have {self.n - 1} entries, "
+                             f"got shape {E.shape}")
+        if E.size and (E.min() < 0 or E.sum(axis=-1).max() > self.m):
+            raise ValueError(f"exponents must be nonnegative with degree "
+                             f"<= {self.m}")
+        return self._rank(E.shape[:-1], itertools.accumulate(
+            E[..., j] for j in range(self.n - 2, -1, -1)))
+
+    def sum_slots(self, rows, cols):
+        """(p, q) slots of alpha_mat[rows][:, None] + alpha_mat[cols], the
+        gather of a Hankel-type matrix.  `rows` and `cols` are each a
+        prefix length or an index array into the table."""
+        a, b = (self._suffix[:, :k] if np.ndim(k) == 0 else self._suffix[:, k]
+                for k in (rows, cols))
+        p, q = a.shape[1], b.shape[1]
+        if p and q and self.n > 1 and a[0].max() + b[0].max() > self.m:
+            raise ValueError(f"summed exponents exceed degree {self.m}")
+        return self._rank((p, q), (s[:, None] + t for s, t in zip(a[::-1], b[::-1])))
 
     def monomials(self, U, degree=None, below=None):
         """(r, compact_size(n, degree)) values of the rows of U (shape
@@ -251,9 +287,15 @@ def rank_one(u, m):
 
 @lru_cache(maxsize=None)
 def _position_map(n, m):
-    # dense index tuple -> compact slot, as an (n,)*m integer array
-    counts = (np.indices((n,) * m)[..., None] == np.arange(1, n)).sum(axis=0)
-    pos = table(n, m).slots(counts)
+    # dense index tuple -> compact slot, as an (n,)*m integer array; its
+    # suffix_j is the number of modes with index >= j, an int8 sum of one
+    # broadcast step per mode (int8 holds m: for n >= 2, n^m entries fit
+    # in memory only when m < 128, and n = 1 has no coordinates)
+    shapes = [(n,) + (1,) * (m - 1 - k) for k in range(m)]
+    suffixes = (sum(np.reshape(np.arange(n) >= j, shape).astype(np.int8)
+                    for shape in shapes)
+                for j in range(n - 1, 0, -1))
+    pos = table(n, m)._rank((n,) * m, suffixes)
     pos.flags.writeable = False
     return pos
 

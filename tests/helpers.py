@@ -1,7 +1,9 @@
 """Reference computations shared by the test files: a central-difference
 Jacobian for cross-checking analytic ones, the LM's normal system formed
 from an explicit Jacobian, the per-entry power form of the monomials that
-`ExponentTable.monomials` evaluates, the generating fit solved one border
+`ExponentTable.monomials` evaluates, the slot ranking from an explicit
+(..., n-1) array of suffix sums and the dense position map from an
+(n^m, n-1) array of index counts, the generating fit solved one border
 column at a time, and the per-column, per-feed loop forms of the
 generating matrix, the companion matrices and the commutator residual and
 Jacobian that `genfit` builds from its affine map."""
@@ -12,7 +14,7 @@ import numpy as np
 
 from symlra.genfit import generating_system
 from symlra.numerics import minnorm_lstsq
-from symlra.tensors import compact_size
+from symlra.tensors import compact_size, table
 
 
 def finite_difference_jacobian(residual, x, step=1e-6):
@@ -44,6 +46,22 @@ def reference_monomials(X, E):
     X = np.asarray(X, dtype=complex)
     E = np.asarray(E, dtype=np.int64).reshape(-1, X.shape[1])
     return np.prod(X[:, None, :] ** E[None, :, :], axis=2)
+
+
+def reference_slots(tab, E):
+    """Compact slots of the exponents in E (shape (..., n-1)) from an
+    explicit array of their suffix sums, one fancy index for all
+    coordinates: sum_j S(n-j, E_j + ... + E_{n-1})."""
+    E = np.asarray(E, dtype=np.int64)
+    suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
+    return tab._below[np.arange(tab.n - 1, 0, -1), suffix].sum(axis=-1)
+
+
+def reference_position_map(n, m):
+    """Dense index tuple -> compact slot, ranking each tuple's exponent
+    (the count of every index 1..n-1) with `reference_slots`."""
+    counts = (np.indices((n,) * m)[..., None] == np.arange(1, n)).sum(axis=0)
+    return reference_slots(table(n, m), counts)
 
 
 def homogeneous_exponents(tab, d):

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
-                            random_low_rank)
+                            random_low_rank, table)
 from symlra.catalecticant import (catalecticant, catalecticant_spectrum,
                                   estimate_rank)
 from symlra.families import (sin_tensor, rootsum_tensor, ternary_tensor,
                              octet_tensor)
+
+from helpers import reference_slots
 
 
 def test_shape_and_entries():
@@ -34,6 +38,30 @@ def test_gather_matches_entry_loop(n, m):
     C = catalecticant(F)
     assert C.matrix.tobytes() == ref.tobytes()
     assert C.row_exponents == tuple(rows) and C.col_exponents == tuple(cols)
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 5), (4, 6), (10, 6)])
+def test_gather_matches_reference_slots(n, m):
+    # the summed exponents ranked from an explicit (p, q, n-1) array
+    F = perturb(random_low_rank(n, m, 2, seed=n + m)[0], 0.1, seed=1)
+    tab = table(n, m)
+    A = tab.alpha_mat
+    p, q = compact_size(n, m // 2), compact_size(n, m - m // 2)
+    ref = F.values[reference_slots(tab, A[:p, None] + A[:q])]
+    assert catalecticant(F).matrix.tobytes() == ref.tobytes()
+
+
+def test_gather_memory():
+    # 220 x 220 at (10, 6): a few (p, q) arrays, no (p, q, n-1) exponents
+    F, _ = random_low_rank(10, 6, 3, seed=2)
+    catalecticant(F)
+    tracemalloc.start()
+    try:
+        catalecticant(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_even_order_square():

@@ -1,6 +1,7 @@
 """Tests for the core/border monomial sets, the least-squares fit (one
 system per border degree), companion matrices, and the commutator
 minimization."""
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -14,11 +15,12 @@ from symlra.genfit import (monomial_basis, generating_system, fit_generating,
                            _commutator_jacobian, optimize_generating)
 from symlra.numerics import LMConfig, levenberg_marquardt
 from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
-                            random_low_rank)
+                            random_low_rank, table)
 from symlra.families import linear_tensor, ternary_tensor
 
 from helpers import (normal_equations, reference_commutator_closures,
-                     reference_companions, reference_fit, reference_matrix)
+                     reference_companions, reference_fit, reference_matrix,
+                     reference_slots)
 
 
 class TestMonomialBasis:
@@ -119,6 +121,8 @@ class TestGeneratingSystem:
         F, _ = random_low_rank(3, 3, 2, seed=0)
         with pytest.raises(ValueError, match="exceeds degree"):
             generating_system(F, (4, 0), monomial_basis(3, 3, 2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            generating_system(F, [-1, 2], monomial_basis(3, 3, 2))
 
     @pytest.mark.parametrize("n,m,r", [(2, 5, 3), (3, 4, 6), (5, 3, 5)])
     def test_group_stacks_single_columns(self, n, m, r):
@@ -134,6 +138,25 @@ class TestGeneratingSystem:
                 assert A.tobytes() == A1.tobytes()
                 assert np.array_equal(B[:, j], b1)
 
+    @pytest.mark.parametrize("n,m,r", [(2, 5, 3), (3, 4, 6), (6, 4, 9), (10, 6, 20)])
+    def test_gathers_match_reference_slots(self, n, m, r):
+        # A and B ranked from explicit arrays of summed exponents, one
+        # exponent and one group per border degree; both C-contiguous
+        F = perturb(random_low_rank(n, m, r, seed=n)[0], 0.1, seed=2)
+        basis = monomial_basis(n, m, r)
+        tab = table(n, m)
+        border = np.array(basis.border, dtype=np.int64)
+        for d in np.unique(border.sum(axis=1)):
+            group = border[border.sum(axis=1) == d]
+            gammas = tab.alpha_mat[:compact_size(n, m - d)]
+            A_ref = F.values[reference_slots(tab, gammas[:, None] + tab.alpha_mat[:r])]
+            B_ref = F.values[reference_slots(tab, group[:, None, :] + gammas)].T
+            for alpha, b_ref in ((group, B_ref), (group[0], B_ref[:, 0])):
+                A, B = generating_system(F, alpha, basis)
+                assert A.flags.c_contiguous and B.flags.c_contiguous
+                assert A.shape == A_ref.shape and B.shape == b_ref.shape
+                assert A.tobytes() == A_ref.tobytes() and B.tobytes() == b_ref.tobytes()
+
     def test_mixed_degree_group_rejected(self):
         F, _ = random_low_rank(3, 3, 4, seed=0)
         with pytest.raises(ValueError, match="one degree"):
@@ -141,6 +164,20 @@ class TestGeneratingSystem:
 
 
 class TestFitGenerating:
+    def test_fit_memory(self):
+        # (10, 6, 20): two systems of 715 x 55 and 2002 x 10 slots; no
+        # (p, q, n-1) array of summed exponents
+        F = perturb(random_low_rank(10, 6, 20, seed=1)[0], 1e-4, seed=2)
+        basis = monomial_basis(10, 6, 20)
+        fit_generating(F, basis)
+        tracemalloc.start()
+        try:
+            fit_generating(F, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_unique_columns_on_linear_tensor(self):
         fit = fit_generating(linear_tensor(), monomial_basis(5, 3, 2))
         assert fit.n_params == 0

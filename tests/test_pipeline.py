@@ -18,7 +18,7 @@ from symlra.families import sin_tensor, ternary_tensor, octet_decomposition
 from symlra import pipeline
 
 from helpers import (finite_difference_jacobian, homogeneous_exponents,
-                     normal_equations, reference_monomials)
+                     normal_equations, reference_monomials, reference_slots)
 
 
 def normalized_instance(n, m, r, seed):
@@ -205,6 +205,20 @@ class TestRefine:
         residual(v)
         for other in (normal(u, f), normal(u.copy(), f)):
             assert [a.tobytes() for a in other] == [a.tobytes() for a in reused]
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 3), (4, 5), (10, 6)])
+    def test_raised_slots_match_reference(self, n, m):
+        # normal's slots of beta + e_j against the summed exponents ranked
+        # from an explicit array: e_0 raises the slack power, e_j alpha_j
+        F, _ = random_low_rank(n, m, 2, seed=n)
+        _, normal = _refine_closures(F, 2)
+        up = dict(zip(normal.__code__.co_freevars,
+                      (c.cell_contents for c in normal.__closure__)))["up"]
+        below = F.table.alpha_mat[:compact_size(n, m - 1)]
+        E = below[:, None, :] + np.eye(n, n - 1, -1, dtype=np.int64)
+        ref = reference_slots(F.table, E)
+        assert up.dtype == ref.dtype
+        npt.assert_array_equal(up, ref)
 
     def test_improves_and_reports(self):
         F0, d = random_low_rank(4, 3, 2, seed=6)

@@ -1,6 +1,7 @@
 """Tests for the compact symmetric-tensor storage layer."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from symlra.tensors import (
     exponents, multinomial, table, compact_size, SymTensor, Decomposition,
     rank_one, full_from_compact, compact_from_full, transform,
-    random_low_rank, perturb,
+    random_low_rank, perturb, _position_map,
 )
 
-from helpers import homogeneous_exponents, reference_monomials
+from helpers import (homogeneous_exponents, reference_monomials,
+                     reference_position_map, reference_slots)
 
 
 def dense_oracle(F):
@@ -112,6 +114,80 @@ def test_slots_agree_with_index(case):
     npt.assert_array_equal(tab.slots(E), expect)
     # any leading shape ranks row by row
     npt.assert_array_equal(tab.slots(E[None, :, :]), [expect])
+
+
+@pytest.mark.parametrize("E", [
+    [2, -1],                    # the slot of (1, 1) if ranked blindly
+    [-1, 2],
+    [3, 1],                     # degree 4 > 3
+    [[1, 0], [0, 2], [2, -1]],  # one bad row in a batch
+    [[0, 0], [4, 0]],
+])
+def test_slots_reject_unrankable_exponents(E):
+    with pytest.raises(ValueError, match="nonnegative with degree <= 3"):
+        table(3, 3).slots(E)
+    with pytest.raises(ValueError, match="2 entries"):
+        table(3, 3).slots(np.pad(E, [(0, 0)] * (np.ndim(E) - 1) + [(0, 1)]))
+
+
+def test_sum_slots_reject_degree_overflow():
+    tab = table(3, 3)
+    with pytest.raises(ValueError, match="exceed degree 3"):
+        tab.sum_slots(compact_size(3, 2), compact_size(3, 2))
+    with pytest.raises(ValueError, match="exceed degree 3"):
+        tab.sum_slots([0, 9], [1])      # (0, 3) + (1, 0)
+
+
+@st.composite
+def slot_pairs(draw):
+    """A table, a split d + (m - d) of its degree, and rows over degree <= d
+    and columns over degree <= m - d, each a prefix length (possibly 0) or
+    an index array (possibly empty, with repeats, in any order)."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    d = draw(st.integers(0, m))
+
+    def pick(degree):
+        k = compact_size(n, degree)
+        return draw(st.one_of(st.integers(0, k),
+                              st.lists(st.integers(0, k - 1), max_size=12)
+                              .map(lambda ix: np.array(ix, dtype=np.intp))))
+    return n, m, pick(d), pick(m - d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_pairs())
+def test_sum_slots_match_slots_of_the_sum(case):
+    n, m, rows, cols = case
+    tab = table(n, m)
+    A = tab.alpha_mat
+    a = A[:rows] if np.ndim(rows) == 0 else A[rows]
+    b = A[:cols] if np.ndim(cols) == 0 else A[cols]
+    got = tab.sum_slots(rows, cols)
+    assert got.dtype == np.int64 and got.shape == (len(a), len(b))
+    npt.assert_array_equal(got, tab.slots(a[:, None] + b))
+    npt.assert_array_equal(got, reference_slots(tab, a[:, None] + b))
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 5), (3, 3), (4, 4), (5, 3), (6, 2)])
+def test_position_map_matches_reference(n, m):
+    pos = _position_map(n, m)
+    ref = reference_position_map(n, m)
+    assert pos.dtype == ref.dtype and pos.shape == (n,) * m
+    npt.assert_array_equal(pos, ref)
+    assert not pos.flags.writeable
+
+
+def test_position_map_memory():
+    # suffix counts as int8 and one lookup per coordinate: no (n^m, n-1)
+    # array of index counts (10^6 entries at (10, 6), 8 bytes each)
+    table(10, 6)
+    tracemalloc.start()
+    try:
+        _position_map.__wrapped__(10, 6)    # built cold, past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def random_rows(kinds, n, seed):
