@@ -2,14 +2,16 @@
 Schur eigen-kernels, a damped least-squares (Levenberg-Marquardt)
 minimizer over real or complex unknowns that takes its Gauss-Newton
 normal system (J^H J, J^H f) from the caller, so a structured problem can
-build it without forming J, seed keys for random draws, and the BLAS
-thread policy of every public call."""
+build it without forming J, seed keys for random draws, the BLAS
+thread policy of every public call and the caller-located warnings."""
 
 import contextlib
 import ctypes
 import functools
 import os
+import sys
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +103,19 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 
 one_blas_thread = _OneBlasThread()
+
+
+def warn(message):
+    """`warnings.warn` a UserWarning at the first frame outside this package
+    and outside contextlib (whose frame `one_blas_thread` adds), so each of
+    the caller's lines gets its own warning location and its own
+    once-per-location filtering, however deep in the library it arose."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 2
+    while frame is not None and (frame.f_code.co_filename.startswith(package)
+                                 or frame.f_code.co_filename == contextlib.__file__):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def seed_key(seed, *extra):

@@ -15,19 +15,19 @@ when not supplied):
    Hilbert-Schmidt error: this is the optimized approximation, never
    worse than the algebraic one.
 
-`approximate` runs the stages once; `decompose` repeats them over
-several starting points of the commutator minimization and accepts runs
-whose relative residual clears a tolerance, optionally collecting all
-distinct decompositions found.  The fit does not depend on the start, so
-a search builds it once per coordinate frame and only reruns the
-commutator minimization and the stages after it.  `approximate`,
+`approximate` runs the stages once; `decompose` runs them once per
+starting point of the commutator minimization and accepts runs whose
+relative residual clears a tolerance, optionally collecting all distinct
+decompositions found.  Both go through `_run`, which keeps each
+coordinate frame (F in it, the unitary and the generating fit) in a dict
+the caller owns.  The fit does not depend on the start, so a search
+passes one dict for all its starts: it fits once per frame and only
+reruns the commutator minimization and the stages after it.  `approximate`,
 `decompose` and `refine` run BLAS on one thread and restore the caller's
 thread counts on return (`numerics.one_blas_thread`).
 """
 
-import contextvars
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +38,8 @@ from .catalecticant import catalecticant_spectrum, estimate_rank
 from .genfit import monomial_basis, fit_generating, optimize_generating, \
     companion_matrices
 from .zerosolve import commutation_gram, select_mixing, extract_zeros
-from .numerics import levenberg_marquardt, minnorm_lstsq, one_blas_thread, seed_key
-
-# the coordinate frames of the running `decompose` search (see `_frame`);
-# the search reaches the stages through `approximate`, whose signature is
-# public, so it hands them down in a context variable set for the search
-_search_frames = contextvars.ContextVar("search_frames", default=None)
+from .numerics import levenberg_marquardt, minnorm_lstsq, one_blas_thread, \
+    seed_key, warn
 
 # zeros with coordinates beyond this are treated as an artifact of a leading
 # vector entry near zero; a random unitary change of coordinates fixes it
@@ -187,38 +183,17 @@ def _maybe_warn_nonreal(F, refined, diag):
     scale = max(np.abs(U).max(), 1e-300)
     if np.abs(aligned.imag).max() > 1e-10 * scale:
         diag["nonreal_output"] = True
-        warnings.warn("input tensor is real but the decomposition found is "
-                      "genuinely complex", stacklevel=3)
+        warn("input tensor is real but the decomposition found is genuinely "
+             "complex")
 
 
-def _frame(F, r, shuffle, seed):
-    """(G, Q, fit): F in the run's coordinate frame, the Haar unitary Q that
-    took it there (None without the shuffle) and G's generating fit.  Inside
-    a `decompose` search, whose F, r and seed are fixed, each of the two
-    frames is built once and kept for the remaining starts."""
-    frames = _search_frames.get()
-    if frames is not None and shuffle in frames:
-        return frames[shuffle]
-    G, Q = F, None
-    if shuffle:
-        rng = np.random.default_rng(seed_key(seed, 3))
-        Z = rng.standard_normal((F.n, F.n)) + 1j * rng.standard_normal((F.n, F.n))
-        Q, R = np.linalg.qr(Z)
-        Q = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]   # Haar unitary
-        G = transform(F, Q)
-    frame = (G, Q, fit_generating(G, monomial_basis(G.n, G.m, r)))
-    if frames is not None:
-        frames[shuffle] = frame
-    return frame
-
-
-def _run_stages(F, fit, *, seed, omega_starts, lm_config, skip_refine, diag):
+def _run_stages(F, fit, *, seed, starts, lm_config, skip_refine, diag):
     basis = fit.basis
     opt = optimize_generating(fit, lm_config, seed=seed_key(seed, 1),
-                              starts=omega_starts)
+                              starts=starts)
     M = companion_matrices(opt.matrix, basis)
     sel = select_mixing(commutation_gram(M),
-                        seed=seed_key(seed, 2, omega_starts[-1]))
+                        seed=seed_key(seed, 2, starts[-1]))
     ext = extract_zeros(M, sel.xi, opt.matrix, basis)
     coeffs = fit_coefficients(F, ext.zeros)
     gp = terms_from_zeros(coeffs, ext.zeros, F.m)
@@ -245,56 +220,81 @@ def _run_stages(F, fit, *, seed, omega_starts, lm_config, skip_refine, diag):
     return gp, rr.decomposition, err_gp, rr.error
 
 
-def _approximate_once(F, r, *, shuffle, seed, omega_starts, lm_config,
-                      skip_refine):
-    t0 = time.perf_counter()
+def _run(F, r, starts, frames, *, seed, lm_config, skip_refine,
+         coordinate_shuffle):
+    """The stages at rank r from the commutator starts `starts`, in the
+    plain coordinate frame or the shuffled one (see `approximate` for
+    `coordinate_shuffle`; None runs the shuffled frame after a plain run
+    whose zeros run off or whose result explains none of F).
+
+    `frames` is the caller's dict {shuffle: (G, Q, fit)}: F in that frame,
+    the Haar unitary Q that took it there (None in the plain frame) and G's
+    generating fit.  A frame missing from it is built and added, so calls
+    on the same F, r and seed that share the dict fit each frame once."""
     m1 = F.m // 2
-    diag = {"rank": int(r), "coordinate_shuffle": bool(shuffle),
-            "beyond_flattening": bool(
-                r > min(compact_size(F.n, m1), compact_size(F.n, F.m - m1))),
-            **_NOT_RUN}
+    beyond = bool(r > min(compact_size(F.n, m1), compact_size(F.n, F.m - m1)))
+    norm = F.norm()
+    shuffles = (False, True) if coordinate_shuffle is None else (bool(coordinate_shuffle),)
+    for shuffle in shuffles:
+        t0 = time.perf_counter()
+        diag = {"rank": int(r), "coordinate_shuffle": shuffle,
+                "beyond_flattening": beyond, **_NOT_RUN}
+        if r == 0:
+            empty = Decomposition(F.m, np.zeros((0, F.n)))
+            diag["wall_time"] = time.perf_counter() - t0
+            return ApproxResult(empty, empty, norm, norm, diag)
 
-    if r == 0:
-        empty = Decomposition(F.m, np.zeros((0, F.n)))
-        err = F.norm()
+        if shuffle not in frames:
+            G, Q = F, None
+            if shuffle:
+                rng = np.random.default_rng(seed_key(seed, 3))
+                Z = rng.standard_normal((F.n, F.n)) + 1j * rng.standard_normal((F.n, F.n))
+                Q, R = np.linalg.qr(Z)
+                Q = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]   # Haar unitary
+                G = transform(F, Q)
+            frames[shuffle] = (G, Q, fit_generating(G, monomial_basis(G.n, G.m, r)))
+        G, Q, fit = frames[shuffle]
+        gp, refined, err_gp, err_opt = _run_stages(
+            G, fit, seed=seed, starts=starts, lm_config=lm_config,
+            skip_refine=skip_refine, diag=diag)
+        if Q is not None:
+            # map the vectors back: each term (Q u)^{(m)} of G is u^{(m)} of F
+            gp = Decomposition(F.m, gp.vectors @ Q.conj())
+            refined = Decomposition(F.m, refined.vectors @ Q.conj())
+            err_gp = (gp.tensor() - F).norm()
+            err_opt = (refined.tensor() - F).norm()
+        _maybe_warn_nonreal(F, refined, diag)
         diag["wall_time"] = time.perf_counter() - t0
-        return ApproxResult(empty, empty, err, err, diag)
 
-    G, Q, fit = _frame(F, r, shuffle, seed)
-    gp, refined, err_gp, err_opt = _run_stages(
-        G, fit, seed=seed, omega_starts=omega_starts, lm_config=lm_config,
-        skip_refine=skip_refine, diag=diag)
-    if Q is not None:
-        # map the vectors back: each term (Q u)^{(m)} of G is u^{(m)} of F
-        gp = Decomposition(F.m, gp.vectors @ Q.conj())
-        refined = Decomposition(F.m, refined.vectors @ Q.conj())
-        err_gp = (gp.tensor() - F).norm()
-        err_opt = (refined.tensor() - F).norm()
-
-    _maybe_warn_nonreal(F, refined, diag)
-    diag["wall_time"] = time.perf_counter() - t0
+        # a rank >= 1 result at err_opt = ||F||, which some rank-one term
+        # always beats, explains none of F
+        explains_nothing = norm > 0 and err_opt >= (1 - 1e-6) * norm
+        if not (explains_nothing or diag["zero_magnitude"] > SHUFFLE_TRIGGER):
+            break
+    diag["auto_shuffled"] = coordinate_shuffle is None and shuffle
+    if explains_nothing:
+        warn(f"the rank-{r} approximation explains none of the tensor "
+             "(err_opt = ||F||)")
     return ApproxResult(gp, refined, err_gp, err_opt, diag)
 
 
 @one_blas_thread
 def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
-                lm_config=None, skip_refine=False, coordinate_shuffle=None,
-                omega_starts=None):
+                lm_config=None, skip_refine=False, coordinate_shuffle=None):
     """Rank-r approximation of F.
 
     rank=None estimates the rank from the flattening spectrum with
     relative tolerance `rank_tol`.  `restarts` adds seeded random starts
     to the commutator minimization (start 0 is always the zero
-    parameter vector); `omega_starts` instead names the exact start
-    indices to run (used by `decompose`).  `coordinate_shuffle` applies
-    a seeded random unitary change of coordinates before the pipeline
-    and undoes it afterwards; the default None auto-enables it when the
-    extracted zeros have coordinates beyond 1e6 (a symptom of a leading
-    vector entry near zero, which the compact parameterization cannot
-    represent) or when a rank >= 1 result explains none of a nonzero F
-    (err_opt = ||F||, which some rank-one term always beats; every u_1 = 0
-    gives it).  A result that still explains nothing is returned with a
-    warning.  `skip_refine` stops after the algebraic stage.
+    parameter vector).  `coordinate_shuffle` applies a seeded random
+    unitary change of coordinates before the pipeline and undoes it
+    afterwards; the default None auto-enables it when the extracted zeros
+    have coordinates beyond 1e6 (a symptom of a leading vector entry near
+    zero, which the compact parameterization cannot represent) or when a
+    rank >= 1 result explains none of a nonzero F (err_opt = ||F||, which
+    some rank-one term always beats; every u_1 = 0 gives it).  A result
+    that still explains nothing is returned with a warning.  `skip_refine`
+    stops after the algebraic stage.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -302,31 +302,11 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     if rank is None:
         spectrum = catalecticant_spectrum(F)
         rank = estimate_rank(spectrum, rank_tol).rank
-    if omega_starts is None:
-        omega_starts = list(range(restarts + 1))
-
-    def run(shuffle):
-        res = _approximate_once(F, rank, shuffle=shuffle, seed=seed,
-                                omega_starts=omega_starts, lm_config=lm_config,
-                                skip_refine=skip_refine)
-        if spectrum is not None:
-            res.diagnostics["rank_estimated"] = True
-            res.diagnostics["spectrum"] = [float(v) for v in spectrum]
-        return res
-
-    def explains_nothing(res):
-        norm = F.norm()
-        return rank >= 1 and norm > 0 and res.err_opt >= (1 - 1e-6) * norm
-
-    res = run(bool(coordinate_shuffle))
-    if coordinate_shuffle is None and (
-            res.diagnostics["zero_magnitude"] > SHUFFLE_TRIGGER
-            or explains_nothing(res)):
-        res = run(True)
-        res.diagnostics["auto_shuffled"] = True
-    if explains_nothing(res):
-        warnings.warn(f"the rank-{rank} approximation explains none of the "
-                      "tensor (err_opt = ||F||)", stacklevel=3)
+    res = _run(F, rank, range(restarts + 1), {}, seed=seed, lm_config=lm_config,
+               skip_refine=skip_refine, coordinate_shuffle=coordinate_shuffle)
+    if spectrum is not None:
+        res.diagnostics["rank_estimated"] = True
+        res.diagnostics["spectrum"] = [float(v) for v in spectrum]
     return res
 
 
@@ -365,13 +345,12 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     accepts a run when err_opt <= residual_tol * (1 + ||F||).  Stops at
     the first success unless `distinct` is set, in which case all starts
     run and the successful decompositions are deduplicated by
-    `match_distance` greater than 0.1 * (largest vector norm).  Every
-    start runs `approximate` on the same F, rank and seed, so the basis and
-    the generating fit (with its affine companion map) are built once per
-    coordinate frame, at most twice per search, and reused by the later
-    starts; each start's result is the one a separate `approximate` call
-    with `omega_starts=[start]` returns.  The diagnostics include the
-    search's `wall_time` in seconds.
+    `match_distance` greater than 0.1 * (largest vector norm).  The starts
+    share their coordinate frames (`_run`): the basis and generating fit
+    are built once per frame, at most twice per search.  No start depends
+    on the ones before it: start 0 gives what `approximate` with the same
+    seed gives, and fewer restarts repeat the first starts of more.  The
+    diagnostics include the search's `wall_time` in seconds.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -383,35 +362,32 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     kept = []
     per_start = []
     attempts = 0
-    token = _search_frames.set({})   # one fit per frame for all starts
-    try:
-        for s in range(restarts + 1):
-            res = approximate(F, rank, seed=seed, lm_config=lm_config,
-                              omega_starts=[s])
-            attempts += 1
-            rel = res.err_opt / scale
-            ok = rel <= residual_tol
-            per_start.append({"start": s, "relative_residual": rel, "success": ok,
-                              "commutator_objective": res.diagnostics["commutator_objective"]})
-            if best is None or rel < best[0]:
-                best = (rel, res)
-            if ok:
-                if distinct:
-                    is_new = all(
-                        match_distance(res.refined, d) >
-                        0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
-                                  np.abs(d.vectors).max(initial=0.0))
-                        for d in kept)
-                    if is_new:
-                        kept.append(res.refined)
-                else:
+    frames = {}   # one fit per coordinate frame for all starts
+    for s in range(restarts + 1):
+        res = _run(F, rank, [s], frames, seed=seed, lm_config=lm_config,
+                   skip_refine=False, coordinate_shuffle=None)
+        attempts += 1
+        rel = res.err_opt / scale
+        ok = rel <= residual_tol
+        per_start.append({"start": s, "relative_residual": rel, "success": ok,
+                          "commutator_objective": res.diagnostics["commutator_objective"]})
+        if best is None or rel < best[0]:
+            best = (rel, res)
+        if ok:
+            if distinct:
+                is_new = all(
+                    match_distance(res.refined, d) >
+                    0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
+                              np.abs(d.vectors).max(initial=0.0))
+                    for d in kept)
+                if is_new:
                     kept.append(res.refined)
-                    break
-            # with no free parameters every start is identical; stop early
-            if res.diagnostics["n_free_params"] == 0 and not distinct:
+            else:
+                kept.append(res.refined)
                 break
-    finally:
-        _search_frames.reset(token)
+        # with no free parameters every start is identical; stop early
+        if res.diagnostics["n_free_params"] == 0 and not distinct:
+            break
     rel, res = best
     success = rel <= residual_tol
     return DecomposeResult(

@@ -10,12 +10,12 @@ M_i; when that matrix is numerically zero (the matrices already
 commute), a seeded random direction is used instead.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import hermitian_smallest, complex_schur
+from .genfit import commutator_residuals, _pairs
+from .numerics import hermitian_smallest, complex_schur, warn
 from .tensors import table
 
 
@@ -23,11 +23,15 @@ def commutation_gram(M):
     """Hermitian PSD matrix whose quadratic form at xi equals
     sum_i ||[M_i, L(xi)]||_F^2 with L(xi) = sum_j xi_j M_j."""
     nbar, r, _ = M.shape
+    # V[i][:, j] = vec [M_i, M_j]: the pair blocks C_ab = [M_a, M_b], a < b,
+    # and their negations [M_b, M_a] = -C_ab
+    C = commutator_residuals(M).reshape(-1, r * r)
+    a, b = _pairs(nbar)
+    V = np.zeros((nbar, r * r, nbar), dtype=complex)
+    V[a, :, b] = C
+    V[b, :, a] = -C
     gram = np.zeros((nbar, nbar), dtype=complex)
-    for i in range(nbar):
-        Vi = np.empty((r * r, nbar), dtype=complex)
-        for j in range(nbar):
-            Vi[:, j] = (M[i] @ M[j] - M[j] @ M[i]).ravel()
+    for Vi in V:
         gram += Vi.conj().T @ Vi
     return gram
 
@@ -98,9 +102,8 @@ def extract_zeros(M, xi, G=None, basis=None):
         gaps[np.diag_indices(r)] = np.inf
         if gaps.min() <= 1e-8 * max(np.linalg.norm(T), 1e-300):
             repeated = True
-            warnings.warn("nearly repeated Schur values: extracted zeros may "
-                          "coincide and the coefficient fit may be ill-conditioned",
-                          stacklevel=2)
+            warn("nearly repeated Schur values: extracted zeros may coincide "
+                 "and the coefficient fit may be ill-conditioned")
     poly_residual = float("nan")
     if G is not None and basis is not None:
         poly_residual = 0.0

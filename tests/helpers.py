@@ -6,7 +6,8 @@ from an explicit Jacobian, the per-entry power form of the monomials that
 (n^m, n-1) array of index counts, the generating fit solved one border
 column at a time, and the per-column, per-feed loop forms of the
 generating matrix, the companion matrices and the commutator residual and
-Jacobian that `genfit` builds from its affine map."""
+Jacobian that `genfit` builds from its affine map, and the commutation
+Gram matrix with every commutator formed in a double loop."""
 
 from types import SimpleNamespace
 
@@ -144,6 +145,19 @@ def reference_commutator_residuals(M):
     parts = [(M[i] @ M[j] - M[j] @ M[i]).ravel()
              for i in range(M.shape[0]) for j in range(i + 1, M.shape[0])]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+
+
+def reference_commutation_gram(M):
+    """sum_i V_i^H V_i with V_i[:, j] = vec (M_i M_j - M_j M_i), each
+    commutator formed on its own."""
+    nbar, r, _ = M.shape
+    gram = np.zeros((nbar, nbar), dtype=complex)
+    for i in range(nbar):
+        Vi = np.empty((r * r, nbar), dtype=complex)
+        for j in range(nbar):
+            Vi[:, j] = (M[i] @ M[j] - M[j] @ M[i]).ravel()
+        gram += Vi.conj().T @ Vi
+    return gram
 
 
 def reference_commutator_jacobian(fit, M):

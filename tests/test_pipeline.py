@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symlra.bench import STOCK_NLS_CONFIG
-from symlra.numerics import LMConfig, levenberg_marquardt, minnorm_lstsq
+from symlra.numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
+                             one_blas_thread)
 from symlra.tensors import (SymTensor, Decomposition, rank_one,
                             random_low_rank, perturb, compact_size)
 from symlra.pipeline import (fit_coefficients, terms_from_zeros, refine,
@@ -299,6 +300,29 @@ class TestApproximate:
         assert res.diagnostics["nonreal_output"]
         assert res.err_opt < 1e-8
 
+    @pytest.mark.parametrize("case", ["nonreal", "nonreal-search", "schur",
+                                      "schur-search"])
+    def test_warnings_point_at_the_caller(self, case):
+        # each of the caller's lines is its own warning location, however
+        # deep in the library the warning arose
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        U[:, 0] = 0     # the plain frame's zeros nearly repeat
+        stuck = Decomposition(3, U).tensor()
+        call, messages = {
+            "nonreal": (lambda: approximate(sin_tensor(), 2), ["genuinely complex"]),
+            "nonreal-search": (lambda: decompose(sin_tensor(), 2),
+                               ["genuinely complex"]),
+            "schur": (lambda: approximate(stuck, 2, coordinate_shuffle=False),
+                      ["nearly repeated Schur", "explains none of the tensor"]),
+            "schur-search": (lambda: decompose(stuck, 2), ["nearly repeated Schur"]),
+        }[case]
+        with pytest.warns(UserWarning) as rec:
+            call()
+        for message in messages:
+            assert any(message in str(w.message) for w in rec)
+        assert {w.filename for w in rec} == {__file__}
+
     def test_auto_shuffle_rescues_tiny_leading_entry(self):
         # leading entry ~1e-9 puts the normalized zero at ~1e9: unusable
         # directly, fixed by the automatic unitary change of coordinates
@@ -441,8 +465,8 @@ class TestDecompose:
     @pytest.mark.parametrize("case", ["distinct-3-5-8", "tiny-leading-entry"])
     def test_search_fits_once_per_frame(self, case, monkeypatch):
         # one basis and fit per coordinate frame for the whole search, and
-        # each start's result exactly what a separate, refitting
-        # `approximate` call returns
+        # each start's result exactly what a separate, refitting run of
+        # that start alone returns
         if case == "distinct-3-5-8":
             F, r = random_low_rank(3, 5, 8, seed=[7, 3, 0, 0])[0], 8
         else:   # every start runs in the shuffled frame after the plain one
@@ -455,8 +479,10 @@ class TestDecompose:
                             lambda *a, **k: calls.append(1) or fit(*a, **k))
         out = decompose(F, r, restarts=5, seed=key, distinct=True)
         searched = len(calls)
-        separate = [approximate(F, r, seed=key, omega_starts=[s])
-                    for s in range(6)]
+        with one_blas_thread:
+            separate = [pipeline._run(F, r, [s], {}, seed=key, lm_config=None,
+                                      skip_refine=False, coordinate_shuffle=None)
+                        for s in range(6)]
         shuffled = [res.diagnostics["auto_shuffled"] for res in separate]
         assert searched == 1 + any(shuffled)
         assert len(calls) - searched == 6 + sum(shuffled)
@@ -473,6 +499,12 @@ class TestDecompose:
         # the frames do not outlive the search
         approximate(F, r, seed=key)
         assert len(calls) - searched == 7 + sum(shuffled) + shuffled[0]
+
+    def test_fewer_restarts_repeat_the_first_starts(self):
+        F = random_low_rank(3, 5, 8, seed=[7, 3, 0, 0])[0]
+        short = decompose(F, 8, restarts=2, seed=3, distinct=True)
+        long = decompose(F, 8, restarts=5, seed=3, distinct=True)
+        assert short.diagnostics["starts"] == long.diagnostics["starts"][:3]
 
     @pytest.mark.filterwarnings("ignore:input tensor is real")
     def test_deterministic(self):

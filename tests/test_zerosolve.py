@@ -8,7 +8,7 @@ from symlra.tensors import random_low_rank
 from symlra.zerosolve import (commutation_gram, select_mixing, extract_zeros,
                               DEGENERACY_TOL)
 
-from helpers import reference_monomials
+from helpers import reference_commutation_gram, reference_monomials
 
 
 def random_matrices(nbar, r, seed):
@@ -28,6 +28,15 @@ def test_gram_quadratic_form_identity():
         got = float((xi.conj() @ V @ xi).real)
         npt.assert_allclose(got, expect, rtol=1e-12)
         assert got >= 0
+
+
+@pytest.mark.parametrize("nbar, r", [(0, 3), (1, 1), (1, 4), (2, 1), (3, 5),
+                                     (5, 12), (9, 20)])
+def test_gram_matches_loop_form_bit_for_bit(nbar, r):
+    # the pair blocks of `commutator_residuals`, negated for j < i, are the
+    # very commutators the loop forms, summed over i in the same order
+    M = random_matrices(nbar, r, [nbar, r])
+    assert commutation_gram(M).tobytes() == reference_commutation_gram(M).tobytes()
 
 
 def test_gram_zero_for_commuting_family():
@@ -104,10 +113,11 @@ class TestExtractZeros:
 
     def test_repeated_schur_warning(self):
         # exactly repeated values: the identity has gap 0
-        with pytest.warns(UserWarning, match="repeated Schur values"):
+        with pytest.warns(UserWarning, match="repeated Schur values") as rec:
             ext = extract_zeros(np.eye(2)[None].astype(complex),
                                 np.array([1.0 + 0j]))
         assert ext.repeated
+        assert [w.filename for w in rec] == [__file__]   # the caller's line
         npt.assert_allclose(ext.schur_values, [1.0, 1.0], atol=1e-14)
 
     def test_defective_matrix_diagonal(self):
