@@ -5,7 +5,7 @@ and joint nonlinear refinement."""
 
 from .tensors import (SymTensor, Decomposition, exponents, multinomial,
                       compact_size, table, compact_from_full,
-                      full_from_compact, rank_one, transform,
+                      full_from_compact, transform,
                       random_low_rank, perturb)
 from .catalecticant import (catalecticant, catalecticant_spectrum,
                             estimate_rank, CatMatrix, RankEstimate)
@@ -22,13 +22,13 @@ from .numerics import (LMConfig, LMResult, levenberg_marquardt,
                        complex_schur)
 from .bench import (STOCK_NLS_CONFIG,
                     run_table, run_nls_comparison, run_decomposition_table,
-                    TrialStats, NlsStats, CaseStats)
+                    BenchStats)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SymTensor", "Decomposition", "exponents", "multinomial", "compact_size",
-    "table", "compact_from_full", "full_from_compact", "rank_one",
+    "table", "compact_from_full", "full_from_compact",
     "transform", "random_low_rank", "perturb",
     "catalecticant", "catalecticant_spectrum", "estimate_rank", "CatMatrix",
     "RankEstimate",
@@ -44,6 +44,6 @@ __all__ = [
     "singular_values", "hermitian_smallest", "complex_schur",
     "STOCK_NLS_CONFIG",
     "run_table", "run_nls_comparison", "run_decomposition_table",
-    "TrialStats", "NlsStats", "CaseStats",
+    "BenchStats",
     "__version__",
 ]

@@ -16,6 +16,10 @@ scipy versions.
   random-start nonlinear least squares on the same tensor.
 * `run_decomposition_table`: exact-rank instances; fraction of trials
   whose relative residual clears a tolerance.
+
+Each case comes back as one `BenchStats`: `row` holds the JSON fields in
+output order, `timing` the wall-clock fields `--timing` appends, and
+`samples` the per-trial arrays behind both.
 """
 
 import os
@@ -61,61 +65,57 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _map_trials(worker, trials, threads):
+def _map_trials(worker, trials, threads, *names):
+    # worker(t) returns one value per name; the result maps each name to
+    # its array over the trials
+    _check_count("trials", trials)
+    _check_count("threads", threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, range(trials)))
-    return [worker(t) for t in range(trials)]
+            rows = list(ex.map(worker, range(trials)))
+    else:
+        rows = [worker(t) for t in range(trials)]
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
 @dataclass(eq=False)
-class TrialStats:
-    n: int
-    m: int
-    r: int
-    eps: float
-    trials: int
-    relative: bool          # False when eps == 0: errors are absolute
-    err_gp: np.ndarray      # per-trial err / eps (or absolute)
-    err_opt: np.ndarray
-    times: np.ndarray
-
-    def summary(self):
-        return {
-            "n": self.n, "m": self.m, "r": self.r, "eps": self.eps,
-            "trials": self.trials, "relative": self.relative,
-            "err_gp": _order_stats(self.err_gp),
-            "err_opt": _order_stats(self.err_opt),
-        }
+class BenchStats:
+    """One experiment case: the JSON `row`, the `timing` fields and the
+    per-trial `samples` arrays."""
+    row: dict
+    timing: dict
+    samples: dict
 
     def to_dict(self, include_timing=False):
-        out = self.summary()
-        out["quantiles"] = list(QUANTS)
-        if include_timing:
-            out["mean_time"] = float(self.times.mean())
-        return out
+        return {**self.row, **(self.timing if include_timing else {})}
+
+
+def _approx_trial(n, m, r, eps, tau, seed, t, lm_config):
+    # trial t's perturbed instance, `approximate` on it and its wall time
+    F0, _ = random_low_rank(n, m, r, seed=seed_key(seed, t, 0), tau=tau)
+    F = perturb(F0, eps, seed=seed_key(seed, t, 1))
+    t0 = time.perf_counter()
+    res = approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
+    return F, res, time.perf_counter() - t0
 
 
 @one_blas_thread
 def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
               lm_config=None):
-    """Error distribution of `approximate` over random perturbed instances."""
-    _check_count("trials", trials)
-    _check_count("threads", threads)
+    """Error distribution of `approximate` over random perturbed instances;
+    errors are relative to eps, or absolute when eps == 0."""
+    scale = eps if eps > 0 else 1.0
 
     def worker(t):
-        F0, _ = random_low_rank(n, m, r, seed=seed_key(seed, t, 0), tau=tau)
-        F = perturb(F0, eps, seed=seed_key(seed, t, 1))
-        t0 = time.perf_counter()
-        res = approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
-        dt = time.perf_counter() - t0
-        scale = eps if eps > 0 else 1.0
+        _, res, dt = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
         return res.err_gp / scale, res.err_opt / scale, dt
 
-    rows = _map_trials(worker, trials, threads)
-    eg, eo, ts = (np.array(col) for col in zip(*rows))
-    return TrialStats(n=n, m=m, r=r, eps=eps, trials=trials,
-                      relative=eps > 0, err_gp=eg, err_opt=eo, times=ts)
+    s = _map_trials(worker, trials, threads, "err_gp", "err_opt", "time")
+    return BenchStats(
+        {"n": n, "m": m, "r": r, "eps": eps, "trials": trials,
+         "relative": eps > 0, "err_gp": _order_stats(s["err_gp"]),
+         "err_opt": _order_stats(s["err_opt"]), "quantiles": list(QUANTS)},
+        {"mean_time": float(s["time"].mean())}, s)
 
 
 def format_trial_table(stats_list):
@@ -124,44 +124,12 @@ def format_trial_table(stats_list):
             f"{'opt-min':>10} {'opt-med':>10} {'opt-max':>10} {'time':>8}")
     lines = [head]
     for st in stats_list:
-        g = _order_stats(st.err_gp)
-        o = _order_stats(st.err_opt)
+        d, g, o = st.row, st.row["err_gp"], st.row["err_opt"]
         lines.append(
-            f"{st.n:>3} {st.m:>3} {st.r:>3} {st.eps:>9.1e} "
+            f"{d['n']:>3} {d['m']:>3} {d['r']:>3} {d['eps']:>9.1e} "
             f"{g[0]:>10.4g} {g[1]:>10.4g} {g[2]:>10.4g} {g[3]:>10.4g} {g[4]:>10.4g} "
-            f"{o[0]:>10.4g} {o[2]:>10.4g} {o[4]:>10.4g} {st.times.mean():>8.2f}")
+            f"{o[0]:>10.4g} {o[2]:>10.4g} {o[4]:>10.4g} {st.timing['mean_time']:>8.2f}")
     return "\n".join(lines)
-
-
-@dataclass(eq=False)
-class NlsStats:
-    n: int
-    m: int
-    r: int
-    eps: float
-    tau: float
-    trials: int
-    nls_restarts: int
-    ratios: np.ndarray      # err_nls / err_opt per trial
-    err_opt: np.ndarray     # relative to eps when eps > 0
-    err_nls: np.ndarray
-    gp_times: np.ndarray
-    nls_times: np.ndarray
-
-    def to_dict(self, include_timing=False):
-        out = {
-            "n": self.n, "m": self.m, "r": self.r, "eps": self.eps,
-            "tau": self.tau, "trials": self.trials,
-            "nls_restarts": self.nls_restarts,
-            "ratio": _order_stats(self.ratios),
-            "err_opt": _order_stats(self.err_opt),
-            "err_nls": _order_stats(self.err_nls),
-            "quantiles": list(QUANTS),
-        }
-        if include_timing:
-            out["gp_time"] = _order_stats(self.gp_times)
-            out["nls_time"] = _order_stats(self.nls_times)
-        return out
 
 
 @one_blas_thread
@@ -173,20 +141,16 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
     The random starts are complex standard normal and each restart runs
     under `nls_config` (default `STOCK_NLS_CONFIG`); `lm_config` governs
     the pipeline leg as everywhere else."""
-    _check_count("trials", trials)
-    _check_count("threads", threads)
-    _check_count("nls_restarts", nls_restarts)
     if tau is None:
         tau = 1000.0 ** (1.0 / r)
     if nls_config is None:
         nls_config = STOCK_NLS_CONFIG
+    scale = eps if eps > 0 else 1.0
 
     def worker(t):
-        F0, _ = random_low_rank(n, m, r, seed=seed_key(seed, t, 0), tau=tau)
-        F = perturb(F0, eps, seed=seed_key(seed, t, 1))
-        t0 = time.perf_counter()
-        res = approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
-        gp_time = time.perf_counter() - t0
+        # checked here so that trials and threads are checked first
+        _check_count("nls_restarts", nls_restarts)
+        F, res, gp_time = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
         t0 = time.perf_counter()
         err_nls = np.inf
         for k in range(nls_restarts):
@@ -196,14 +160,16 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
             err_nls = min(err_nls, refine(F, start, nls_config).error)
         nls_time = time.perf_counter() - t0
         ratio = err_nls / res.err_opt if res.err_opt > 0 else np.inf
-        scale = eps if eps > 0 else 1.0
         return ratio, res.err_opt / scale, err_nls / scale, gp_time, nls_time
 
-    rows = _map_trials(worker, trials, threads)
-    ratio, eo, en, tg, tn = (np.array(col) for col in zip(*rows))
-    return NlsStats(n=n, m=m, r=r, eps=eps, tau=float(tau), trials=trials,
-                    nls_restarts=nls_restarts, ratios=ratio, err_opt=eo,
-                    err_nls=en, gp_times=tg, nls_times=tn)
+    s = _map_trials(worker, trials, threads,
+                    "ratio", "err_opt", "err_nls", "gp_time", "nls_time")
+    return BenchStats(
+        {"n": n, "m": m, "r": r, "eps": eps, "tau": float(tau),
+         "trials": trials, "nls_restarts": nls_restarts,
+         **{k: _order_stats(s[k]) for k in ("ratio", "err_opt", "err_nls")},
+         "quantiles": list(QUANTS)},
+        {k: _order_stats(s[k]) for k in ("gp_time", "nls_time")}, s)
 
 
 def format_nls_table(stats_list):
@@ -212,36 +178,12 @@ def format_nls_table(stats_list):
             f"{'ratio-75%':>10} {'ratio-max':>10} {'t-gp':>8} {'t-nls':>8}")
     lines = [head]
     for st in stats_list:
-        q = _order_stats(st.ratios)
+        d, q, s = st.row, st.row["ratio"], st.samples
         lines.append(
-            f"{st.n:>3} {st.m:>3} {st.r:>3} {st.eps:>9.1e} "
+            f"{d['n']:>3} {d['m']:>3} {d['r']:>3} {d['eps']:>9.1e} "
             f"{q[0]:>10.4g} {q[1]:>10.4g} {q[2]:>10.4g} {q[3]:>10.4g} {q[4]:>10.4g} "
-            f"{np.median(st.gp_times):>8.2f} {np.median(st.nls_times):>8.2f}")
+            f"{np.median(s['gp_time']):>8.2f} {np.median(s['nls_time']):>8.2f}")
     return "\n".join(lines)
-
-
-@dataclass(eq=False)
-class CaseStats:
-    n: int
-    m: int
-    r: int
-    trials: int
-    restarts: int
-    successes: int
-    residuals: np.ndarray   # best relative residual per trial
-    times: np.ndarray
-
-    @property
-    def success_rate(self):
-        return self.successes / self.trials
-
-    def to_dict(self, include_timing=False):
-        out = {"n": self.n, "m": self.m, "r": self.r, "trials": self.trials,
-               "restarts": self.restarts, "successes": self.successes,
-               "success_rate": self.success_rate}
-        if include_timing:
-            out["mean_time"] = float(self.times.mean())
-        return out
 
 
 @one_blas_thread
@@ -249,14 +191,12 @@ def run_decomposition_table(cases, trials=20, seed=0, restarts=0,
                             residual_tol=1e-6, threads=1, lm_config=None):
     """Decomposition success rates on exact rank-r instances.
 
-    `cases` is an iterable of (n, m, r) triples; returns one CaseStats per
+    `cases` is an iterable of (n, m, r) triples; returns one BenchStats per
     case, in order."""
-    _check_count("trials", trials)
-    _check_count("threads", threads)
     out = []
     for (n, m, r) in cases:
 
-        def worker(t, n=n, m=m, r=r):
+        def worker(t):
             F, _ = random_low_rank(n, m, r, seed=seed_key(seed, n, m, r, t))
             t0 = time.perf_counter()
             dres = decompose(F, r, residual_tol=residual_tol, restarts=restarts,
@@ -264,11 +204,12 @@ def run_decomposition_table(cases, trials=20, seed=0, restarts=0,
                              lm_config=lm_config)
             return dres.success, dres.relative_residual, time.perf_counter() - t0
 
-        rows = _map_trials(worker, trials, threads)
-        ok, res, ts = zip(*rows)
-        out.append(CaseStats(n=n, m=m, r=r, trials=trials, restarts=restarts,
-                             successes=int(sum(ok)), residuals=np.array(res),
-                             times=np.array(ts)))
+        s = _map_trials(worker, trials, threads, "success", "residual", "time")
+        successes = int(s["success"].sum())
+        out.append(BenchStats(
+            {"n": n, "m": m, "r": r, "trials": trials, "restarts": restarts,
+             "successes": successes, "success_rate": successes / trials},
+            {"mean_time": float(s["time"].mean())}, s))
     return out
 
 
@@ -277,7 +218,8 @@ def format_decomp_table(stats_list):
             f"{'success':>8} {'rate':>7} {'time':>8}")
     lines = [head]
     for st in stats_list:
+        d = st.row
         lines.append(
-            f"{st.n:>3} {st.m:>3} {st.r:>3} {st.trials:>7} {st.restarts:>9} "
-            f"{st.successes:>8} {st.success_rate:>7.2f} {st.times.mean():>8.2f}")
+            f"{d['n']:>3} {d['m']:>3} {d['r']:>3} {d['trials']:>7} {d['restarts']:>9} "
+            f"{d['successes']:>8} {d['success_rate']:>7.2f} {st.timing['mean_time']:>8.2f}")
     return "\n".join(lines)

@@ -7,11 +7,13 @@ errors (bad files, bad flags, invalid parameters).
 JSON output is byte-identical for identical flags and seed; wall-clock
 timings are therefore omitted unless --timing is passed, which for the
 bench commands also adds the environment of the run (BLAS thread counts
-inside symlra calls, usable cores, numpy and scipy versions).
+inside symlra calls, usable cores, numpy and scipy versions).  Library
+warnings go to stderr as `warning: <message>` lines.
 """
 
 import functools
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -41,16 +43,22 @@ def _jsonable(obj):
 
 
 def _guarded(fn):
+    # library warnings are recorded under the active filters and printed
+    # to stderr as the CLI's own messages, on every exit path
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except np.linalg.LinAlgError as e:
-            click.echo(f"numerical failure: {e}", err=True)
-            sys.exit(1)
-        except (ValueError, OSError) as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(2)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return fn(*args, **kwargs)
+            except np.linalg.LinAlgError as e:
+                click.echo(f"numerical failure: {e}", err=True)
+                sys.exit(1)
+            except (ValueError, OSError) as e:
+                click.echo(f"error: {e}", err=True)
+                sys.exit(2)
+            finally:
+                for w in caught:
+                    click.echo(f"warning: {w.message}", err=True)
     return wrapper
 
 
@@ -71,7 +79,12 @@ def _echo_vectors(decomposition, indent=""):
         click.echo(f"{indent}u[{i}] = {entries}")
 
 
-def _emit_bench(payload, timing):
+def _emit_bench(stats, formatter, fmt, timing, rows=True):
+    if fmt == "table":
+        click.echo(formatter(stats))
+        return
+    dicts = [st.to_dict(include_timing=timing) for st in stats]
+    payload = {"rows": dicts} if rows else dicts[0]
     if timing:
         payload["environment"] = benchmod.environment()
     _emit(payload)
@@ -265,6 +278,7 @@ def _bench_options(fn):
         click.option("--threads", type=POSITIVE, default=1, show_default=True),
         click.option("--max-iter", type=COUNT, default=None),
         click.option("--max-fev", type=COUNT, default=None),
+        FORMAT, TIMING,
     ]):
         fn = opt(fn)
     return fn
@@ -279,8 +293,6 @@ def _bench_options(fn):
               help="Comma-separated list of noise norms.")
 @click.option("--tau", type=float, default=None)
 @_bench_options
-@FORMAT
-@TIMING
 @_guarded
 def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
                 max_fev, fmt, timing):
@@ -289,11 +301,7 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
     stats = [benchmod.run_table(n, m, r, eps, trials, seed=seed, tau=tau,
                                 threads=threads, lm_config=cfg)
              for r in _ints(ranks) for eps in _floats(epss)]
-    if fmt == "table":
-        click.echo(benchmod.format_trial_table(stats))
-        return
-    _emit_bench({"rows": [st.to_dict(include_timing=timing) for st in stats]},
-                timing)
+    _emit_bench(stats, benchmod.format_trial_table, fmt, timing)
 
 
 @bench.command("nls")
@@ -305,8 +313,6 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
               help="Term scaling base; default 1000^(1/r).")
 @click.option("--nls-restarts", type=POSITIVE, default=10, show_default=True)
 @_bench_options
-@FORMAT
-@TIMING
 @_guarded
 def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
               max_iter, max_fev, fmt, timing):
@@ -315,10 +321,7 @@ def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
     st = benchmod.run_nls_comparison(n, m, r, eps, trials,
                                      nls_restarts=nls_restarts, seed=seed,
                                      tau=tau, threads=threads, lm_config=cfg)
-    if fmt == "table":
-        click.echo(benchmod.format_nls_table([st]))
-        return
-    _emit_bench(st.to_dict(include_timing=timing), timing)
+    _emit_bench([st], benchmod.format_nls_table, fmt, timing, rows=False)
 
 
 @bench.command("decomp")
@@ -327,8 +330,6 @@ def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
 @click.option("--restarts", type=COUNT, default=0, show_default=True)
 @click.option("--residual-tol", default=1e-6, show_default=True)
 @_bench_options
-@FORMAT
-@TIMING
 @_guarded
 def bench_decomp(cases, restarts, residual_tol, trials, seed, threads,
                  max_iter, max_fev, fmt, timing):
@@ -343,11 +344,7 @@ def bench_decomp(cases, restarts, residual_tol, trials, seed, threads,
     stats = benchmod.run_decomposition_table(
         parsed, trials=trials, seed=seed, restarts=restarts,
         residual_tol=residual_tol, threads=threads, lm_config=cfg)
-    if fmt == "table":
-        click.echo(benchmod.format_decomp_table(stats))
-        return
-    _emit_bench({"rows": [st.to_dict(include_timing=timing) for st in stats]},
-                timing)
+    _emit_bench(stats, benchmod.format_decomp_table, fmt, timing)
 
 
 if __name__ == "__main__":

@@ -279,12 +279,6 @@ class Decomposition:
         return f"Decomposition(n={self.n}, m={self.m}, rank={self.rank})"
 
 
-def rank_one(u, m):
-    """The m-th symmetric power u^{(m)} of a single vector."""
-    u = np.asarray(u, dtype=complex)
-    return Decomposition(m, u[None, :]).tensor()
-
-
 @lru_cache(maxsize=None)
 def _position_map(n, m):
     # dense index tuple -> compact slot, as an (n,)*m integer array; its

@@ -7,7 +7,8 @@ from an explicit Jacobian, the per-entry power form of the monomials that
 column at a time, and the per-column, per-feed loop forms of the
 generating matrix, the companion matrices and the commutator residual and
 Jacobian that `genfit` builds from its affine map, and the commutation
-Gram matrix with every commutator formed in a double loop."""
+Gram matrix with every commutator formed in a double loop, and the
+symmetric power u^{(m)} of one vector (`rank_one`)."""
 
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from symlra.genfit import generating_system
 from symlra.numerics import minnorm_lstsq
-from symlra.tensors import compact_size, table
+from symlra.tensors import Decomposition, compact_size, table
 
 
 def finite_difference_jacobian(residual, x, step=1e-6):
@@ -40,6 +41,12 @@ def normal_equations(jacobian):
         Jh = J.conj().T
         return Jh @ J, Jh @ f
     return normal
+
+
+def rank_one(u, m):
+    """The m-th symmetric power u^{(m)} of a single vector."""
+    u = np.asarray(u, dtype=complex)
+    return Decomposition(m, u[None, :]).tensor()
 
 
 def reference_monomials(X, E):

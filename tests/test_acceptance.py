@@ -143,8 +143,8 @@ def test_criterion_05_error_tables():
         for r in (1, 3, 5):
             for eps in (1e-2, 1e-4):
                 st = run_table(n, m, r, eps, 20, seed=0)
-                worst = float(st.err_opt.max())
-                med = float(np.median(st.err_opt))
+                worst = float(st.samples["err_opt"].max())
+                med = float(np.median(st.samples["err_opt"]))
                 checks.append((f"max[{n},{m},r{r},{eps:g}]", f"{worst:.3f}",
                                worst <= 1.05))
                 checks.append((f"med[{n},{m},r{r},{eps:g}]", f"{med:.3f}",
@@ -160,7 +160,7 @@ def test_criterion_06_nls_comparison():
     t0 = time.perf_counter()
     st = run_nls_comparison(10, 3, 12, 1e-4, 5, nls_restarts=10, seed=0,
                             tau=1000.0 ** (1.0 / 12.0))
-    median_ratio = float(np.median(st.ratios))
+    median_ratio = float(np.median(st.samples["ratio"]))
     dt = time.perf_counter() - t0
     report(6, [
         ("median_ratio", f"{median_ratio:.3g}", median_ratio >= 10.0),
@@ -176,12 +176,12 @@ def test_criterion_07_decomposition_success_rates():
     multi = run_decomposition_table([(3, 4, 5)], trials=20, seed=0, restarts=5)
     dt = time.perf_counter() - t0
     report(7, [
-        ("rate[6,3,4]", f"{plain[0].success_rate:.2f}",
-         plain[0].success_rate >= 0.9),
-        ("rate[4,5,10]", f"{plain[1].success_rate:.2f}",
-         plain[1].success_rate >= 0.9),
-        ("rate[3,4,5]+5restarts", f"{multi[0].success_rate:.2f}",
-         multi[0].success_rate >= 0.8),
+        ("rate[6,3,4]", f"{plain[0].row['success_rate']:.2f}",
+         plain[0].row["success_rate"] >= 0.9),
+        ("rate[4,5,10]", f"{plain[1].row['success_rate']:.2f}",
+         plain[1].row["success_rate"] >= 0.9),
+        ("rate[3,4,5]+5restarts", f"{multi[0].row['success_rate']:.2f}",
+         multi[0].row["success_rate"] >= 0.8),
         ("seconds", f"{dt:.1f}", dt < 600.0),
     ])
 

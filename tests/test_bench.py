@@ -20,25 +20,26 @@ def test_run_table_deterministic_and_thread_invariant():
     a = run_table(4, 3, 2, 1e-2, trials=4, seed=3)
     b = run_table(4, 3, 2, 1e-2, trials=4, seed=3)
     c = run_table(4, 3, 2, 1e-2, trials=4, seed=3, threads=3)
-    npt.assert_array_equal(a.err_gp, b.err_gp)
-    npt.assert_array_equal(a.err_opt, b.err_opt)
-    npt.assert_array_equal(a.err_opt, c.err_opt)
+    npt.assert_array_equal(a.samples["err_gp"], b.samples["err_gp"])
+    npt.assert_array_equal(a.samples["err_opt"], b.samples["err_opt"])
+    npt.assert_array_equal(a.samples["err_opt"], c.samples["err_opt"])
     assert not np.array_equal(
-        a.err_opt, run_table(4, 3, 2, 1e-2, trials=4, seed=4).err_opt)
+        a.samples["err_opt"],
+        run_table(4, 3, 2, 1e-2, trials=4, seed=4).samples["err_opt"])
 
 
 def test_run_table_relative_errors():
     st = run_table(4, 3, 2, 1e-2, trials=4, seed=0)
-    assert st.relative
+    assert st.row["relative"]
     # refined error cannot beat the noise floor by much, nor exceed it
-    assert np.all(st.err_opt <= 1.05)
-    assert np.all(st.err_opt > 1e-4)
+    assert np.all(st.samples["err_opt"] <= 1.05)
+    assert np.all(st.samples["err_opt"] > 1e-4)
 
 
 def test_run_table_eps_zero_absolute():
     st = run_table(4, 3, 2, 0.0, trials=3, seed=1)
-    assert not st.relative
-    assert np.all(st.err_opt <= 1e-10)  # exact instances, absolute errors
+    assert not st.row["relative"]
+    assert np.all(st.samples["err_opt"] <= 1e-10)  # exact instances, absolute errors
 
 
 def test_trial_stats_serialization():
@@ -55,12 +56,16 @@ def test_trial_stats_serialization():
 def test_nls_comparison_paired_and_deterministic():
     a = run_nls_comparison(4, 3, 2, 1e-2, trials=2, nls_restarts=2, seed=5)
     b = run_nls_comparison(4, 3, 2, 1e-2, trials=2, nls_restarts=2, seed=5)
-    npt.assert_array_equal(a.ratios, b.ratios)
-    assert a.tau == 1000.0 ** 0.5
-    assert np.all(a.ratios > 0)
-    assert np.all(np.isfinite(a.ratios))
+    c = run_nls_comparison(4, 3, 2, 1e-2, trials=2, nls_restarts=2, seed=5,
+                           threads=2)
+    for other in (b, c):
+        for name in ("ratio", "err_opt", "err_nls"):
+            npt.assert_array_equal(a.samples[name], other.samples[name])
+    assert a.row["tau"] == 1000.0 ** 0.5
+    assert np.all(a.samples["ratio"] > 0)
+    assert np.all(np.isfinite(a.samples["ratio"]))
     # the pipeline leg lands at the noise floor on these easy instances
-    assert np.all(a.err_opt <= 1.05)
+    assert np.all(a.samples["err_opt"] <= 1.05)
     text = format_nls_table([a])
     assert "ratio-med" in text.splitlines()[0]
 
@@ -72,10 +77,10 @@ def test_stock_nls_config_is_a_bounded_budget():
 
 def test_decomposition_table():
     (st,) = run_decomposition_table([(4, 3, 2)], trials=3, seed=0)
-    assert (st.n, st.m, st.r) == (4, 3, 2)
-    assert st.successes == 3
-    assert st.success_rate == 1.0
-    assert np.all(st.residuals <= 1e-6)
+    assert (st.row["n"], st.row["m"], st.row["r"]) == (4, 3, 2)
+    assert st.row["successes"] == 3
+    assert st.row["success_rate"] == 1.0
+    assert np.all(st.samples["residual"] <= 1e-6)
     d = st.to_dict()
     assert d["success_rate"] == 1.0 and "mean_time" not in d
     assert "rate" in format_decomp_table([st]).splitlines()[0]
@@ -84,7 +89,7 @@ def test_decomposition_table():
 def test_decomposition_table_deterministic():
     a = run_decomposition_table([(4, 3, 2)], trials=3, seed=7)[0]
     b = run_decomposition_table([(4, 3, 2)], trials=3, seed=7, threads=2)[0]
-    npt.assert_array_equal(a.residuals, b.residuals)
+    npt.assert_array_equal(a.samples["residual"], b.samples["residual"])
 
 
 @pytest.mark.parametrize("run, match", [

@@ -168,6 +168,14 @@ def test_approx_skip_refine_and_rank_flag(runner, tmp_path):
     assert doc["err_opt"] == doc["err_gp"]
 
 
+def test_approx_library_warning_goes_to_stderr(runner, tmp_path):
+    path = gen_file(runner, tmp_path, "sin.json", "--family", "sin")
+    result = invoke(runner, "approx", path, "--rank", "2")
+    assert "warning: input tensor is real" in result.stderr
+    assert "click" not in result.stderr
+    assert json.loads(result.stdout)["rank"] == 2
+
+
 @pytest.mark.filterwarnings("ignore:input tensor is real")
 def test_approx_table_format(runner, tmp_path):
     path = tmp_path / "sin.json"
@@ -301,6 +309,34 @@ def test_bench_timing_records_the_environment(runner, args):
     env = json.loads(invoke(runner, *args, "--timing").output)["environment"]
     assert env["nproc"] >= 1 and env["numpy"] == np.__version__
     assert all(n == 1 for n in env["blas_threads"].values())
+
+
+TABLE_ROW = ["n", "m", "r", "eps", "trials", "relative", "err_gp", "err_opt",
+             "quantiles"]
+NLS_KEYS = ["n", "m", "r", "eps", "tau", "trials", "nls_restarts", "ratio",
+            "err_opt", "err_nls", "quantiles"]
+DECOMP_ROW = ["n", "m", "r", "trials", "restarts", "successes", "success_rate"]
+
+
+@pytest.mark.parametrize("args, rows, keys, timing_keys", [
+    (["bench", "table", "--n", "3", "--m", "3", "--r", "1", "--trials", "2"],
+     True, TABLE_ROW, ["mean_time"]),
+    (["bench", "nls", "--n", "3", "--m", "3", "--r", "1", "--eps", "1e-2",
+      "--trials", "1", "--nls-restarts", "1"],
+     False, NLS_KEYS, ["gp_time", "nls_time"]),
+    (["bench", "decomp", "--cases", "3,3,2", "--trials", "2"],
+     True, DECOMP_ROW, ["mean_time"]),
+])
+def test_bench_json_key_order(runner, args, rows, keys, timing_keys):
+    plain = json.loads(invoke(runner, *args).output)
+    timed = json.loads(invoke(runner, *args, "--timing").output)
+    assert list(timed)[-1] == "environment"
+    del timed["environment"]
+    if rows:
+        assert list(plain) == list(timed) == ["rows"]
+        plain, timed = plain["rows"][0], timed["rows"][0]
+    assert list(plain) == keys
+    assert list(timed) == keys + timing_keys
 
 
 @pytest.mark.parametrize("args", [

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from symlra.bench import STOCK_NLS_CONFIG
 from symlra.numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
                              one_blas_thread)
-from symlra.tensors import (SymTensor, Decomposition, rank_one,
+from symlra.tensors import (SymTensor, Decomposition,
                             random_low_rank, perturb, compact_size)
 from symlra.pipeline import (fit_coefficients, terms_from_zeros, refine,
                              _refine_closures, approximate, decompose,
@@ -19,7 +19,8 @@ from symlra.families import sin_tensor, ternary_tensor, octet_decomposition
 from symlra import pipeline
 
 from helpers import (finite_difference_jacobian, homogeneous_exponents,
-                     normal_equations, reference_monomials, reference_slots)
+                     normal_equations, rank_one, reference_monomials,
+                     reference_slots)
 
 
 def normalized_instance(n, m, r, seed):

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from symlra.tensors import (
     exponents, multinomial, table, compact_size, SymTensor, Decomposition,
-    rank_one, full_from_compact, compact_from_full, transform,
+    full_from_compact, compact_from_full, transform,
     random_low_rank, perturb, _position_map,
 )
 
-from helpers import (homogeneous_exponents, reference_monomials,
+from helpers import (homogeneous_exponents, rank_one, reference_monomials,
                      reference_position_map, reference_slots)
 
 
