@@ -134,17 +134,15 @@ def format_trial_table(stats_list):
 
 @one_blas_thread
 def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
-                       tau=None, threads=1, lm_config=None, nls_config=None):
+                       tau=None, threads=1, lm_config=None):
     """Paired comparison on scaled instances: pipeline vs. best of
     `nls_restarts` random-start joint refinements of the same tensor.
 
     The random starts are complex standard normal and each restart runs
-    under `nls_config` (default `STOCK_NLS_CONFIG`); `lm_config` governs
-    the pipeline leg as everywhere else."""
+    under `STOCK_NLS_CONFIG`; `lm_config` governs the pipeline leg as
+    everywhere else."""
     if tau is None:
         tau = 1000.0 ** (1.0 / r)
-    if nls_config is None:
-        nls_config = STOCK_NLS_CONFIG
     scale = eps if eps > 0 else 1.0
 
     def worker(t):
@@ -157,7 +155,7 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
             rng = np.random.default_rng(seed_key(seed, t, 3, k))
             start = Decomposition(
                 m, rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
-            err_nls = min(err_nls, refine(F, start, nls_config).error)
+            err_nls = min(err_nls, refine(F, start, STOCK_NLS_CONFIG).error)
         nls_time = time.perf_counter() - t0
         ratio = err_nls / res.err_opt if res.err_opt > 0 else np.inf
         return ratio, res.err_opt / scale, err_nls / scale, gp_time, nls_time

@@ -136,7 +136,9 @@ def _approx_options(fn):
         click.option("--rank-tol", default=1e-6, show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
         click.option("--restarts", type=COUNT, default=0, show_default=True,
-                     help="Extra random starts for the commutator minimization."),
+                     help="Extra random starts for the commutator minimization; "
+                          "each runs the whole pipeline, and the smallest "
+                          "error wins."),
         click.option("--max-iter", type=COUNT, default=None,
                      help="Iteration budget per least-squares minimization."),
         click.option("--max-fev", type=COUNT, default=None,
@@ -257,18 +259,12 @@ def bench():
     trials at once, each with single-threaded BLAS."""
 
 
-def _ints(text):
+def _numbers(text, kind):
     try:
-        return [int(x) for x in str(text).split(",") if x != ""]
+        return [kind(x) for x in str(text).split(",") if x != ""]
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _floats(text):
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError:
-        raise ValueError(f"expected a comma-separated number list, got {text!r}")
+        what = "integer" if kind is int else "number"
+        raise ValueError(f"expected a comma-separated {what} list, got {text!r}")
 
 
 def _bench_options(fn):
@@ -300,7 +296,7 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
     cfg = _lm_config(max_iter, max_fev)
     stats = [benchmod.run_table(n, m, r, eps, trials, seed=seed, tau=tau,
                                 threads=threads, lm_config=cfg)
-             for r in _ints(ranks) for eps in _floats(epss)]
+             for r in _numbers(ranks, int) for eps in _numbers(epss, float)]
     _emit_bench(stats, benchmod.format_trial_table, fmt, timing)
 
 
@@ -336,7 +332,7 @@ def bench_decomp(cases, restarts, residual_tol, trials, seed, threads,
     """Decomposition success rates on exact-rank instances."""
     parsed = []
     for part in cases.split(";"):
-        triple = _ints(part)
+        triple = _numbers(part, int)
         if len(triple) != 3:
             raise ValueError(f"expected n,m,r in {part!r}")
         parsed.append(tuple(triple))

@@ -29,6 +29,7 @@ basis as (variable, core slot, border column) index arrays (M(omega) is
 one fancy-index write of G's columns over the unit columns).  The
 commutator residual is one batched product over the pairs i < j, and its
 Jacobian is scattered from precomputed indices, with no loop over feeds.
+`optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
 import functools
@@ -154,7 +155,7 @@ def _jacobian_sides(basis, param_col):
                  for side in (x < y, x > y))
 
 
-def fit_generating(F, basis, rank_tol=None):
+def fit_generating(F, basis):
     """Minimum-norm least squares for the border, one system per degree."""
     n_border = len(basis.border)
     border = np.array(basis.border, dtype=np.int64).reshape(n_border, basis.n - 1)
@@ -166,7 +167,7 @@ def fit_generating(F, basis, rank_tol=None):
     for d in np.unique(degree):
         cols = degree == d
         A, B = generating_system(F, border[cols], basis)
-        X, nulls[d], _ = minnorm_lstsq(A, B, rank_tol)
+        X, nulls[d], _ = minnorm_lstsq(A, B)
         gls[:, cols] = X
         residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
         n_free[cols] = nulls[d].shape[1]
@@ -247,16 +248,15 @@ def _commutator_jacobian(fit, M):
 
 @dataclass(eq=False)
 class GeneratingOpt:
-    matrix: np.ndarray          # G at the best parameters found
+    matrix: np.ndarray          # G at the parameters found
     omega: np.ndarray           # complex free parameters (empty if none)
     objective: float            # sum of squared commutator entries
-    status: str | None          # LM status of the winning start, None if no parameters
-    start_objectives: list      # final objective of every start
-    start_index: int            # which start won
+    status: str | None          # LM status, None if no parameters
 
 
-def optimize_generating(fit, config=None, seed=0, starts=(0,)):
-    """Minimize the total squared commutator norm over the free parameters.
+def optimize_generating(fit, config=None, seed=0, start=0):
+    """Minimize the total squared commutator norm over the free parameters
+    by one LM run from one start.
 
     The residual at omega is `commutator_residuals` of the companion
     matrices of `fit.matrix(omega)`, and its Jacobian comes from the fit's
@@ -265,12 +265,10 @@ def optimize_generating(fit, config=None, seed=0, starts=(0,)):
     number of border columns; the normal system reuses the M the residual
     built at the point the LM accepted.
 
-    Runs one minimization per start index: index 0 is omega = 0, index
-    k > 0 is a complex standard normal draw seeded by (seed, k), so a
-    start's point does not depend on which other starts run.  `starts`
-    defaults to the zero start alone; the best final objective wins.
-    With no free parameters the assembled G is returned with its
-    objective evaluated.
+    Start 0 is omega = 0; start k > 0 is a complex standard normal draw
+    seeded by (seed, k).  The pipeline, not this function, chooses among
+    starts, by the tensor error of a whole run from each.  With no free
+    parameters the assembled G is returned with its objective evaluated.
     """
     basis = fit.basis
     last = [None, None]     # the residual's latest point and its M
@@ -282,10 +280,9 @@ def optimize_generating(fit, config=None, seed=0, starts=(0,)):
 
     if fit.n_params == 0:
         res = residual(None)
-        obj = float(np.sum(res.real ** 2 + res.imag ** 2))
         return GeneratingOpt(matrix=fit.matrix(), omega=np.zeros(0, dtype=complex),
-                             objective=obj, status=None, start_objectives=[obj],
-                             start_index=0)
+                             objective=float(np.sum(res.real ** 2 + res.imag ** 2)),
+                             status=None)
 
     def normal(omega, f):
         M = (last[1] if last[0] is omega
@@ -294,24 +291,10 @@ def optimize_generating(fit, config=None, seed=0, starts=(0,)):
         Jh = J.conj().T
         return Jh @ J, Jh @ f
 
-    starts = list(starts)
-    if not starts:
-        raise ValueError("need at least one start")
-    best = None
-    objectives = []
-    for start in starts:
-        if start == 0:
-            x0 = np.zeros(fit.n_params, dtype=complex)
-        else:
-            rng = np.random.default_rng(seed_key(seed, int(start)))
-            x0 = (rng.standard_normal(fit.n_params)
-                  + 1j * rng.standard_normal(fit.n_params))
-        lm = levenberg_marquardt(residual, normal, x0, config)
-        obj = lm.residual_norm ** 2
-        objectives.append(obj)
-        if best is None or obj < best[0]:
-            best = (obj, lm, start)
-    obj, lm, start = best
-    return GeneratingOpt(matrix=fit.matrix(lm.x), omega=lm.x, objective=obj,
-                         status=lm.status, start_objectives=objectives,
-                         start_index=start)
+    x0 = np.zeros(fit.n_params, dtype=complex)
+    if start:
+        rng = np.random.default_rng(seed_key(seed, int(start)))
+        x0 = rng.standard_normal(fit.n_params) + 1j * rng.standard_normal(fit.n_params)
+    lm = levenberg_marquardt(residual, normal, x0, config)
+    return GeneratingOpt(matrix=fit.matrix(lm.x), omega=lm.x,
+                         objective=lm.residual_norm ** 2, status=lm.status)

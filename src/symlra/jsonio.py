@@ -28,11 +28,22 @@ from .tensors import (SymTensor, Decomposition, table, compact_from_full,
                       full_from_compact)
 
 
+def _plain(val, kind):
+    # a JSON true/false is not a number
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
+def _object(entry):
+    if not isinstance(entry, dict):
+        raise ValueError(f"entry {entry!r} must be a JSON object")
+    return entry
+
+
 def _want(doc, key, kind):
-    if key not in doc:
+    if key not in _object(doc):
         raise ValueError(f"missing key {key!r}")
     val = doc[key]
-    if kind is int and (not isinstance(val, int) or isinstance(val, bool)):
+    if kind is int and not _plain(val, int):
         raise ValueError(f"key {key!r} must be an integer, got {val!r}")
     if kind is list and not isinstance(val, list):
         raise ValueError(f"key {key!r} must be a list")
@@ -40,11 +51,10 @@ def _want(doc, key, kind):
 
 
 def _complex_of(entry):
-    re = entry.get("re", 0.0)
-    im = entry.get("im", 0.0)
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    parts = [_object(entry).get(key, 0.0) for key in ("re", "im")]
+    if not all(_plain(v, (int, float)) for v in parts):
         raise ValueError(f"re/im must be numbers, got {entry!r}")
-    return complex(re, im)
+    return complex(*parts)
 
 
 def tensor_to_dict(F, form="compact"):
@@ -80,10 +90,10 @@ def tensor_from_dict(doc):
         values = np.zeros(len(tab), dtype=complex)
         seen = set()
         for entry in entries:
-            alpha = tuple(_want(entry, "alpha", list))
-            if alpha not in tab.index:
-                raise ValueError(
-                    f"exponent {list(alpha)} is not valid for n={n}, m={m}")
+            alpha = _want(entry, "alpha", list)
+            if not all(_plain(a, int) for a in alpha) or tuple(alpha) not in tab.index:
+                raise ValueError(f"exponent {alpha} is not valid for n={n}, m={m}")
+            alpha = tuple(alpha)
             if alpha in seen:
                 raise ValueError(f"duplicate entry for exponent {list(alpha)}")
             seen.add(alpha)
@@ -94,7 +104,7 @@ def tensor_from_dict(doc):
         for entry in entries:
             index = _want(entry, "index", list)
             if len(index) != m or not all(
-                    isinstance(i, int) and 1 <= i <= n for i in index):
+                    _plain(i, int) and 1 <= i <= n for i in index):
                 raise ValueError(
                     f"index {index} is not a valid 1-based position for n={n}, m={m}")
             dense[tuple(i - 1 for i in index)] = _complex_of(entry)

@@ -125,12 +125,12 @@ def seed_key(seed, *extra):
     return [*map(int, seed), *extra]
 
 
-def minnorm_lstsq(A, b, rank_tol=None):
+def minnorm_lstsq(A, b):
     """Minimum-norm least-squares solution of A x ~ b with null-space basis.
 
     b is (p,) or (p, k), k right-hand sides, and x (q,) or (q, k).
-    Singular values <= rank_tol * sigma_max count as zero; the default
-    rank_tol is max(p, q) * machine epsilon.
+    Singular values at most max(p, q) * machine epsilon * sigma_max
+    count as zero.
 
     Returns (x, null, rank): x is the minimum-norm minimizer, null an
     orthonormal basis of the numerical null space (q x (q - rank)).
@@ -143,9 +143,7 @@ def minnorm_lstsq(A, b, rank_tol=None):
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        if rank_tol is None:
-            rank_tol = max(p, q) * EPS
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
+        rank = int(np.count_nonzero(s > max(p, q) * EPS * s[0]))
     # .T / s .T divides row j of U^H b by s_j for a 1-D or a 2-D b
     x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ b).T / s[:rank]).T
     null = Vh[rank:].conj().T

@@ -15,16 +15,16 @@ when not supplied):
    Hilbert-Schmidt error: this is the optimized approximation, never
    worse than the algebraic one.
 
-`approximate` runs the stages once; `decompose` runs them once per
-starting point of the commutator minimization and accepts runs whose
-relative residual clears a tolerance, optionally collecting all distinct
-decompositions found.  Both go through `_run`, which keeps each
-coordinate frame (F in it, the unitary and the generating fit) in a dict
-the caller owns.  The fit does not depend on the start, so a search
-passes one dict for all its starts: it fits once per frame and only
-reruns the commutator minimization and the stages after it.  `approximate`,
-`decompose` and `refine` run BLAS on one thread and restore the caller's
-thread counts on return (`numerics.one_blas_thread`).
+`approximate` and `decompose` run the stages once per commutator start,
+and only they choose among starts: `approximate` keeps the smallest
+err_opt, `decompose` accepts runs whose relative residual clears a
+tolerance, optionally collecting all distinct decompositions found.
+Both go through `_run`, which keeps each coordinate frame (F in it, the
+unitary and the generating fit) in a dict the caller owns.  The fit does
+not depend on the start, so a search passes one dict for all its starts:
+it fits once per frame and reruns only the commutator minimization and
+the stages after it.  `approximate`, `decompose` and `refine` run BLAS on
+one thread and restore the caller's thread counts (`one_blas_thread`).
 """
 
 import time
@@ -187,13 +187,12 @@ def _maybe_warn_nonreal(F, refined, diag):
              "complex")
 
 
-def _run_stages(F, fit, *, seed, starts, lm_config, skip_refine, diag):
+def _run_stages(F, fit, *, seed, start, lm_config, skip_refine, diag):
     basis = fit.basis
     opt = optimize_generating(fit, lm_config, seed=seed_key(seed, 1),
-                              starts=starts)
+                              start=start)
     M = companion_matrices(opt.matrix, basis)
-    sel = select_mixing(commutation_gram(M),
-                        seed=seed_key(seed, 2, starts[-1]))
+    sel = select_mixing(commutation_gram(M), seed=seed_key(seed, 2, start))
     ext = extract_zeros(M, sel.xi, opt.matrix, basis)
     coeffs = fit_coefficients(F, ext.zeros)
     gp = terms_from_zeros(coeffs, ext.zeros, F.m)
@@ -204,8 +203,6 @@ def _run_stages(F, fit, *, seed, starts, lm_config, skip_refine, diag):
         "generating_residual": float(fit.residuals.max()) if fit.residuals.size else 0.0,
         "commutator_objective": opt.objective,
         "omega_status": opt.status,
-        "omega_start_objectives": [float(v) for v in opt.start_objectives],
-        "omega_start_index": int(opt.start_index),
         "mixing_fallback": sel.fallback,
         "schur_repeated": ext.repeated,
         "poly_residual": ext.poly_residual,
@@ -220,9 +217,9 @@ def _run_stages(F, fit, *, seed, starts, lm_config, skip_refine, diag):
     return gp, rr.decomposition, err_gp, rr.error
 
 
-def _run(F, r, starts, frames, *, seed, lm_config, skip_refine,
+def _run(F, r, start, frames, *, seed, lm_config, skip_refine,
          coordinate_shuffle):
-    """The stages at rank r from the commutator starts `starts`, in the
+    """The stages at rank r from the commutator start `start`, in the
     plain coordinate frame or the shuffled one (see `approximate` for
     `coordinate_shuffle`; None runs the shuffled frame after a plain run
     whose zeros run off or whose result explains none of F).
@@ -236,12 +233,10 @@ def _run(F, r, starts, frames, *, seed, lm_config, skip_refine,
     norm = F.norm()
     shuffles = (False, True) if coordinate_shuffle is None else (bool(coordinate_shuffle),)
     for shuffle in shuffles:
-        t0 = time.perf_counter()
         diag = {"rank": int(r), "coordinate_shuffle": shuffle,
                 "beyond_flattening": beyond, **_NOT_RUN}
         if r == 0:
             empty = Decomposition(F.m, np.zeros((0, F.n)))
-            diag["wall_time"] = time.perf_counter() - t0
             return ApproxResult(empty, empty, norm, norm, diag)
 
         if shuffle not in frames:
@@ -255,7 +250,7 @@ def _run(F, r, starts, frames, *, seed, lm_config, skip_refine,
             frames[shuffle] = (G, Q, fit_generating(G, monomial_basis(G.n, G.m, r)))
         G, Q, fit = frames[shuffle]
         gp, refined, err_gp, err_opt = _run_stages(
-            G, fit, seed=seed, starts=starts, lm_config=lm_config,
+            G, fit, seed=seed, start=start, lm_config=lm_config,
             skip_refine=skip_refine, diag=diag)
         if Q is not None:
             # map the vectors back: each term (Q u)^{(m)} of G is u^{(m)} of F
@@ -264,7 +259,6 @@ def _run(F, r, starts, frames, *, seed, lm_config, skip_refine,
             err_gp = (gp.tensor() - F).norm()
             err_opt = (refined.tensor() - F).norm()
         _maybe_warn_nonreal(F, refined, diag)
-        diag["wall_time"] = time.perf_counter() - t0
 
         # a rank >= 1 result at err_opt = ||F||, which some rank-one term
         # always beats, explains none of F
@@ -286,7 +280,11 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     rank=None estimates the rank from the flattening spectrum with
     relative tolerance `rank_tol`.  `restarts` adds seeded random starts
     to the commutator minimization (start 0 is always the zero
-    parameter vector).  `coordinate_shuffle` applies a seeded random
+    parameter vector); each is a whole run, as in `decompose`, and the
+    smallest err_opt wins (the first on ties).  Diagnostics
+    `omega_start_objectives` and `omega_start_index` give each start's
+    commutator objective and the winner; `wall_time` spans the call.
+    With no free parameters only start 0 runs.  `coordinate_shuffle` applies a seeded random
     unitary change of coordinates before the pipeline and undoes it
     afterwards; the default None auto-enables it when the extracted zeros
     have coordinates beyond 1e6 (a symptom of a leading vector entry near
@@ -298,15 +296,27 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    t0 = time.perf_counter()
     spectrum = None
     if rank is None:
         spectrum = catalecticant_spectrum(F)
         rank = estimate_rank(spectrum, rank_tol).rank
-    res = _run(F, rank, range(restarts + 1), {}, seed=seed, lm_config=lm_config,
-               skip_refine=skip_refine, coordinate_shuffle=coordinate_shuffle)
+    frames, runs = {}, []   # one fit per coordinate frame for all starts
+    for s in range(restarts + 1):
+        runs.append(_run(F, rank, s, frames, seed=seed, lm_config=lm_config,
+                         skip_refine=skip_refine, coordinate_shuffle=coordinate_shuffle))
+        if runs[-1].diagnostics["n_free_params"] == 0:
+            break
+    res = min(runs, key=lambda run: run.err_opt)
+    diag = res.diagnostics
+    if rank > 0:    # rank 0 runs no commutator stage
+        diag["omega_start_objectives"] = [
+            float(run.diagnostics["commutator_objective"]) for run in runs]
+        diag["omega_start_index"] = runs.index(res)
     if spectrum is not None:
-        res.diagnostics["rank_estimated"] = True
-        res.diagnostics["spectrum"] = [float(v) for v in spectrum]
+        diag["rank_estimated"] = True
+        diag["spectrum"] = [float(v) for v in spectrum]
+    diag["wall_time"] = time.perf_counter() - t0
     return res
 
 
@@ -348,9 +358,9 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     `match_distance` greater than 0.1 * (largest vector norm).  The starts
     share their coordinate frames (`_run`): the basis and generating fit
     are built once per frame, at most twice per search.  No start depends
-    on the ones before it: start 0 gives what `approximate` with the same
-    seed gives, and fewer restarts repeat the first starts of more.  The
-    diagnostics include the search's `wall_time` in seconds.
+    on the ones before it: `approximate` with k restarts returns the best
+    of the first k+1, and fewer restarts repeat the first starts of more.
+    The diagnostics include the search's `wall_time` in seconds.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -361,32 +371,24 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     best = None
     kept = []
     per_start = []
-    attempts = 0
     frames = {}   # one fit per coordinate frame for all starts
     for s in range(restarts + 1):
-        res = _run(F, rank, [s], frames, seed=seed, lm_config=lm_config,
+        res = _run(F, rank, s, frames, seed=seed, lm_config=lm_config,
                    skip_refine=False, coordinate_shuffle=None)
-        attempts += 1
         rel = res.err_opt / scale
         ok = rel <= residual_tol
         per_start.append({"start": s, "relative_residual": rel, "success": ok,
                           "commutator_objective": res.diagnostics["commutator_objective"]})
         if best is None or rel < best[0]:
             best = (rel, res)
-        if ok:
-            if distinct:
-                is_new = all(
-                    match_distance(res.refined, d) >
-                    0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
-                              np.abs(d.vectors).max(initial=0.0))
-                    for d in kept)
-                if is_new:
-                    kept.append(res.refined)
-            else:
-                kept.append(res.refined)
-                break
-        # with no free parameters every start is identical; stop early
-        if res.diagnostics["n_free_params"] == 0 and not distinct:
+        if ok and distinct and all(
+                match_distance(res.refined, d) >
+                0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
+                          np.abs(d.vectors).max(initial=0.0))
+                for d in kept):
+            kept.append(res.refined)
+        # stop at a success, or when no free parameters make all starts equal
+        if not distinct and (ok or res.diagnostics["n_free_params"] == 0):
             break
     rel, res = best
     success = rel <= residual_tol
@@ -395,6 +397,6 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
         decomposition=res.refined if success else None,
         relative_residual=rel,
         decompositions=kept if distinct else ([res.refined] if success else []),
-        attempts=attempts,
+        attempts=len(per_start),
         diagnostics={"rank": rank, "starts": per_start, "norm_scale": scale,
                      "wall_time": time.perf_counter() - t0})

@@ -307,10 +307,10 @@ def _compress(full, n, m):
     return values
 
 
-def compact_from_full(full, tol=1e-12):
+def compact_from_full(full):
     """Compress a dense array into compact coordinates, verifying symmetry.
 
-    Entries within one symmetry class must agree to `tol` relative to the
+    Entries within one symmetry class must agree to 1e-12 relative to the
     largest entry magnitude; the first violating position pair is reported.
     """
     full = np.asarray(full, dtype=complex)
@@ -320,12 +320,12 @@ def compact_from_full(full, tol=1e-12):
     values = _compress(full, n, m)
     spread = np.abs(full - values[_position_map(n, m)])
     scale = np.abs(full).max()
-    if scale > 0 and spread.max() > tol * scale:
+    if scale > 0 and spread.max() > 1e-12 * scale:
         at = np.unravel_index(np.argmax(spread), full.shape)
         rep = tuple(sorted(at))
         raise ValueError(
             f"input is not symmetric: entry at {at} differs from entry at "
-            f"{rep} by {spread.max():.3e} (tolerance {tol:.1e} relative)")
+            f"{rep} by {spread.max():.3e} (tolerance 1.0e-12 relative)")
     return SymTensor(n, m, values)
 
 

@@ -101,7 +101,7 @@ def reference_wiring(basis):
     return unit_cols, border_cols, feeds
 
 
-def reference_fit(F, basis, rank_tol=None):
+def reference_fit(F, basis):
     """The generating fit one border column at a time: one gather and one
     minimum-norm solve per column, keeping each column's null basis
     (`nulls`) and parameter slice (`param_slices`); parameters run column
@@ -111,7 +111,7 @@ def reference_fit(F, basis, rank_tol=None):
     offset = 0
     for col, alpha in enumerate(basis.border):
         A, b = generating_system(F, alpha, basis)
-        x, null, _ = minnorm_lstsq(A, b, rank_tol)
+        x, null, _ = minnorm_lstsq(A, b)
         gls[:, col] = x
         nulls.append(null)
         residuals.append(np.linalg.norm(A @ x - b))

@@ -127,6 +127,19 @@ def test_rankest_wrong_schema_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("entries", [[5], ["alpha"], [{"alpha": [[1]]}],
+                                     [{"alpha": [1], "re": True}]])
+def test_rankest_malformed_entries_exit_2(runner, tmp_path, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "m": 2, "entries": entries}))
+    result = runner.invoke(main, ["rankest", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, result.output
+
+
 # -------------------------------------------------------------- approx
 
 @pytest.mark.filterwarnings("ignore:input tensor is real")

@@ -73,6 +73,17 @@ def test_full_form_accepts_complete_class():
       "entries": [{"index": [0, 1], "re": 1.0}]}, "1-based"),
     ({"n": 2, "m": 2, "format": "full",
       "entries": [{"index": [1], "re": 1.0}]}, "1-based"),
+    ({"n": 2, "m": 2, "entries": [5]}, "must be a JSON object"),
+    ({"n": 2, "m": 2, "entries": ["alpha"]}, "must be a JSON object"),
+    ({"n": 2, "m": 2, "entries": [{"alpha": [[1]]}]}, "not valid"),
+    ({"n": 2, "m": 2, "entries": [{"alpha": [True]}]}, "not valid"),
+    ({"n": 2, "m": 2, "entries": [{"alpha": [1.0]}]}, "not valid"),
+    ({"n": 2, "m": 2, "entries": [{"alpha": [1], "re": True}]}, "must be numbers"),
+    ({"n": 2, "m": 2, "entries": [{"alpha": [1], "im": False}]}, "must be numbers"),
+    ({"n": 2, "m": 2, "format": "full",
+      "entries": [{"index": [True, 1], "re": 1.0}]}, "1-based"),
+    ({"n": 2, "m": 2, "format": "full", "entries": [[1, 1]]},
+     "must be a JSON object"),
 ])
 def test_tensor_from_dict_validation(doc, msg):
     with pytest.raises(ValueError, match=msg):
@@ -86,6 +97,12 @@ def test_decomposition_from_dict_validation():
     with pytest.raises(ValueError, match="vector 0 must be a list of 2"):
         decomposition_from_dict(
             {"n": 2, "m": 3, "rank": 1, "vectors": [[{"re": 1.0}]]})
+    for entry, msg in [(5, "must be a JSON object"), ("re", "must be a JSON object"),
+                       ({"re": True}, "must be numbers"),
+                       ({"re": 1.0, "im": "0"}, "must be numbers")]:
+        with pytest.raises(ValueError, match=msg):
+            decomposition_from_dict(
+                {"n": 2, "m": 3, "rank": 1, "vectors": [[{"re": 1.0}, entry]]})
 
 
 def test_read_tensor_bad_json(tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: coefficient fit, reconstruction, refinement,
 approximation driver, and the decomposition search."""
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -337,6 +338,24 @@ class TestApproximate:
         assert auto.diagnostics["coordinate_shuffle"]
         assert auto.err_opt < 1e-10 * (1 + F.norm())
 
+    def test_wall_time_spans_the_whole_call(self, monkeypatch):
+        # the automatic shuffle runs the stages twice, plain then shuffled;
+        # wall_time counts both passes
+        U = np.array([[1e-9, 1.0, 1.0], [1.0, -0.7, 0.3]], dtype=complex)
+        F = Decomposition(3, U).tensor()
+        spent = []
+        stages = pipeline._run_stages
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = stages(*args, **kwargs)
+            spent.append(time.perf_counter() - t0)
+            return out
+        monkeypatch.setattr(pipeline, "_run_stages", timed)
+        res = approximate(F, 2)
+        assert res.diagnostics["auto_shuffled"] and len(spent) == 2
+        assert res.diagnostics["wall_time"] >= sum(spent)
+
     def test_explicit_shuffle_matches_plain_on_benign_input(self):
         F0, _ = random_low_rank(5, 3, 2, seed=20)
         F = perturb(F0, 1e-3, seed=21)
@@ -371,6 +390,8 @@ class TestApproximate:
             "forced_shuffle": approximate(F, 2, coordinate_shuffle=True),
             "auto_shuffle": approximate(Decomposition(3, np.array(
                 [[1e-9, 1.0, 1.0], [1.0, -0.7, 0.3]], dtype=complex)).tensor(), 2),
+            "restarts": approximate(F, 2, restarts=2),
+            "estimated_rank": approximate(F),
         }
         d = runs["full"].diagnostics
         for key in ("rank", "n_free_params", "generating_residual",
@@ -389,6 +410,38 @@ class TestApproximate:
         zero = runs["rank_zero"].diagnostics
         assert zero["commutator_objective"] is None and zero["omega_status"] is None
         assert zero["mixing_fallback"] is False and zero["nonreal_output"] is False
+
+
+def _policy_instance(name):
+    if name == "ternary":
+        return ternary_tensor(), 4
+    n, m, r = {"4-4-5": (4, 4, 5), "3-5-8": (3, 5, 8)}[name]
+    F0, _ = random_low_rank(n, m, r, seed=[n, m, r])
+    return perturb(F0, 1e-3, seed=[n, m, r, 1]), r
+
+
+@pytest.mark.filterwarnings("ignore:input tensor is real")
+@pytest.mark.filterwarnings("ignore:nearly repeated Schur values")
+@pytest.mark.parametrize("name", ["ternary", "4-4-5", "3-5-8"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_approximate_returns_the_best_start(name, seed):
+    # approximate with k restarts returns the run of decompose's starts
+    # 0..k with the smallest error, so a restart never makes err_opt worse
+    F, r = _policy_instance(name)
+    previous = np.inf
+    for k in range(3):
+        res = approximate(F, r, restarts=k, seed=seed)
+        starts = decompose(F, r, restarts=k, seed=seed,
+                           distinct=True).diagnostics["starts"]
+        rel = [rec["relative_residual"] for rec in starts]
+        assert res.diagnostics["n_free_params"] > 0
+        assert res.err_opt / (1 + F.norm()) == min(rel)
+        assert res.diagnostics["omega_start_index"] == rel.index(min(rel))
+        assert res.diagnostics["omega_start_objectives"] == [
+            rec["commutator_objective"] for rec in starts]
+        assert res.err_opt <= previous
+        previous = res.err_opt
 
 
 class TestMatchDistance:
@@ -481,7 +534,7 @@ class TestDecompose:
         out = decompose(F, r, restarts=5, seed=key, distinct=True)
         searched = len(calls)
         with one_blas_thread:
-            separate = [pipeline._run(F, r, [s], {}, seed=key, lm_config=None,
+            separate = [pipeline._run(F, r, s, {}, seed=key, lm_config=None,
                                       skip_refine=False, coordinate_shuffle=None)
                         for s in range(6)]
         shuffled = [res.diagnostics["auto_shuffled"] for res in separate]
