@@ -8,7 +8,7 @@ from .tensors import (SymTensor, Decomposition, exponents, multinomial,
                       full_from_compact, transform,
                       random_low_rank, perturb)
 from .catalecticant import (catalecticant, catalecticant_spectrum,
-                            estimate_rank, CatMatrix, RankEstimate)
+                            estimate_rank, RankEstimate)
 from .genfit import (monomial_basis, generating_system, fit_generating,
                      optimize_generating, companion_matrices,
                      commutator_residuals, MonomialBasis, GeneratingFit)
@@ -18,8 +18,7 @@ from .pipeline import (approximate, decompose, refine, fit_coefficients,
                        terms_from_zeros, match_distance, ApproxResult,
                        DecomposeResult, RefineResult)
 from .numerics import (LMConfig, LMResult, levenberg_marquardt,
-                       minnorm_lstsq, singular_values, hermitian_smallest,
-                       complex_schur)
+                       minnorm_lstsq, hermitian_smallest)
 from .bench import (STOCK_NLS_CONFIG,
                     run_table, run_nls_comparison, run_decomposition_table,
                     BenchStats)
@@ -30,8 +29,7 @@ __all__ = [
     "SymTensor", "Decomposition", "exponents", "multinomial", "compact_size",
     "table", "compact_from_full", "full_from_compact",
     "transform", "random_low_rank", "perturb",
-    "catalecticant", "catalecticant_spectrum", "estimate_rank", "CatMatrix",
-    "RankEstimate",
+    "catalecticant", "catalecticant_spectrum", "estimate_rank", "RankEstimate",
     "monomial_basis", "generating_system", "fit_generating",
     "optimize_generating", "companion_matrices", "commutator_residuals",
     "MonomialBasis", "GeneratingFit",
@@ -41,7 +39,7 @@ __all__ = [
     "terms_from_zeros", "match_distance", "ApproxResult", "DecomposeResult",
     "RefineResult",
     "LMConfig", "LMResult", "levenberg_marquardt", "minnorm_lstsq",
-    "singular_values", "hermitian_smallest", "complex_schur",
+    "hermitian_smallest",
     "STOCK_NLS_CONFIG",
     "run_table", "run_nls_comparison", "run_decomposition_table",
     "BenchStats",

@@ -91,12 +91,10 @@ class BenchStats:
 
 
 def _approx_trial(n, m, r, eps, tau, seed, t, lm_config):
-    # trial t's perturbed instance, `approximate` on it and its wall time
+    # trial t's perturbed instance and `approximate` on it
     F0, _ = random_low_rank(n, m, r, seed=seed_key(seed, t, 0), tau=tau)
     F = perturb(F0, eps, seed=seed_key(seed, t, 1))
-    t0 = time.perf_counter()
-    res = approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
-    return F, res, time.perf_counter() - t0
+    return F, approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
 
 
 @one_blas_thread
@@ -107,8 +105,8 @@ def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
     scale = eps if eps > 0 else 1.0
 
     def worker(t):
-        _, res, dt = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
-        return res.err_gp / scale, res.err_opt / scale, dt
+        _, res = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
+        return res.err_gp / scale, res.err_opt / scale, res.diagnostics["wall_time"]
 
     s = _map_trials(worker, trials, threads, "err_gp", "err_opt", "time")
     return BenchStats(
@@ -148,7 +146,7 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
     def worker(t):
         # checked here so that trials and threads are checked first
         _check_count("nls_restarts", nls_restarts)
-        F, res, gp_time = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
+        F, res = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
         t0 = time.perf_counter()
         err_nls = np.inf
         for k in range(nls_restarts):
@@ -158,7 +156,8 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
             err_nls = min(err_nls, refine(F, start, STOCK_NLS_CONFIG).error)
         nls_time = time.perf_counter() - t0
         ratio = err_nls / res.err_opt if res.err_opt > 0 else np.inf
-        return ratio, res.err_opt / scale, err_nls / scale, gp_time, nls_time
+        return (ratio, res.err_opt / scale, err_nls / scale,
+                res.diagnostics["wall_time"], nls_time)
 
     s = _map_trials(worker, trials, threads,
                     "ratio", "err_opt", "err_nls", "gp_time", "nls_time")
@@ -196,11 +195,11 @@ def run_decomposition_table(cases, trials=20, seed=0, restarts=0,
 
         def worker(t):
             F, _ = random_low_rank(n, m, r, seed=seed_key(seed, n, m, r, t))
-            t0 = time.perf_counter()
             dres = decompose(F, r, residual_tol=residual_tol, restarts=restarts,
                              seed=seed_key(seed, n, m, r, t, 1),
                              lm_config=lm_config)
-            return dres.success, dres.relative_residual, time.perf_counter() - t0
+            return (dres.success, dres.relative_residual,
+                    dres.diagnostics["wall_time"])
 
         s = _map_trials(worker, trials, threads, "success", "residual", "time")
         successes = int(s["success"].sum())

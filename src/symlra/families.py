@@ -67,18 +67,21 @@ def octet_tensor():
 
 def make_family(family, n=None, m=None, r=None, seed=0, tau=None):
     """Construct a named instance; None parameters take family defaults."""
+    def given(value, default):
+        return default if value is None else value
+
     if family == "sin":
-        return sin_tensor(n or 6, m or 3)
+        return sin_tensor(given(n, 6), given(m, 3))
     if family == "rootsum":
-        return rootsum_tensor(n or 5, m or 4)
+        return rootsum_tensor(given(n, 5), given(m, 4))
     if family == "linear":
-        return linear_tensor(n or 5, m or 3)
+        return linear_tensor(given(n, 5), given(m, 3))
     if family == "ternary":
-        if (n or 3, m or 3) != (3, 3):
+        if (given(n, 3), given(m, 3)) != (3, 3):
             raise ValueError("the ternary instance is fixed at n=3, m=3")
         return ternary_tensor()
     if family == "octet":
-        if (n or 4, m or 4) != (4, 4):
+        if (given(n, 4), given(m, 4)) != (4, 4):
             raise ValueError("the octet instance is fixed at n=4, m=4")
         return octet_tensor()
     if family == "random":

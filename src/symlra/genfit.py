@@ -28,7 +28,9 @@ border column (G(omega) is one matmul), and the companion wiring of the
 basis as (variable, core slot, border column) index arrays (M(omega) is
 one fancy-index write of G's columns over the unit columns).  The
 commutator residual is one batched product over the pairs i < j, and its
-Jacobian is scattered from precomputed indices, with no loop over feeds.
+Jacobian one write per side of a pair: each entry's r x r block goes to
+J[pair, :, :, parameter], from (pair, core slot, parameter, other
+variable) index arrays built with the fit, with no loop over feeds.
 `optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
@@ -115,14 +117,15 @@ class GeneratingFit:
     border column by border column).  G is affine in omega, and so are
     the companion matrices; `directions`, `placement` and `sides` are that
     affine map's parts, built once per fit: G(omega) is one matmul and the
-    commutator Jacobian one scatter per side of a variable pair."""
+    commutator Jacobian one (pair, parameter) block write per side of a
+    variable pair."""
     basis: MonomialBasis
     gls: np.ndarray                 # (rank, n_border) minimum-norm solutions
     residuals: np.ndarray           # ||A g - b|| per column at omega = 0
     n_params: int
     directions: np.ndarray = field(repr=False)  # (rank, n_params): each column's null basis
     placement: np.ndarray = field(repr=False)   # (n_params, n_border): 1 at each parameter's column
-    sides: tuple = field(repr=False)            # `_commutator_jacobian`'s scatter indices
+    sides: tuple = field(repr=False)            # `_jacobian_sides`: (k, nu, p, y) per side
 
     def matrix(self, omega=None):
         if omega is None or not self.n_params:
@@ -135,24 +138,20 @@ class GeneratingFit:
 
 
 def _jacobian_sides(basis, param_col):
-    """Scatter indices of `_commutator_jacobian`, one (rows, nu, p, y) tuple
-    of arrays per side of a pair (a, b), a < b.  Entry l: parameter p moves
-    column nu of M_x (x = a on the first side, x = b on the second) and
-    enters pair k, whose other matrix is M_y; rows[l] holds the flat
-    positions (k r^2 + s r + t) P + p of its r x r block in J.  Parameter p
-    lies in border column param_col[p] and moves every wire to it."""
-    nbar, r, n_params = basis.n - 1, basis.rank, param_col.size
+    """Index arrays of `_commutator_jacobian`, one (k, nu, p, y) tuple per
+    side of a pair (a, b), a < b.  Entry l: parameter p moves column nu of
+    M_x (x = a on the first side, x = b on the second) and enters pair k,
+    whose other matrix is M_y.  Parameter p lies in border column
+    param_col[p] and moves every wire to it."""
+    nbar = basis.n - 1
     wire_i, wire_nu, wire_col = basis.wires
     w, p = np.nonzero(wire_col[:, None] == param_col)
     x = wire_i[w]
     e, y = np.nonzero(x[:, None] != np.arange(nbar))
-    pair = np.zeros((nbar, nbar), dtype=np.intp)
-    a, b = _pairs(nbar)
-    pair[a, b] = pair[b, a] = np.arange(a.size)
     x, nu, p = x[e], wire_nu[w][e], p[e]
-    rows = (pair[x, y][:, None] * r * r + np.arange(r * r)) * n_params + p[:, None]
-    return tuple((rows[side].ravel(), nu[side], p[side], y[side])
-                 for side in (x < y, x > y))
+    a, b = np.minimum(x, y), np.maximum(x, y)
+    k = a * (2 * nbar - a - 1) // 2 + b - a - 1     # rank of (a, b) in `_pairs`
+    return tuple((k[side], nu[side], p[side], y[side]) for side in (x < y, x > y))
 
 
 def fit_generating(F, basis):
@@ -224,10 +223,11 @@ def _commutator_jacobian(fit, M):
     Parameter p with direction w moves column nu of M_x by w, i.e.
     dM_x = w e_nu^T.  On pair (a, b) that gives w M_b[nu, :] - (M_b w) e_nu^T
     when x = a and the negative of w M_a[nu, :] - (M_a w) e_nu^T when x = b:
-    per side, the outer products less the M_y W columns, scattered at once
-    through the fit's flat indices.  A border column feeds at most one nu per
-    variable, so no side repeats an index; the two sides can share entries,
-    so the first is written and the second subtracted from it."""
+    per side, the outer products less the M_y W columns, written as r x r
+    blocks J[k, :, :, p] of a (pairs, r, r, P) array through the fit's
+    (pair, parameter) indices.  A border column feeds at most one nu per
+    variable, so no side repeats a (k, p) pair; the two sides can share
+    blocks, so the first is written and the second subtracted from it."""
     r, P = fit.directions.shape
     W = fit.directions
     MW = M @ W
@@ -236,13 +236,13 @@ def _commutator_jacobian(fit, M):
         # w M_y[nu, :] - (M_y w) e_nu^T for each entry's direction w
         D = W.T[p][:, :, None] * M[y, nu][:, None, :]
         D[np.arange(p.size), :, nu] -= MW[y, :, p]
-        return D.ravel()
+        return D
 
     npairs = M.shape[0] * (M.shape[0] - 1) // 2
-    J = np.zeros(npairs * r * r * P, dtype=complex)
-    (rows_a, *first), (rows_b, *second) = fit.sides
-    J[rows_a] = blocks(*first)
-    J[rows_b] -= blocks(*second)
+    J = np.zeros((npairs, r, r, P), dtype=complex)
+    (k, nu, p, y), (k2, nu2, p2, y2) = fit.sides
+    J[k, :, :, p] = blocks(nu, p, y)
+    J[k2, :, :, p2] -= blocks(nu2, p2, y2)
     return J.reshape(npairs * r * r, P)
 
 

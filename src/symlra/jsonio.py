@@ -24,8 +24,8 @@ import json
 
 import numpy as np
 
-from .tensors import (SymTensor, Decomposition, table, compact_from_full,
-                      full_from_compact)
+from .tensors import (MAX_ENTRIES, SymTensor, Decomposition, table,
+                      compact_from_full, full_from_compact)
 
 
 def _plain(val, kind):
@@ -100,6 +100,9 @@ def tensor_from_dict(doc):
             values[tab.index[alpha]] = _complex_of(entry)
         return SymTensor(n, m, values)
     if form == "full":
+        if n ** m > MAX_ENTRIES:
+            raise ValueError(f"a full n={n}, m={m} array has more than "
+                             f"{MAX_ENTRIES} entries")
         dense = np.zeros((n,) * m, dtype=complex)
         for entry in entries:
             index = _want(entry, "index", list)

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: rank-revealing least squares, Hermitian and
-Schur eigen-kernels, a damped least-squares (Levenberg-Marquardt)
+"""Shared numerical kernels: rank-revealing least squares, a Hermitian
+eigen-kernel, a damped least-squares (Levenberg-Marquardt)
 minimizer over real or complex unknowns that takes its Gauss-Newton
 normal system (J^H J, J^H f) from the caller, so a structured problem can
 build it without forming J, seed keys for random draws, the BLAS
@@ -150,11 +150,6 @@ def minnorm_lstsq(A, b):
     return x, null, rank
 
 
-def singular_values(A):
-    """Singular values in descending order."""
-    return np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
-
-
 def hermitian_smallest(H):
     """Unit eigenvector for the smallest eigenvalue of a Hermitian matrix.
 
@@ -165,13 +160,6 @@ def hermitian_smallest(H):
         return np.zeros(0, dtype=complex), 0.0, 0.0
     w, V = np.linalg.eigh((H + H.conj().T) / 2)
     return V[:, 0], float(w[0]), float(w[-1])
-
-
-def complex_schur(L):
-    """Complex Schur decomposition L = Q T Q^*; returns (Q unitary, T upper
-    triangular)."""
-    T, Q = scipy.linalg.schur(np.asarray(L, dtype=complex), output="complex")
-    return Q, T
 
 
 @dataclass(frozen=True)
@@ -280,8 +268,6 @@ def levenberg_marquardt(residual, normal, x0, config=None):
             nu = min(2.0 * nu, 1e8)
         if status in ("converged-step", "max-evaluations", "converged-function"):
             break
-    else:
-        status = "max-iterations"
 
     return LMResult(x=x, residual_norm=float(np.sqrt(2.0 * cost)),
                     status=status, iterations=iterations,

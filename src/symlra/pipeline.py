@@ -228,8 +228,7 @@ def _run(F, r, start, frames, *, seed, lm_config, skip_refine,
     the Haar unitary Q that took it there (None in the plain frame) and G's
     generating fit.  A frame missing from it is built and added, so calls
     on the same F, r and seed that share the dict fit each frame once."""
-    m1 = F.m // 2
-    beyond = bool(r > min(compact_size(F.n, m1), compact_size(F.n, F.m - m1)))
+    beyond = bool(r > compact_size(F.n, F.m // 2))
     norm = F.norm()
     shuffles = (False, True) if coordinate_shuffle is None else (bool(coordinate_shuffle),)
     for shuffle in shuffles:
@@ -360,10 +359,13 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     are built once per frame, at most twice per search.  No start depends
     on the ones before it: `approximate` with k restarts returns the best
     of the first k+1, and fewer restarts repeat the first starts of more.
-    The diagnostics include the search's `wall_time` in seconds.
+    The diagnostics include the search's `wall_time` in seconds.  Raises
+    ValueError unless residual_tol >= 0.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    if not residual_tol >= 0:
+        raise ValueError(f"residual_tol must be nonnegative, got {residual_tol}")
     t0 = time.perf_counter()
     if rank is None:
         rank = estimate_rank(catalecticant_spectrum(F), rank_tol).rank

@@ -24,6 +24,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+# the most compact entries, and dense entries read from a full document, a
+# layout may have; (20, 6) has 177,100 and its table builds in seconds
+MAX_ENTRIES = 2 ** 20
+
 
 def exponents(nbar, degree):
     """All exponent tuples over `nbar` variables with total degree <= `degree`,
@@ -168,6 +172,9 @@ class ExponentTable:
 def table(n, m):
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if compact_size(n, m) > MAX_ENTRIES:
+        raise ValueError(f"n={n}, m={m} has more than {MAX_ENTRIES} compact "
+                         "entries")
     return ExponentTable(n, m)
 
 

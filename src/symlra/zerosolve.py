@@ -13,9 +13,10 @@ commute), a seeded random direction is used instead.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .genfit import commutator_residuals, _pairs
-from .numerics import hermitian_smallest, complex_schur, warn
+from .numerics import hermitian_smallest, warn
 from .tensors import table
 
 
@@ -90,7 +91,7 @@ def extract_zeros(M, xi, G=None, basis=None):
     nbar, r, _ = M.shape
     L = np.tensordot(np.asarray(xi, dtype=complex), M, axes=(0, 0)) \
         if nbar else np.zeros((r, r), dtype=complex)
-    Q, T = complex_schur(L)
+    T, Q = scipy.linalg.schur(L, output="complex")
     zeros = np.empty((r, nbar), dtype=complex)
     for i in range(nbar):
         B = Q.conj().T @ M[i] @ Q

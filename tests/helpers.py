@@ -7,14 +7,16 @@ from an explicit Jacobian, the per-entry power form of the monomials that
 column at a time, and the per-column, per-feed loop forms of the
 generating matrix, the companion matrices and the commutator residual and
 Jacobian that `genfit` builds from its affine map, and the commutation
-Gram matrix with every commutator formed in a double loop, and the
-symmetric power u^{(m)} of one vector (`rank_one`)."""
+Gram matrix with every commutator formed in a double loop, the
+commutator Jacobian scattered through one flat position per entry
+(`flat_commutator_jacobian`), and the symmetric power u^{(m)} of one
+vector (`rank_one`)."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from symlra.genfit import generating_system
+from symlra.genfit import _pairs, generating_system
 from symlra.numerics import minnorm_lstsq
 from symlra.tensors import Decomposition, compact_size, table
 
@@ -216,3 +218,47 @@ def reference_commutator_closures(fit):
         return reference_commutator_jacobian(
             fit, reference_companions(reference_matrix(fit, omega), fit.basis))
     return residual, jacobian
+
+
+def flat_jacobian_sides(basis, param_col):
+    """Scatter indices of `flat_commutator_jacobian`, one (rows, nu, p, y)
+    tuple of arrays per side of a pair (a, b), a < b.  Entry l: parameter p
+    moves column nu of M_x (x = a on the first side, x = b on the second)
+    and enters pair k, whose other matrix is M_y; rows[l] holds the flat
+    positions (k r^2 + s r + t) P + p of its r x r block in J.  Parameter p
+    lies in border column param_col[p] and moves every wire to it."""
+    nbar, r, n_params = basis.n - 1, basis.rank, param_col.size
+    wire_i, wire_nu, wire_col = basis.wires
+    w, p = np.nonzero(wire_col[:, None] == param_col)
+    x = wire_i[w]
+    e, y = np.nonzero(x[:, None] != np.arange(nbar))
+    pair = np.zeros((nbar, nbar), dtype=np.intp)
+    a, b = _pairs(nbar)
+    pair[a, b] = pair[b, a] = np.arange(a.size)
+    x, nu, p = x[e], wire_nu[w][e], p[e]
+    rows = (pair[x, y][:, None] * r * r + np.arange(r * r)) * n_params + p[:, None]
+    return tuple((rows[side].ravel(), nu[side], p[side], y[side])
+                 for side in (x < y, x > y))
+
+
+def flat_commutator_jacobian(fit, M):
+    """The commutator Jacobian of a `GeneratingFit` at M, each side's r x r
+    blocks scattered into a flat array through one position per entry of J
+    (`flat_jacobian_sides`); `_commutator_jacobian` writes the same blocks
+    by (pair, parameter) and must match it byte for byte."""
+    r, P = fit.directions.shape
+    W = fit.directions
+    MW = M @ W
+    param_col = fit.placement.real.argmax(axis=1)
+
+    def blocks(nu, p, y):
+        D = W.T[p][:, :, None] * M[y, nu][:, None, :]
+        D[np.arange(p.size), :, nu] -= MW[y, :, p]
+        return D.ravel()
+
+    npairs = M.shape[0] * (M.shape[0] - 1) // 2
+    J = np.zeros(npairs * r * r * P, dtype=complex)
+    (rows_a, *first), (rows_b, *second) = flat_jacobian_sides(fit.basis, param_col)
+    J[rows_a] = blocks(*first)
+    J[rows_b] -= blocks(*second)
+    return J.reshape(npairs * r * r, P)

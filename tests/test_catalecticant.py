@@ -19,12 +19,13 @@ def test_shape_and_entries():
     N = compact_size(3, 3)
     F = SymTensor(3, 3, rng.standard_normal(N) + 1j * rng.standard_normal(N))
     C = catalecticant(F)
-    assert C.matrix.shape == (compact_size(3, 1), compact_size(3, 2)) == (3, 6)
-    assert C.row_degree == 1 and C.col_degree == 2
-    for i, a in enumerate(C.row_exponents):
-        for j, b in enumerate(C.col_exponents):
+    assert C.shape == (compact_size(3, 1), compact_size(3, 2)) == (3, 6)
+    # rows: the exponents of degree <= 1; columns: those of degree <= 2
+    alphas = table(3, 3).alphas
+    for i, a in enumerate(alphas[:3]):
+        for j, b in enumerate(alphas[:6]):
             ab = tuple(x + y for x, y in zip(a, b))
-            assert C.matrix[i, j] == F.entry(ab)
+            assert C[i, j] == F.entry(ab)
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 5), (3, 4), (5, 3), (4, 6)])
@@ -35,9 +36,9 @@ def test_gather_matches_entry_loop(n, m):
     rows, cols = exponents(n - 1, m1), exponents(n - 1, m - m1)
     ref = np.array([[F.entry(tuple(x + y for x, y in zip(a, b))) for b in cols]
                     for a in rows], dtype=complex)
-    C = catalecticant(F)
-    assert C.matrix.tobytes() == ref.tobytes()
-    assert C.row_exponents == tuple(rows) and C.col_exponents == tuple(cols)
+    assert catalecticant(F).tobytes() == ref.tobytes()
+    alphas = table(n, m).alphas
+    assert alphas[:len(rows)] == tuple(rows) and alphas[:len(cols)] == tuple(cols)
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 5), (4, 6), (10, 6)])
@@ -48,7 +49,7 @@ def test_gather_matches_reference_slots(n, m):
     A = tab.alpha_mat
     p, q = compact_size(n, m // 2), compact_size(n, m - m // 2)
     ref = F.values[reference_slots(tab, A[:p, None] + A[:q])]
-    assert catalecticant(F).matrix.tobytes() == ref.tobytes()
+    assert catalecticant(F).tobytes() == ref.tobytes()
 
 
 def test_gather_memory():
@@ -66,8 +67,17 @@ def test_gather_memory():
 
 def test_even_order_square():
     F = SymTensor.zeros(4, 4)
-    C = catalecticant(F)
-    assert C.matrix.shape == (compact_size(4, 2),) * 2
+    assert catalecticant(F).shape == (compact_size(4, 2),) * 2
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 4), (5, 3)])
+def test_spectrum_is_svd_of_flattening(n, m):
+    F = perturb(random_low_rank(n, m, 2, seed=n + m)[0], 0.1, seed=1)
+    sv = catalecticant_spectrum(F)
+    assert sv.shape == (min(catalecticant(F).shape),)
+    assert np.all(np.diff(sv) <= 0) and np.all(sv >= 0)
+    ref = np.linalg.svd(catalecticant(F), compute_uv=False)
+    assert sv.tobytes() == ref.tobytes()
 
 
 class TestEstimateRank:
@@ -83,6 +93,14 @@ class TestEstimateRank:
     def test_full_rank_spectrum(self):
         # nothing under the cutoff: every value counts
         assert estimate_rank(np.array([3.0, 2.0, 1.0])).rank == 3
+
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan"), -np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_rank(np.array([1.0, 0.5]), rel_tol=tol)
+
+    def test_zero_tolerance_counts_only_zeros(self):
+        assert estimate_rank(np.array([1.0, 1e-300, 0.0]), rel_tol=0).rank == 2
 
     def test_zero_and_empty(self):
         assert estimate_rank(np.zeros(4)).rank == 0

@@ -1,15 +1,22 @@
 """End-to-end tests of the command-line interface.
 
-Everything runs through click's CliRunner; files go through tmp_path so
-the `gen --output` / positional-input plumbing is exercised for real.
+Everything runs through click's CliRunner, except inputs too large to
+run in-process, which go through a child process with a timeout; files go
+through tmp_path so the `gen --output` / positional-input plumbing is
+exercised for real.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import symlra
 from symlra.cli import main
 
 
@@ -23,6 +30,15 @@ def invoke(runner, *args, ok=True):
     if ok:
         assert result.exit_code == 0, result.output
     return result
+
+
+def assert_input_error(result):
+    # exit 2 with exactly one `error:` line and no traceback
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, result.output
 
 
 def gen_file(runner, tmp_path, name, *args):
@@ -132,12 +148,60 @@ def test_rankest_wrong_schema_exits_2(runner, tmp_path):
 def test_rankest_malformed_entries_exit_2(runner, tmp_path, entries):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "m": 2, "entries": entries}))
-    result = runner.invoke(main, ["rankest", str(path)])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1, result.output
+    assert_input_error(runner.invoke(main, ["rankest", str(path)]))
+
+
+# a child process under a 2 GiB address-space limit, so that a layout the
+# CLI fails to reject stops at the timeout or a failed allocation, never by
+# exhausting the machine's memory
+CHILD = ("import resource; "
+         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+         "from symlra.cli import main; main()")
+
+
+@pytest.mark.parametrize("args", [
+    ["rankest", {"n": 200, "m": 200, "entries": []}],
+    ["rankest", {"n": 30, "m": 10, "entries": []}],
+    ["rankest", {"n": 10, "m": 10, "format": "full", "entries": []}],
+    ["gen", "--family", "sin", "--n", "30", "--m", "10"],
+])
+def test_oversized_layout_exits_2(tmp_path, args):
+    if isinstance(args[-1], dict):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(args[-1]))
+        args = args[:-1] + [str(path)]
+    src = str(Path(symlra.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert [line[:6] for line in proc.stderr.splitlines()] == ["error:"]
+    assert "more than 1048576" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--family", f, flag, "0") for f in ("sin", "rootsum", "linear", "ternary", "octet")
+    for flag in ("--n", "--m")
+] + [("--family", "random", "--n", "0", "--m", "3", "--r", "2"),
+     ("--family", "random", "--n", "3", "--m", "0", "--r", "2")])
+def test_gen_zero_size_exits_2(runner, args):
+    assert_input_error(runner.invoke(main, ["gen", *args]))
+
+
+@pytest.mark.parametrize("args", [
+    ["rankest", "--rank-tol", "nan"],
+    ["rankest", "--rank-tol", "-1"],
+    ["approx", "--rank-tol", "-1"],
+    ["approx", "--rank-tol", "nan"],
+    ["decompose", "--rank-tol", "-1"],
+    ["decompose", "--rank", "2", "--residual-tol", "-1"],
+    ["decompose", "--rank", "2", "--residual-tol", "nan"],
+])
+def test_bad_tolerances_exit_2(runner, tmp_path, args):
+    path = gen_file(runner, tmp_path, "t.json", "--family", "sin")
+    assert_input_error(runner.invoke(main, [*args, path]))
 
 
 # -------------------------------------------------------------- approx

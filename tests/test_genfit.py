@@ -18,9 +18,9 @@ from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
                             random_low_rank, table)
 from symlra.families import linear_tensor, ternary_tensor
 
-from helpers import (normal_equations, reference_commutator_closures,
-                     reference_companions, reference_fit, reference_matrix,
-                     reference_slots)
+from helpers import (flat_commutator_jacobian, normal_equations,
+                     reference_commutator_closures, reference_companions,
+                     reference_fit, reference_matrix, reference_slots)
 
 
 class TestMonomialBasis:
@@ -177,6 +177,22 @@ class TestFitGenerating:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+    def test_fit_memory_with_parameters(self):
+        # (20, 4, 30): 1450 free parameters and 171 variable pairs; the
+        # Jacobian's indices are one entry per (wire, parameter, other
+        # variable), not one per entry of J (236 MB of flat positions)
+        F = perturb(random_low_rank(20, 4, 30, seed=1)[0], 1e-4, seed=2)
+        basis = monomial_basis(20, 4, 30)
+        fit_generating(F, basis)
+        tracemalloc.start()
+        try:
+            fit = fit_generating(F, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.n_params == 1450
+        assert peak < 40e6
 
     def test_unique_columns_on_linear_tensor(self):
         fit = fit_generating(linear_tensor(), monomial_basis(5, 3, 2))
@@ -384,6 +400,37 @@ def test_commutator_closures_match_loop_forms(n, m, pick, seed, at_zero):
     ranks = ranks_with_parameters(n, m)
     assert_closures_match_loop_forms(n, m, ranks[min(pick, len(ranks) - 1)],
                                      seed, at_zero)
+
+
+def assert_jacobian_matches_flat_scatter(n, m, r, seed):
+    """`_commutator_jacobian` at a random omega equals, byte for byte, the
+    same blocks scattered through one flat position per entry of J."""
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    fit = fit_generating(F, monomial_basis(n, m, r))
+    assert fit.n_params > 0
+    k = fit.n_params
+    M = companion_matrices(
+        fit.matrix(rng.standard_normal(k) + 1j * rng.standard_normal(k)), fit.basis)
+    got, ref = _commutator_jacobian(fit, M), flat_commutator_jacobian(fit, M)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    # bitwise, without the copies `tobytes` would make of a 175 MB J
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(2, 5), pick=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_commutator_jacobian_matches_flat_scatter(n, m, pick, seed):
+    ranks = ranks_with_parameters(n, m)
+    assert_jacobian_matches_flat_scatter(n, m, ranks[min(pick, len(ranks) - 1)], seed)
+
+
+@pytest.mark.parametrize("n,m,r", [(10, 3, 12), (15, 4, 20)])
+def test_commutator_jacobian_matches_flat_scatter_large(n, m, r):
+    # criterion 6's size and a 36400 x 300 J
+    assert_jacobian_matches_flat_scatter(n, m, r, 3)
 
 
 @pytest.mark.parametrize("at_zero", [True, False])

@@ -19,6 +19,14 @@ def tensor():
     return SymTensor(3, 3, vals)
 
 
+def test_full_document_size_limit():
+    # 2^21 dense entries exceed the limit; 2^20 are read
+    with pytest.raises(ValueError, match="more than 1048576 entries"):
+        tensor_from_dict({"n": 2, "m": 21, "format": "full", "entries": []})
+    F = tensor_from_dict({"n": 2, "m": 20, "format": "full", "entries": []})
+    assert (F.n, F.m) == (2, 20)
+
+
 @pytest.mark.parametrize("form", ["compact", "full"])
 def test_tensor_round_trip(tensor, form):
     G = tensor_from_dict(json.loads(dumps(tensor_to_dict(tensor, form))))

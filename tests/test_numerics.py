@@ -8,7 +8,7 @@ from symlra.families import ternary_tensor
 from symlra.genfit import (_commutator_jacobian, commutator_residuals,
                            companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
-    minnorm_lstsq, singular_values, hermitian_smallest, complex_schur,
+    minnorm_lstsq, hermitian_smallest,
     LMConfig, levenberg_marquardt,
 )
 from symlra.pipeline import _refine_closures
@@ -68,33 +68,12 @@ class TestMinNormLstsq:
         npt.assert_allclose(x, x0, rtol=1e-10)
 
 
-def test_singular_values_sorted():
-    rng = np.random.default_rng(2)
-    s = singular_values(rng.standard_normal((5, 3)) + 0j)
-    assert s.shape == (3,) and np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-
 def test_hermitian_smallest():
     H = np.diag([3.0, -1.0, 2.0]).astype(complex)
     v, lo, hi = hermitian_smallest(H)
     assert lo == pytest.approx(-1.0) and hi == pytest.approx(3.0)
     npt.assert_allclose(np.abs(v), [0, 1, 0], atol=1e-14)
     npt.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-14)
-
-
-def test_complex_schur_factorization():
-    rng = np.random.default_rng(3)
-    L = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    Q, T = complex_schur(L)
-    npt.assert_allclose(Q @ Q.conj().T, np.eye(4), atol=1e-12)
-    npt.assert_allclose(np.tril(T, -1), 0, atol=1e-12)
-    npt.assert_allclose(Q @ T @ Q.conj().T, L, atol=1e-12)
-
-
-def test_complex_schur_defective_matrix():
-    # double eigenvalue 1 with a single Jordan block
-    Q, T = complex_schur(np.array([[0.0, -1.0], [1.0, 2.0]], dtype=complex))
-    npt.assert_allclose(np.diag(T), [1.0, 1.0], atol=1e-7)
 
 
 class TestLevenbergMarquardt:

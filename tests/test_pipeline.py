@@ -516,6 +516,13 @@ class TestDecompose:
             with pytest.raises(ValueError, match="restarts"):
                 fn(F, 2, restarts=-1)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_residual_tolerance_rejected(self, tol):
+        # the exact rank-2 sin tensor: a run is found, but no tolerance below
+        # zero (or NaN) can accept it
+        with pytest.raises(ValueError, match="residual_tol"):
+            decompose(sin_tensor(), 2, residual_tol=tol)
+
     @pytest.mark.parametrize("case", ["distinct-3-5-8", "tiny-leading-entry"])
     def test_search_fits_once_per_frame(self, case, monkeypatch):
         # one basis and fit per coordinate frame for the whole search, and

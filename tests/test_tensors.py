@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symlra import tensors
 from symlra.tensors import (
     exponents, multinomial, table, compact_size, SymTensor, Decomposition,
     full_from_compact, compact_from_full, transform,
@@ -274,6 +275,15 @@ def test_symtensor_validation():
         SymTensor(2, 2, bad)
     F = SymTensor.zeros(2, 2)
     assert not F.values.flags.writeable
+
+
+def test_table_rejects_oversized_layouts(monkeypatch):
+    # checked before any exponent is enumerated; the cache is bypassed so
+    # that a table built by an earlier test does not hide the check
+    monkeypatch.setattr(tensors, "MAX_ENTRIES", compact_size(7, 7) - 1)
+    with pytest.raises(ValueError, match="more than 1715 compact entries"):
+        table.__wrapped__(7, 7)
+    assert len(table.__wrapped__(7, 6)) == compact_size(7, 6)
 
 
 def test_arithmetic():

@@ -93,6 +93,19 @@ class TestExtractZeros:
         ext = extract_zeros(M, xi)
         npt.assert_allclose(ext.schur_values, ext.zeros @ xi, atol=1e-10)
 
+    def test_schur_values_are_eigenvalues(self):
+        # the Schur form is a unitary similarity of L(xi) = sum_i xi_i M_i:
+        # its diagonal holds L's eigenvalues, and the Rayleigh quotients of
+        # each M_i add up to its trace
+        M = random_matrices(3, 4, 3)
+        xi = np.array([0.3, -1.1 + 0.2j, 0.7j])
+        ext = extract_zeros(M, xi)
+        eig = np.linalg.eigvals(np.tensordot(xi, M, axes=(0, 0)))
+        npt.assert_allclose(np.sort_complex(ext.schur_values),
+                            np.sort_complex(eig), atol=1e-10)
+        npt.assert_allclose(ext.zeros.sum(axis=0),
+                            np.trace(M, axis1=1, axis2=2), atol=1e-10)
+
     def test_exact_instance_recovers_normalized_vectors(self):
         F, d = random_low_rank(5, 3, 3, seed=7)
         fit = fit_generating(F, monomial_basis(5, 3, 3))
@@ -128,6 +141,18 @@ class TestExtractZeros:
         ext = extract_zeros(M, np.array([1.0 + 0j]))
         npt.assert_allclose(ext.schur_values, [1.0, 1.0], atol=1e-7)
         npt.assert_allclose(ext.zeros.ravel(), [1.0, 1.0], atol=1e-7)
+
+    def test_defective_family_schur_values(self):
+        # M and M^2 commute and share one Jordan block for eigenvalue 1, so
+        # L(xi) has the double eigenvalue xi_1 + xi_2 and both candidate
+        # zeros sit at (1, 1), up to the ~sqrt(eps) defective splitting
+        M1 = np.array([[0.0, -1.0], [1.0, 2.0]], dtype=complex)
+        M = np.array([M1, M1 @ M1])
+        xi = np.array([0.3 - 0.2j, 1.0])
+        ext = extract_zeros(M, xi)
+        npt.assert_allclose(ext.schur_values, [xi.sum()] * 2, atol=1e-7)
+        npt.assert_allclose(ext.zeros, np.ones((2, 2)), atol=1e-7)
+        npt.assert_allclose(ext.schur_values, ext.zeros @ xi, atol=1e-12)
 
     def test_nonzero_poly_residual_flags_inconsistency(self):
         # random (non-commuting) matrices with a random G: the candidate
