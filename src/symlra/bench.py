@@ -139,6 +139,8 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
     The random starts are complex standard normal and each restart runs
     under `STOCK_NLS_CONFIG`; `lm_config` governs the pipeline leg as
     everywhere else."""
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
     if tau is None:
         tau = 1000.0 ** (1.0 / r)
     scale = eps if eps > 0 else 1.0

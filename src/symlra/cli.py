@@ -190,7 +190,7 @@ def approx(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
 @click.option("--residual-tol", default=1e-6, show_default=True,
               help="Success threshold on err / (1 + ||F||).")
 @click.option("--distinct", is_flag=True,
-              help="Run every start and keep all distinct decompositions.")
+              help="Run every start that can differ; keep all distinct decompositions.")
 @FORMAT
 @TIMING
 @_guarded

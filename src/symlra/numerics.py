@@ -19,6 +19,9 @@ import numpy as np
 import scipy.linalg
 
 EPS = np.finfo(float).eps
+# the LM's bound on max(|Re|, |Im|) of J^H f and its starting damping
+GRADIENT_TOLERANCE = 1e-10
+INITIAL_DAMPING = 1e-3
 
 # (setter, getter) symbols of the OpenBLAS builds numpy (64-bit integers)
 # and scipy ship in their wheels
@@ -166,9 +169,7 @@ def hermitian_smallest(H):
 class LMConfig:
     max_iterations: int = 1000
     max_residual_evaluations: int = 10000
-    gradient_tolerance: float = 1e-10
     step_tolerance: float = 1e-12
-    initial_damping: float = 1e-3
     # relative decrease of 0.5*||f||^2 below which an accepted step stops the
     # run; 0 disables (stock solvers ship ~1e-6, hence the knob)
     function_tolerance: float = 0.0
@@ -216,7 +217,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     if not np.isfinite(f).all():
         raise ValueError("residual is not finite at the starting point")
     cost = 0.5 * np.vdot(f, f).real
-    lam = cfg.initial_damping
+    lam = INITIAL_DAMPING
     nu = 2.0
     status = "max-iterations"
     iterations = 0
@@ -225,7 +226,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
         JhJ, g = normal(x, f)
         JhJ = np.asarray(JhJ, dtype=x.dtype)
         g = np.asarray(g, dtype=x.dtype)
-        if np.max(np.abs(g.view(float)), initial=0.0) <= cfg.gradient_tolerance:
+        if np.max(np.abs(g.view(float)), initial=0.0) <= GRADIENT_TOLERANCE:
             status = "converged-gradient"
             break
         iterations += 1

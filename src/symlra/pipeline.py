@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .tensors import Decomposition, compact_size, transform
 from .catalecticant import catalecticant_spectrum, estimate_rank
@@ -323,6 +322,7 @@ def match_distance(a, b):
     """Bottleneck distance between the vector sets of two decompositions,
     after the best permutation and per-vector m-th-root-of-unity phase.
     Decompositions of different shape are infinitely far apart."""
+    from scipy.optimize import linear_sum_assignment   # slow to import
     if (a.rank, a.n, a.m) != (b.rank, b.n, b.m):
         return float("inf")
     if a.rank == 0:
@@ -352,15 +352,16 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     Runs the pipeline once per starting point of the commutator
     minimization (start 0: zero parameters; start k: seeded Gaussian) and
     accepts a run when err_opt <= residual_tol * (1 + ||F||).  Stops at
-    the first success unless `distinct` is set, in which case all starts
-    run and the successful decompositions are deduplicated by
-    `match_distance` greater than 0.1 * (largest vector norm).  The starts
-    share their coordinate frames (`_run`): the basis and generating fit
-    are built once per frame, at most twice per search.  No start depends
-    on the ones before it: `approximate` with k restarts returns the best
-    of the first k+1, and fewer restarts repeat the first starts of more.
-    The diagnostics include the search's `wall_time` in seconds.  Raises
-    ValueError unless residual_tol >= 0.
+    the first success, or with `distinct` runs every start and keeps the
+    successes that differ by `match_distance` greater than 0.1 * (largest
+    vector norm); a fit with no free parameters runs start 0 only, which
+    every other start would repeat.  The starts share their coordinate
+    frames (`_run`): the basis and generating fit are built once per
+    frame, at most twice per search.  No start depends on the ones before
+    it: `approximate` with k restarts returns the best of the first k+1,
+    and fewer restarts repeat the first starts of more.  The diagnostics
+    include the search's `wall_time` in seconds.  Raises ValueError
+    unless residual_tol >= 0.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -390,7 +391,7 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
                 for d in kept):
             kept.append(res.refined)
         # stop at a success, or when no free parameters make all starts equal
-        if not distinct and (ok or res.diagnostics["n_free_params"] == 0):
+        if (ok and not distinct) or res.diagnostics["n_free_params"] == 0:
             break
     rel, res = best
     success = rel <= residual_tol

@@ -13,12 +13,14 @@ The number of position tuples that collapse onto alpha is the
 multinomial coefficient m! / (alpha_0! * alpha_1! * ... * alpha_{n-1}!)
 with alpha_0 = m - |alpha|, so the squared Hilbert-Schmidt norm of F is
 sum_alpha multinomial(alpha) * |F_alpha|^2.  Everything downstream works
-in these compact coordinates; the dense (n,)*m array only appears at
-interface boundaries (`full_from_compact`, `compact_from_full`).
+in these compact coordinates, `transform` included; the dense (n,)*m
+array serves only the JSON `full` format and the public conversions
+`full_from_compact` and `compact_from_full`.
 """
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -83,7 +85,8 @@ class ExponentTable:
     u^beta is its parent u^(beta - e_j) of degree d - 1 times u_j, with j
     the first coordinate of beta with a positive power (j = 0 below degree
     d, the parent then in the same slot).  `_steps` holds each level's
-    parent slots and j, found once per table through `slots`.
+    parent slots and j, found once per table through `slots`; `transform`
+    walks the same levels, one mode of the tensor per level.
     """
 
     __slots__ = ("n", "m", "alphas", "index", "alpha_mat", "weights",
@@ -175,6 +178,9 @@ def table(n, m):
     if compact_size(n, m) > MAX_ENTRIES:
         raise ValueError(f"n={n}, m={m} has more than {MAX_ENTRIES} compact "
                          "entries")
+    q, extra = divmod(m, n)     # the most even exponent has the largest weight
+    if multinomial([q + 1] * extra + [q] * (n - 1 - extra), m) > sys.float_info.max:
+        raise ValueError(f"n={n}, m={m} has multinomial weights beyond the float range")
     return ExponentTable(n, m)
 
 
@@ -306,14 +312,6 @@ def full_from_compact(F):
     return F.values[_position_map(F.n, F.m)]
 
 
-def _compress(full, n, m):
-    # take the first occurrence (C-order) of each symmetry class; no check
-    pos = _position_map(n, m).reshape(-1)
-    values = np.empty(compact_size(n, m), dtype=complex)
-    values[pos[::-1]] = full.reshape(-1)[::-1]
-    return values
-
-
 def compact_from_full(full):
     """Compress a dense array into compact coordinates, verifying symmetry.
 
@@ -324,8 +322,10 @@ def compact_from_full(full):
     if full.ndim < 1 or len(set(full.shape)) != 1:
         raise ValueError(f"expected a (n,)*m cube, got shape {full.shape}")
     n, m = full.shape[0], full.ndim
-    values = _compress(full, n, m)
-    spread = np.abs(full - values[_position_map(n, m)])
+    pos = _position_map(n, m)
+    values = np.empty(compact_size(n, m), dtype=complex)
+    values[pos.ravel()[::-1]] = full.ravel()[::-1]   # each class's first entry
+    spread = np.abs(full - values[pos])
     scale = np.abs(full).max()
     if scale > 0 and spread.max() > 1e-12 * scale:
         at = np.unravel_index(np.argmax(spread), full.shape)
@@ -338,19 +338,21 @@ def compact_from_full(full):
 
 def transform(F, A):
     """Apply an invertible matrix to every mode: sum u_i^{(m)} maps to
-    sum (A u_i)^{(m)}.  Expands to the dense array internally."""
+    sum (A u_i)^{(m)}.  One mode at a time in compact coordinates: T_k, F
+    with A on k modes, has rows I of degree k and columns J of degree m - k,
+    and T_{k+1}[I + e_i, J] = sum_j A[i, j] T_k[I, J + e_j], one gather
+    (`sum_slots`) and one matmul, read at the rows' parents (`_steps`)."""
     A = np.asarray(A, dtype=complex)
     if A.shape != (F.n, F.n):
         raise ValueError(f"matrix must be {F.n} x {F.n}, got {A.shape}")
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= F.n * np.finfo(float).eps * s[0]:
         raise np.linalg.LinAlgError("transform matrix is singular to working precision")
-    G = full_from_compact(F)
-    for _ in range(F.m):
-        # contract the current leading mode; the new axis lands at the end,
-        # so m applications transform every mode exactly once
-        G = np.tensordot(G, A, axes=([0], [1]))
-    return SymTensor(F.n, F.m, _compress(G, F.n, F.m))
+    tab, T = F.table, F.values[None, :]
+    for k, (parent, first) in enumerate(tab._steps):
+        up = tab.sum_slots(compact_size(F.n, F.m - k - 1), F.n)   # J + e_j
+        T = (T[:, up] @ A.T)[parent, :, first]
+    return SymTensor(F.n, F.m, T[:, 0])
 
 
 def random_low_rank(n, m, r, seed=0, tau=None):

@@ -9,8 +9,10 @@ generating matrix, the companion matrices and the commutator residual and
 Jacobian that `genfit` builds from its affine map, and the commutation
 Gram matrix with every commutator formed in a double loop, the
 commutator Jacobian scattered through one flat position per entry
-(`flat_commutator_jacobian`), and the symmetric power u^{(m)} of one
-vector (`rank_one`)."""
+(`flat_commutator_jacobian`), the symmetric power u^{(m)} of one
+vector (`rank_one`), and the dense form of `transform` (`dense_transform`:
+expand to the (n,)*m array, contract A into each mode, compress), which
+the compact recursion must match to round-off."""
 
 from types import SimpleNamespace
 
@@ -18,7 +20,8 @@ import numpy as np
 
 from symlra.genfit import _pairs, generating_system
 from symlra.numerics import minnorm_lstsq
-from symlra.tensors import Decomposition, compact_size, table
+from symlra.tensors import (Decomposition, SymTensor, _position_map,
+                            compact_size, full_from_compact, table)
 
 
 def finite_difference_jacobian(residual, x, step=1e-6):
@@ -49,6 +52,20 @@ def rank_one(u, m):
     """The m-th symmetric power u^{(m)} of a single vector."""
     u = np.asarray(u, dtype=complex)
     return Decomposition(m, u[None, :]).tensor()
+
+
+def dense_transform(F, A):
+    """`transform` through the dense (n,)*m array: m tensordots, then the
+    first (C-order) entry of each symmetry class."""
+    A = np.asarray(A, dtype=complex)
+    G = full_from_compact(F)
+    for _ in range(F.m):
+        # contract the current leading mode; the new axis lands at the end,
+        # so m applications transform every mode exactly once
+        G = np.tensordot(G, A, axes=([0], [1]))
+    values = np.empty(compact_size(F.n, F.m), dtype=complex)
+    values[_position_map(F.n, F.m).ravel()[::-1]] = G.ravel()[::-1]
+    return SymTensor(F.n, F.m, values)
 
 
 def reference_monomials(X, E):

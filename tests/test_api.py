@@ -1,6 +1,11 @@
 """The public API is pinned: adding a name to `symlra.__all__` or removing
 one is a deliberate edit of this list, recorded in CHANGES.md."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import symlra
 
 PUBLIC = [
@@ -32,3 +37,14 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in symlra.__all__:
         assert hasattr(symlra, name), name
+
+
+def test_import_leaves_scipy_optimize_out():
+    # only `match_distance` needs scipy.optimize, which is slow to import
+    code = "import sys, symlra; print('scipy.optimize' in sys.modules)"
+    src = str(Path(symlra.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

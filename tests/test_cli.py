@@ -181,6 +181,34 @@ def test_oversized_layout_exits_2(tmp_path, args):
     assert "more than 1048576" in proc.stderr
 
 
+@pytest.mark.parametrize("m", [40, 80])
+def test_shuffle_of_a_long_binary_form_stays_compact(runner, tmp_path, m):
+    # 2^m dense entries (2^40 int64 positions, or more than numpy's 64
+    # axes) for m + 1 compact ones: the shuffle never expands F
+    path = gen_file(runner, tmp_path, "sin.json", "--family", "sin",
+                    "--n", "2", "--m", str(m))
+    src = str(Path(symlra.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CHILD, "approx", path, "--rank", "2",
+                           "--coordinate-shuffle"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["diagnostics"]["coordinate_shuffle"]
+    assert doc["relative_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("doc", [{"n": 2, "m": 1100, "entries": []},
+                                 {"n": 3, "m": 700, "entries": []}])
+def test_weights_beyond_float_range_exit_2(runner, tmp_path, doc):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rankest", str(path)])
+    assert_input_error(result)
+    assert "float range" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ("--family", f, flag, "0") for f in ("sin", "rootsum", "linear", "ternary", "octet")
     for flag in ("--n", "--m")
@@ -361,6 +389,13 @@ def test_bench_nls_smoke(runner):
     assert doc["trials"] == 1
     median_ratio = doc["ratio"][2]
     assert np.isfinite(median_ratio) and median_ratio > 0
+
+
+def test_bench_nls_rank_zero_exits_2(runner):
+    result = runner.invoke(main, ["bench", "nls", "--n", "3", "--m", "3",
+                                  "--r", "0", "--eps", "1e-2", "--trials", "1"])
+    assert_input_error(result)
+    assert "r must be at least 1" in result.output
 
 
 def test_bench_decomp_smoke_and_bad_cases(runner):

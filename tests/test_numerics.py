@@ -9,7 +9,7 @@ from symlra.genfit import (_commutator_jacobian, commutator_residuals,
                            companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
     minnorm_lstsq, hermitian_smallest,
-    LMConfig, levenberg_marquardt,
+    GRADIENT_TOLERANCE, INITIAL_DAMPING, LMConfig, levenberg_marquardt,
 )
 from symlra.pipeline import _refine_closures
 from symlra.tensors import perturb, random_low_rank
@@ -276,7 +276,7 @@ class TestComplexLM:
         # g = J^H f = -c at z0 = 0: max(|Re g|, |Im g|) = 1e-10 <= tolerance
         # < |g| = sqrt(2) * 1e-10, so the run stops before any step
         c = np.array([1e-10 + 1e-10j])
-        cfg = LMConfig(gradient_tolerance=1e-10)
+        cfg = LMConfig()
         out = levenberg_marquardt(lambda z: z - c,
                                   normal_equations(lambda z: np.eye(1)),
                                   np.zeros(1, dtype=complex), cfg)
@@ -300,14 +300,14 @@ def cho_factor_lm(residual, normal, x0, config=None):
     if not np.isfinite(f).all():
         raise ValueError("residual is not finite at the starting point")
     cost = 0.5 * np.vdot(f, f).real
-    lam, nu = cfg.initial_damping, 2.0
+    lam, nu = INITIAL_DAMPING, 2.0
     status = "max-iterations"
     iterations = 0
     for _ in range(cfg.max_iterations):
         JhJ, g = normal(x, f)
         JhJ = np.asarray(JhJ, dtype=x.dtype)
         g = np.asarray(g, dtype=x.dtype)
-        if np.max(np.abs(g.view(float)), initial=0.0) <= cfg.gradient_tolerance:
+        if np.max(np.abs(g.view(float)), initial=0.0) <= GRADIENT_TOLERANCE:
             status = "converged-gradient"
             break
         iterations += 1

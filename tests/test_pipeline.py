@@ -510,6 +510,14 @@ class TestDecompose:
         a, b = out.decompositions[:2]
         assert match_distance(a, b) > 0.1 * np.abs(a.vectors).max()
 
+    @pytest.mark.filterwarnings("ignore:input tensor is real")
+    def test_distinct_search_without_free_parameters_runs_once(self):
+        # every start fits the same G, so start 0 is the whole search
+        out = decompose(sin_tensor(), 2, restarts=5, distinct=True)
+        assert out.success and len(out.decompositions) == 1
+        assert out.attempts == 1
+        assert [rec["start"] for rec in out.diagnostics["starts"]] == [0]
+
     def test_negative_restarts_rejected(self):
         F, _ = random_low_rank(3, 3, 2, seed=0)
         for fn in (approximate, decompose):
@@ -548,11 +556,14 @@ class TestDecompose:
         assert searched == 1 + any(shuffled)
         assert len(calls) - searched == 6 + sum(shuffled)
         assert shuffled == [case == "tiny-leading-entry"] * 6
-        assert out.attempts == 6
+        # a fit with no free parameters (tiny-leading-entry) runs start 0 only
+        free = separate[0].diagnostics["n_free_params"]
+        assert (free > 0) == (case == "distinct-3-5-8")
+        assert out.attempts == (6 if free else 1)
         for rec, res in zip(out.diagnostics["starts"], separate):
             assert rec["relative_residual"] == res.err_opt / (1 + F.norm())
             assert rec["commutator_objective"] == res.diagnostics["commutator_objective"]
-        best = min(separate, key=lambda res: res.err_opt)
+        best = min(separate[:out.attempts], key=lambda res: res.err_opt)
         assert out.decomposition.vectors.tobytes() == best.refined.vectors.tobytes()
         refined = {res.refined.vectors.tobytes() for res in separate}
         assert out.decompositions

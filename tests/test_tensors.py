@@ -15,8 +15,9 @@ from symlra.tensors import (
     random_low_rank, perturb, _position_map,
 )
 
-from helpers import (homogeneous_exponents, rank_one, reference_monomials,
-                     reference_position_map, reference_slots)
+from helpers import (dense_transform, homogeneous_exponents, rank_one,
+                     reference_monomials, reference_position_map,
+                     reference_slots)
 
 
 def dense_oracle(F):
@@ -343,6 +344,34 @@ def test_transform_rejects_singular():
     F = SymTensor.zeros(2, 2)
     with pytest.raises(np.linalg.LinAlgError):
         transform(F, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_transform_matches_dense_reference(n, m, seed):
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    bound = 1e-12 * F.norm() * np.linalg.norm(A, 2) ** m
+    assert (transform(F, A) - dense_transform(F, A)).norm() <= bound
+
+
+def test_transform_memory():
+    # compact T_k at every step, no (n,)*m array: the dense path peaked at
+    # ~91 MB here (12^6 complex entries and the int64 position map)
+    rng = np.random.default_rng(11)
+    N = compact_size(12, 6)
+    F = SymTensor(12, 6, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    Q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    transform(F, Q)     # warm: the table is cached
+    tracemalloc.start()
+    try:
+        transform(F, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_random_low_rank_deterministic():
