@@ -318,20 +318,58 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     return res
 
 
+def _match_costs(a, b):
+    """(r, r) distances ||a_i - zeta b_j|| minimized over the m-th roots of
+    unity zeta, between the vectors of two decompositions of one shape."""
+    phases = np.exp(2j * np.pi * np.arange(a.m) / a.m)
+    diff = a.vectors[:, None, None, :] - phases[None, None, :, None] * b.vectors[None, :, None, :]
+    return np.linalg.norm(diff, axis=3).min(axis=2)
+
+
+def _has_matching(ok):
+    """Whether the square boolean matrix `ok` has a perfect matching, a
+    permutation p with every ok[i, p[i]]: no empty row or column, then
+    Kuhn's augmenting paths (recursion at most r deep, one level per
+    column visited)."""
+    if not (ok.any(axis=0).all() and ok.any(axis=1).all()):
+        return False
+    adj = [np.flatnonzero(row) for row in ok]
+    owner = [-1] * len(adj)     # the row matched to each column
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * len(adj)) for i in range(len(adj)))
+
+
 def match_distance(a, b):
-    """Bottleneck distance between the vector sets of two decompositions,
-    after the best permutation and per-vector m-th-root-of-unity phase.
-    Decompositions of different shape are infinitely far apart."""
-    from scipy.optimize import linear_sum_assignment   # slow to import
+    """Bottleneck distance between the vector sets of two decompositions:
+    the least t such that some pairing moves no vector of `a`, up to an
+    m-th root of unity, by more than t from its partner in `b`.  Found by
+    bisection over the pair distances from the largest row or column
+    minimum, each probe a perfect-matching test.  Decompositions of
+    different shape are infinitely far apart."""
     if (a.rank, a.n, a.m) != (b.rank, b.n, b.m):
         return float("inf")
     if a.rank == 0:
         return 0.0
-    phases = np.exp(2j * np.pi * np.arange(a.m) / a.m)
-    diff = a.vectors[:, None, None, :] - phases[None, None, :, None] * b.vectors[None, :, None, :]
-    cost = np.linalg.norm(diff, axis=3).min(axis=2)
-    row, col = linear_sum_assignment(cost)
-    return float(cost[row, col].max())
+    cost = _match_costs(a, b)
+    low = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    t = np.unique(cost[cost >= low])
+    lo, hi = 0, t.size - 1      # t[hi] always admits a matching
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_matching(cost <= t[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(t[lo])
 
 
 @dataclass(eq=False)
@@ -352,16 +390,17 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     Runs the pipeline once per starting point of the commutator
     minimization (start 0: zero parameters; start k: seeded Gaussian) and
     accepts a run when err_opt <= residual_tol * (1 + ||F||).  Stops at
-    the first success, or with `distinct` runs every start and keeps the
-    successes that differ by `match_distance` greater than 0.1 * (largest
-    vector norm); a fit with no free parameters runs start 0 only, which
-    every other start would repeat.  The starts share their coordinate
-    frames (`_run`): the basis and generating fit are built once per
-    frame, at most twice per search.  No start depends on the ones before
-    it: `approximate` with k restarts returns the best of the first k+1,
-    and fewer restarts repeat the first starts of more.  The diagnostics
-    include the search's `wall_time` in seconds.  Raises ValueError
-    unless residual_tol >= 0.
+    the first success, or with `distinct` runs every start and keeps each
+    success that no pairing matches to a kept one within 0.1 * (largest
+    vector norm), i.e. whose `match_distance` to every kept one exceeds
+    that (one perfect-matching test per kept one, at that tolerance); a fit
+    with no free parameters runs start 0 only, which every other start
+    would repeat.  The starts share their coordinate frames (`_run`): the
+    basis and generating fit are built once per frame, at most twice per
+    search.  No start depends on the ones before it: `approximate` with k
+    restarts returns the best of the first k+1, and fewer restarts repeat
+    the first starts of more.  The diagnostics include the search's
+    `wall_time` in seconds.  Raises ValueError unless residual_tol >= 0.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
@@ -384,10 +423,10 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
                           "commutator_objective": res.diagnostics["commutator_objective"]})
         if best is None or rel < best[0]:
             best = (rel, res)
-        if ok and distinct and all(
-                match_distance(res.refined, d) >
-                0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
-                          np.abs(d.vectors).max(initial=0.0))
+        if ok and distinct and not any(
+                _has_matching(_match_costs(res.refined, d) <=
+                              0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
+                                        np.abs(d.vectors).max(initial=0.0)))
                 for d in kept):
             kept.append(res.refined)
         # stop at a success, or when no free parameters make all starts equal

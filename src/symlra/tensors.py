@@ -29,6 +29,8 @@ import scipy.linalg
 # the most compact entries, and dense entries read from a full document, a
 # layout may have; (20, 6) has 177,100 and its table builds in seconds
 MAX_ENTRIES = 2 ** 20
+# complex entries gathered at once by a step of `transform` (4 MiB)
+TRANSFORM_BLOCK = 2 ** 18
 
 
 def exponents(nbar, degree):
@@ -341,7 +343,11 @@ def transform(F, A):
     sum (A u_i)^{(m)}.  One mode at a time in compact coordinates: T_k, F
     with A on k modes, has rows I of degree k and columns J of degree m - k,
     and T_{k+1}[I + e_i, J] = sum_j A[i, j] T_k[I, J + e_j], one gather
-    (`sum_slots`) and one matmul, read at the rows' parents (`_steps`)."""
+    (`sum_slots`) and one matmul, read at the rows' parents (`_steps`).
+    Each step runs over blocks of the columns J, each block gathering at
+    most TRANSFORM_BLOCK entries of T_k (or one column, if that is more)
+    into a preallocated T_{k+1}, so the memory peak stays near T_k and
+    T_{k+1}."""
     A = np.asarray(A, dtype=complex)
     if A.shape != (F.n, F.n):
         raise ValueError(f"matrix must be {F.n} x {F.n}, got {A.shape}")
@@ -351,7 +357,14 @@ def transform(F, A):
     tab, T = F.table, F.values[None, :]
     for k, (parent, first) in enumerate(tab._steps):
         up = tab.sum_slots(compact_size(F.n, F.m - k - 1), F.n)   # J + e_j
-        T = (T[:, up] @ A.T)[parent, :, first]
+        width = max(1, TRANSFORM_BLOCK // (T.shape[0] * F.n))
+        if width >= len(up):    # one block: its result is T_{k+1}, no copy
+            T = (T[:, up] @ A.T)[parent, :, first]
+            continue
+        out = np.empty((parent.size, len(up)), dtype=complex)
+        for j in range(0, len(up), width):
+            out[:, j:j + width] = (T[:, up[j:j + width]] @ A.T)[parent, :, first]
+        T = out
     return SymTensor(F.n, F.m, T[:, 0])
 
 

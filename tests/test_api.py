@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import symlra
 
 PUBLIC = [
@@ -39,12 +41,31 @@ def test_every_public_name_resolves():
         assert hasattr(symlra, name), name
 
 
-def test_import_leaves_scipy_optimize_out():
-    # only `match_distance` needs scipy.optimize, which is slow to import
-    code = "import sys, symlra; print('scipy.optimize' in sys.modules)"
+OCTET_SEARCH = """
+from symlra import decompose
+from symlra.families import octet_tensor
+decompose(octet_tensor(), 8, restarts=5, distinct=True)
+"""
+OCTET_CLI = """
+import contextlib, io
+from symlra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["gen", "--family", "octet", "--output", "octet.json"],
+             standalone_mode=False)
+    cli.main(["decompose", "octet.json", "--rank", "8", "--restarts", "5",
+              "--distinct"], standalone_mode=False)
+"""
+
+
+@pytest.mark.parametrize("code", ["import symlra", OCTET_SEARCH, OCTET_CLI],
+                         ids=["import", "decompose-distinct", "cli-distinct"])
+def test_import_leaves_scipy_optimize_out(code, tmp_path):
+    # scipy.optimize is slow to import; a distinct-mode search reaches the
+    # vector matching, which is the library's own bottleneck matching
+    code = f"import sys\n{code}\nprint('scipy.optimize' in sys.modules)"
     src = str(Path(symlra.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"

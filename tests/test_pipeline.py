@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: coefficient fit, reconstruction, refinement,
 approximation driver, and the decomposition search."""
+import itertools
 import time
 from dataclasses import replace
 
@@ -466,6 +467,35 @@ class TestMatchDistance:
         _, d = random_low_rank(3, 3, 2, seed=26)
         shifted = Decomposition(3, d.vectors + 0.5)
         assert match_distance(d, shifted) > 0.1
+
+    def test_bottleneck_below_min_sum_pairing(self):
+        # the pairing of least total distance, (0,0)-(0,0) and a_1-(3,0),
+        # moves a_1 by 5; the crossed pairing moves each vector by only 3
+        a = Decomposition(1, [[0.0, 0.0], [-7 / 6, np.sqrt(9 - 49 / 36)]])
+        b = Decomposition(1, [[0.0, 0.0], [3.0, 0.0]])
+        assert match_distance(a, b) == pytest.approx(3.0, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_brute_force_bottleneck(self, r, n, m, seed):
+        rng = np.random.default_rng(seed)
+        # integer entries tie many distances, which bisection must handle
+        a, b = (Decomposition(m, rng.integers(-2, 3, (r, n))
+                              + 1j * rng.integers(-2, 3, (r, n)))
+                for _ in range(2))
+        zeta = np.exp(2j * np.pi * np.arange(m) / m)
+        dist = np.linalg.norm(a.vectors[:, None, None, :]
+                              - zeta[:, None] * b.vectors[None, :, None, :],
+                              axis=3).min(axis=2)
+        brute = min(dist[np.arange(r), list(p)].max()
+                    for p in itertools.permutations(range(r)))
+        assert match_distance(a, b) == brute
+        assert match_distance(b, a) == pytest.approx(brute, rel=1e-12)
+        perm = rng.permutation(r)
+        phased = Decomposition(m, zeta[rng.integers(0, m, r)][:, None]
+                               * a.vectors[perm])
+        assert match_distance(a, phased) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDecompose:

@@ -357,21 +357,45 @@ def test_transform_matches_dense_reference(n, m, seed):
     assert (transform(F, A) - dense_transform(F, A)).norm() <= bound
 
 
-def test_transform_memory():
-    # compact T_k at every step, no (n,)*m array: the dense path peaked at
-    # ~91 MB here (12^6 complex entries and the int64 position map)
-    rng = np.random.default_rng(11)
-    N = compact_size(12, 6)
-    F = SymTensor(12, 6, rng.standard_normal(N) + 1j * rng.standard_normal(N))
-    Q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+@pytest.mark.parametrize("n,m", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_transform_blocks_match_dense_reference(monkeypatch, n, m):
+    # a budget of 7 entries splits every step into blocks of one or a few
+    # columns J, several steps down to one column per block
+    monkeypatch.setattr(tensors, "TRANSFORM_BLOCK", 7)
+    rng = np.random.default_rng(n + 10 * m)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    bound = 1e-12 * F.norm() * np.linalg.norm(A, 2) ** m
+    assert (transform(F, A) - dense_transform(F, A)).norm() <= bound
+
+
+def transform_peak(n, seed):
+    """tracemalloc peak of one warm transform of a random (n, 6) tensor by a
+    random unitary."""
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, 6)
+    F = SymTensor(n, 6, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     transform(F, Q)     # warm: the table is cached
     tracemalloc.start()
     try:
         transform(F, Q)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+
+
+def test_transform_memory_in_blocks():
+    # at (16, 6) the largest T_k holds 10.7 MB; gathering a whole step at
+    # once peaked at 67.5 MB, column blocks keep it near T_k + T_{k+1}
+    assert transform_peak(16, 12) < 40e6
+
+
+def test_transform_memory():
+    # compact T_k at every step, no (n,)*m array: the dense path peaked at
+    # ~91 MB here (12^6 complex entries and the int64 position map)
+    assert transform_peak(12, 11) < 30e6
 
 
 def test_random_low_rank_deterministic():
