@@ -200,10 +200,9 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     does.  The solve calls LAPACK's Cholesky pair potrf/potrs directly, with
     the arguments `scipy.linalg.cho_factor` and `cho_solve` pass (upper
     triangle, factor not cleaned), so the steps are theirs to the bit; their
-    finiteness check becomes one test of J^H J and J^H f per normal system
-    and one of the damped diagonal per trial.  A factorization that finds
-    the damped matrix not positive definite raises the damping and tries
-    again.  The damping follows a gain ratio and only
+    finiteness check becomes one test of the damped system and J^H f.  A
+    factorization that finds the damped matrix not positive definite raises
+    the damping and tries again.  The damping follows a gain ratio and only
     improving steps are accepted, so the objective is nonincreasing; the
     accepted point is the very array the residual was evaluated at, so
     `normal` can recognise it.  `config` is an LMConfig.  Raises ValueError
@@ -222,7 +221,6 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     nu = 2.0
     status = "max-iterations"
     iterations = 0
-    xnorm = np.linalg.norm(x)
 
     for _ in range(cfg.max_iterations):
         JhJ, g = normal(x, f)
@@ -231,19 +229,14 @@ def levenberg_marquardt(residual, normal, x0, config=None):
         if np.max(np.abs(g.view(float)), initial=0.0) <= GRADIENT_TOLERANCE:
             status = "converged-gradient"
             break
-        if not (np.isfinite(JhJ).all() and np.isfinite(g).all()):
-            raise ValueError("the normal system is not finite")
         iterations += 1
         d = np.diag(JhJ).real
         dmax = d.max() if d.size else 0.0
         scale = np.maximum(d, 1e-14 * max(dmax, 1.0))
-        A = np.empty(JhJ.shape, dtype=x.dtype)
-        diag = A.reshape(-1)[::A.shape[0] + 1]    # a view of A's diagonal
 
         while True:
-            np.copyto(A, JhJ)
-            diag += lam * scale
-            if not np.isfinite(diag).all():
+            A = JhJ + np.diag(lam * scale)
+            if not (np.isfinite(A).all() and np.isfinite(g).all()):
                 raise ValueError("the normal system is not finite")
             c, info = potrf(A, lower=False, overwrite_a=True, clean=False)
             if info > 0:      # not positive definite at this damping
@@ -252,7 +245,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                 continue
             delta, _ = potrs(c, -g, lower=False, overwrite_b=True)
             if np.linalg.norm(delta) <= cfg.step_tolerance * (
-                    xnorm + cfg.step_tolerance):
+                    np.linalg.norm(x) + cfg.step_tolerance):
                 status = "converged-step"
                 break
             if nfev >= cfg.max_residual_evaluations:
@@ -269,7 +262,6 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                         cost - costn <= cfg.function_tolerance * cost):
                     status = "converged-function"
                 x, f, cost = xn, fn, costn
-                xnorm = np.linalg.norm(x)
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 break

@@ -329,47 +329,49 @@ def _match_costs(a, b):
 def _has_matching(ok):
     """Whether the square boolean matrix `ok` has a perfect matching, a
     permutation p with every ok[i, p[i]]: no empty row or column, then
-    Kuhn's augmenting paths (recursion at most r deep, one level per
-    column visited)."""
+    Kuhn's augmenting paths, each grown and searched on an explicit stack."""
     if not (ok.any(axis=0).all() and ok.any(axis=1).all()):
         return False
     adj = [np.flatnonzero(row) for row in ok]
     owner = [-1] * len(adj)     # the row matched to each column
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if owner[j] < 0 or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return all(augment(i, [False] * len(adj)) for i in range(len(adj)))
+    for root in range(len(adj)):
+        seen = [False] * len(adj)
+        # an alternating path: rows[k] would take cols[k], owned by rows[k + 1]
+        rows, cols, todo = [root], [], [iter(adj[root])]
+        while rows:
+            j = next((j for j in todo[-1] if not seen[j]), None)
+            if j is None:       # the last row has no unseen column: back up
+                rows.pop()
+                todo.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[j] = True
+            cols.append(j)
+            if owner[j] < 0:    # a free column: shift the path onto it
+                for i, c in zip(rows, cols):
+                    owner[c] = i
+                break
+            rows.append(owner[j])
+            todo.append(iter(adj[owner[j]]))
+        else:
+            return False
+    return True
 
 
 def match_distance(a, b):
     """Bottleneck distance between the vector sets of two decompositions:
     the least t such that some pairing moves no vector of `a`, up to an
     m-th root of unity, by more than t from its partner in `b`.  Found by
-    bisection over the pair distances from the largest row or column
-    minimum, each probe a perfect-matching test.  Decompositions of
-    different shape are infinitely far apart."""
+    a scan of the sorted pair distances, one perfect-matching test each
+    (at most r^2 of them).  Decompositions of different shape are
+    infinitely far apart."""
     if (a.rank, a.n, a.m) != (b.rank, b.n, b.m):
         return float("inf")
     if a.rank == 0:
         return 0.0
     cost = _match_costs(a, b)
-    low = max(cost.min(axis=0).max(), cost.min(axis=1).max())
-    t = np.unique(cost[cost >= low])
-    lo, hi = 0, t.size - 1      # t[hi] always admits a matching
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_matching(cost <= t[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(t[lo])
+    return float(next(t for t in np.unique(cost) if _has_matching(cost <= t)))
 
 
 @dataclass(eq=False)

@@ -358,9 +358,6 @@ def transform(F, A):
     for k, (parent, first) in enumerate(tab._steps):
         up = tab.sum_slots(compact_size(F.n, F.m - k - 1), F.n)   # J + e_j
         width = max(1, TRANSFORM_BLOCK // (T.shape[0] * F.n))
-        if width >= len(up):    # one block: its result is T_{k+1}, no copy
-            T = (T[:, up] @ A.T)[parent, :, first]
-            continue
         out = np.empty((parent.size, len(up)), dtype=complex)
         for j in range(0, len(up), width):
             out[:, j:j + width] = (T[:, up[j:j + width]] @ A.T)[parent, :, first]

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: coefficient fit, reconstruction, refinement,
 approximation driver, and the decomposition search."""
 import itertools
+import sys
 import time
 from dataclasses import replace
 
@@ -480,7 +481,7 @@ class TestMatchDistance:
            st.integers(0, 2 ** 32 - 1))
     def test_equals_brute_force_bottleneck(self, r, n, m, seed):
         rng = np.random.default_rng(seed)
-        # integer entries tie many distances, which bisection must handle
+        # integer entries tie many distances
         a, b = (Decomposition(m, rng.integers(-2, 3, (r, n))
                               + 1j * rng.integers(-2, 3, (r, n)))
                 for _ in range(2))
@@ -496,6 +497,21 @@ class TestMatchDistance:
         phased = Decomposition(m, zeta[rng.integers(0, m, r)][:, None]
                                * a.vectors[perm])
         assert match_distance(a, phased) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matching_search_deeper_than_recursion_limit(self):
+        # rows i < r - 1 may take columns i or i + 1, row r - 1 only column
+        # 0: the last row's augmenting path runs through every other row
+        r = sys.getrecursionlimit() + 100
+        ok = np.zeros((r, r), dtype=bool)
+        ok[np.arange(r - 1), np.arange(r - 1)] = True
+        ok[np.arange(r - 1), np.arange(1, r)] = True
+        ok[r - 1, 0] = True
+        assert pipeline._has_matching(ok)
+        # rows r - 2 and r - 1 both only take column 0 (row 0 also takes
+        # column r - 1, so no row or column is empty): no perfect matching
+        ok[r - 2] = False
+        ok[r - 2, 0] = ok[0, r - 1] = True
+        assert not pipeline._has_matching(ok)
 
 
 class TestDecompose:
