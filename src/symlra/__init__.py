@@ -18,7 +18,7 @@ from .pipeline import (approximate, decompose, refine, fit_coefficients,
                        terms_from_zeros, match_distance, ApproxResult,
                        DecomposeResult, RefineResult)
 from .numerics import (LMConfig, LMResult, levenberg_marquardt,
-                       minnorm_lstsq, hermitian_smallest)
+                       minnorm_lstsq)
 from .bench import (STOCK_NLS_CONFIG,
                     run_table, run_nls_comparison, run_decomposition_table,
                     BenchStats)
@@ -39,7 +39,6 @@ __all__ = [
     "terms_from_zeros", "match_distance", "ApproxResult", "DecomposeResult",
     "RefineResult",
     "LMConfig", "LMResult", "levenberg_marquardt", "minnorm_lstsq",
-    "hermitian_smallest",
     "STOCK_NLS_CONFIG",
     "run_table", "run_nls_comparison", "run_decomposition_table",
     "BenchStats",

@@ -261,10 +261,13 @@ def bench():
 
 def _numbers(text, kind):
     try:
-        return [kind(x) for x in str(text).split(",") if x != ""]
+        values = [kind(x) for x in str(text).split(",") if x != ""]
     except ValueError:
+        values = []
+    if not values:
         what = "integer" if kind is int else "number"
         raise ValueError(f"expected a comma-separated {what} list, got {text!r}")
+    return values
 
 
 def _bench_options(fn):

@@ -1,9 +1,9 @@
-"""Shared numerical kernels: rank-revealing least squares, a Hermitian
-eigen-kernel, a damped least-squares (Levenberg-Marquardt)
-minimizer over real or complex unknowns that takes its Gauss-Newton
-normal system (J^H J, J^H f) from the caller, so a structured problem can
-build it without forming J, seed keys for random draws, the BLAS
-thread policy of every public call and the caller-located warnings."""
+"""Shared numerical kernels: rank-revealing least squares, a damped
+least-squares (Levenberg-Marquardt) minimizer over real or complex
+unknowns that takes its Gauss-Newton normal system (J^H J, J^H f) from
+the caller, so a structured problem can build it without forming J, seed
+keys for random draws, the BLAS thread policy of every public call and
+the caller-located warnings."""
 
 import contextlib
 import ctypes
@@ -151,18 +151,6 @@ def minnorm_lstsq(A, b):
     x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ b).T / s[:rank]).T
     null = Vh[rank:].conj().T
     return x, null, rank
-
-
-def hermitian_smallest(H):
-    """Unit eigenvector for the smallest eigenvalue of a Hermitian matrix.
-
-    H is symmetrized internally; returns (vector, smallest, largest).
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.shape[0] == 0:
-        return np.zeros(0, dtype=complex), 0.0, 0.0
-    w, V = np.linalg.eigh((H + H.conj().T) / 2)
-    return V[:, 0], float(w[0]), float(w[-1])
 
 
 @dataclass(frozen=True)

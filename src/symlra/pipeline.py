@@ -19,11 +19,12 @@ when not supplied):
 and only they choose among starts: `approximate` keeps the smallest
 err_opt, `decompose` accepts runs whose relative residual clears a
 tolerance, optionally collecting all distinct decompositions found.
-Both go through `_run`, which keeps each coordinate frame (F in it, the
-unitary and the generating fit) in a dict the caller owns.  The fit does
-not depend on the start, so a search passes one dict for all its starts:
-it fits once per frame and reruns only the commutator minimization and
-the stages after it.  `approximate`, `decompose` and `refine` run BLAS on
+Both go through `_run`, which runs one start's stages, fills its
+diagnostics and keeps each coordinate frame (F in it, the unitary and
+the generating fit) in a dict the caller owns.  The fit does not depend
+on the start, so a search passes one dict for all its starts: it fits
+once per frame and reruns only the commutator minimization and the
+stages after it.  `approximate`, `decompose` and `refine` run BLAS on
 one thread and restore the caller's thread counts (`one_blas_thread`).
 """
 
@@ -170,58 +171,13 @@ class ApproxResult:
     diagnostics: dict
 
 
-def _maybe_warn_nonreal(F, refined, diag):
-    if np.any(F.values.imag != 0) or refined.rank == 0:
-        return
-    U = refined.vectors
-    # phase freedom: u and zeta*u (zeta^m = 1) are the same term, so test
-    # realness after rotating each vector's largest entry onto the real axis
-    lead = U[np.arange(U.shape[0]), np.abs(U).argmax(axis=1)]
-    phase = np.where(np.abs(lead) > 0, lead / np.maximum(np.abs(lead), 1e-300), 1.0)
-    aligned = U / phase[:, None]
-    scale = max(np.abs(U).max(), 1e-300)
-    if np.abs(aligned.imag).max() > 1e-10 * scale:
-        diag["nonreal_output"] = True
-        warn("input tensor is real but the decomposition found is genuinely "
-             "complex")
-
-
-def _run_stages(F, fit, *, seed, start, lm_config, skip_refine, diag):
-    basis = fit.basis
-    opt = optimize_generating(fit, lm_config, seed=seed_key(seed, 1),
-                              start=start)
-    M = companion_matrices(opt.matrix, basis)
-    sel = select_mixing(commutation_gram(M), seed=seed_key(seed, 2, start))
-    ext = extract_zeros(M, sel.xi, opt.matrix, basis)
-    coeffs = fit_coefficients(F, ext.zeros)
-    gp = terms_from_zeros(coeffs, ext.zeros, F.m)
-    err_gp = (gp.tensor() - F).norm()
-
-    diag.update({
-        "n_free_params": fit.n_params,
-        "generating_residual": float(fit.residuals.max()) if fit.residuals.size else 0.0,
-        "commutator_objective": opt.objective,
-        "omega_status": opt.status,
-        "mixing_fallback": sel.fallback,
-        "schur_repeated": ext.repeated,
-        "poly_residual": ext.poly_residual,
-        "zero_magnitude": float(np.abs(ext.zeros).max()) if ext.zeros.size else 0.0,
-    })
-    if skip_refine:
-        return gp, gp, err_gp, err_gp
-    rr = refine(F, gp, lm_config)
-    diag.update({"refine_status": rr.lm.status,
-                 "refine_iterations": rr.lm.iterations,
-                 "refine_evaluations": rr.lm.residual_evaluations})
-    return gp, rr.decomposition, err_gp, rr.error
-
-
 def _run(F, r, start, frames, *, seed, lm_config, skip_refine,
          coordinate_shuffle):
-    """The stages at rank r from the commutator start `start`, in the
-    plain coordinate frame or the shuffled one (see `approximate` for
+    """Runs one start: every stage of commutator start `start` at rank r,
+    in the plain coordinate frame or the shuffled one (see `approximate` for
     `coordinate_shuffle`; None runs the shuffled frame after a plain run
-    whose zeros run off or whose result explains none of F).
+    whose zeros run off or whose result explains none of F).  It fills the
+    diagnostics; the caller issues the result warnings (`_warn_results`).
 
     `frames` is the caller's dict {shuffle: (G, Q, fit)}: F in that frame,
     the Haar unitary Q that took it there (None in the plain frame) and G's
@@ -247,27 +203,63 @@ def _run(F, r, start, frames, *, seed, lm_config, skip_refine,
                 G = transform(F, Q)
             frames[shuffle] = (G, Q, fit_generating(G, monomial_basis(G.n, G.m, r)))
         G, Q, fit = frames[shuffle]
-        gp, refined, err_gp, err_opt = _run_stages(
-            G, fit, seed=seed, start=start, lm_config=lm_config,
-            skip_refine=skip_refine, diag=diag)
+        opt = optimize_generating(fit, lm_config, seed=seed_key(seed, 1),
+                                  start=start)
+        M = companion_matrices(opt.matrix, fit.basis)
+        sel = select_mixing(commutation_gram(M), seed=seed_key(seed, 2, start))
+        ext = extract_zeros(M, sel.xi, opt.matrix, fit.basis)
+        gp = refined = terms_from_zeros(fit_coefficients(G, ext.zeros), ext.zeros, G.m)
+        err_gp = err_opt = (gp.tensor() - G).norm()
+        diag.update({
+            "n_free_params": fit.n_params,
+            "generating_residual": float(fit.residuals.max()) if fit.residuals.size else 0.0,
+            "commutator_objective": opt.objective,
+            "omega_status": opt.status,
+            "mixing_fallback": sel.fallback,
+            "schur_repeated": ext.repeated,
+            "poly_residual": ext.poly_residual,
+            "zero_magnitude": float(np.abs(ext.zeros).max()) if ext.zeros.size else 0.0,
+        })
+        if not skip_refine:
+            rr = refine(G, gp, lm_config)
+            refined, err_opt = rr.decomposition, rr.error
+            diag.update({"refine_status": rr.lm.status,
+                         "refine_iterations": rr.lm.iterations,
+                         "refine_evaluations": rr.lm.residual_evaluations})
         if Q is not None:
             # map the vectors back: each term (Q u)^{(m)} of G is u^{(m)} of F
             gp = Decomposition(F.m, gp.vectors @ Q.conj())
             refined = Decomposition(F.m, refined.vectors @ Q.conj())
             err_gp = (gp.tensor() - F).norm()
             err_opt = (refined.tensor() - F).norm()
-        _maybe_warn_nonreal(F, refined, diag)
-
-        # a rank >= 1 result at err_opt = ||F||, which some rank-one term
-        # always beats, explains none of F
-        explains_nothing = norm > 0 and err_opt >= (1 - 1e-6) * norm
-        if not (explains_nothing or diag["zero_magnitude"] > SHUFFLE_TRIGGER):
+        if not np.any(F.values.imag != 0):
+            # u and zeta*u (zeta^m = 1) are the same term: test realness after
+            # rotating each vector's largest entry onto the real axis
+            U = refined.vectors
+            lead = U[np.arange(U.shape[0]), np.abs(U).argmax(axis=1)]
+            phase = np.where(np.abs(lead) > 0, lead / np.maximum(np.abs(lead), 1e-300), 1.0)
+            diag["nonreal_output"] = bool(np.abs((U / phase[:, None]).imag).max()
+                                          > 1e-10 * max(np.abs(U).max(), 1e-300))
+        if not (_explains_nothing(norm, r, err_opt)
+                or diag["zero_magnitude"] > SHUFFLE_TRIGGER):
             break
     diag["auto_shuffled"] = coordinate_shuffle is None and shuffle
-    if explains_nothing:
-        warn(f"the rank-{r} approximation explains none of the tensor "
-             "(err_opt = ||F||)")
     return ApproxResult(gp, refined, err_gp, err_opt, diag)
+
+
+def _explains_nothing(norm, r, err_opt):
+    # a rank >= 1 result at err_opt = ||F||, which some rank-one term
+    # always beats, explains none of F
+    return r > 0 and norm > 0 and err_opt >= (1 - 1e-6) * norm
+
+
+def _warn_results(F, returned, best):
+    """The result warnings, about the runs a caller returns only."""
+    if any(run.diagnostics["nonreal_output"] for run in returned):
+        warn("input tensor is real but the decomposition found is genuinely complex")
+    r = best.diagnostics["rank"]
+    if _explains_nothing(F.norm(), r, best.err_opt):
+        warn(f"the rank-{r} approximation explains none of the tensor (err_opt = ||F||)")
 
 
 @one_blas_thread
@@ -282,18 +274,21 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     smallest err_opt wins (the first on ties).  Diagnostics
     `omega_start_objectives` and `omega_start_index` give each start's
     commutator objective and the winner; `wall_time` spans the call.
-    With no free parameters only start 0 runs.  `coordinate_shuffle` applies a seeded random
-    unitary change of coordinates before the pipeline and undoes it
+    With no free parameters only start 0 runs.  Raises ValueError unless
+    rank_tol >= 0, also when `rank` is given.  `coordinate_shuffle`
+    applies a seeded random unitary change of coordinates and undoes it
     afterwards; the default None auto-enables it when the extracted zeros
     have coordinates beyond 1e6 (a symptom of a leading vector entry near
     zero, which the compact parameterization cannot represent) or when a
     rank >= 1 result explains none of a nonzero F (err_opt = ||F||, which
-    some rank-one term always beats; every u_1 = 0 gives it).  A result
-    that still explains nothing is returned with a warning.  `skip_refine`
-    stops after the algebraic stage.
+    some rank-one term always beats; every u_1 = 0 gives it).  A returned
+    result that still explains nothing, or is genuinely complex for a real
+    F, comes with a warning.  `skip_refine` stops after the algebraic stage.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    if not rank_tol >= 0:
+        raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
     t0 = time.perf_counter()
     spectrum = None
     if rank is None:
@@ -307,6 +302,7 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
             break
     res = min(runs, key=lambda run: run.err_opt)
     diag = res.diagnostics
+    _warn_results(F, [res], res)
     if rank > 0:    # rank 0 runs no commutator stage
         diag["omega_start_objectives"] = [
             float(run.diagnostics["commutator_objective"]) for run in runs]
@@ -402,19 +398,21 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     search.  No start depends on the ones before it: `approximate` with k
     restarts returns the best of the first k+1, and fewer restarts repeat
     the first starts of more.  The diagnostics include the search's
-    `wall_time` in seconds.  Raises ValueError unless residual_tol >= 0.
+    `wall_time` in seconds.  Raises ValueError unless both tolerances are
+    >= 0, rank_tol also when `rank` is given.  Warns, as `approximate`
+    does, about the decompositions it returns and about its best run.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if not residual_tol >= 0:
         raise ValueError(f"residual_tol must be nonnegative, got {residual_tol}")
+    if not rank_tol >= 0:
+        raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
     t0 = time.perf_counter()
     if rank is None:
         rank = estimate_rank(catalecticant_spectrum(F), rank_tol).rank
     scale = 1.0 + F.norm()
-    best = None
-    kept = []
-    per_start = []
+    best, kept, per_start = None, [], []
     frames = {}   # one fit per coordinate frame for all starts
     for s in range(restarts + 1):
         res = _run(F, rank, s, frames, seed=seed, lm_config=lm_config,
@@ -426,21 +424,23 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
         if best is None or rel < best[0]:
             best = (rel, res)
         if ok and distinct and not any(
-                _has_matching(_match_costs(res.refined, d) <=
+                _has_matching(_match_costs(res.refined, d.refined) <=
                               0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
-                                        np.abs(d.vectors).max(initial=0.0)))
+                                        np.abs(d.refined.vectors).max(initial=0.0)))
                 for d in kept):
-            kept.append(res.refined)
+            kept.append(res)
         # stop at a success, or when no free parameters make all starts equal
         if (ok and not distinct) or res.diagnostics["n_free_params"] == 0:
             break
     rel, res = best
     success = rel <= residual_tol
+    returned = kept if distinct else ([res] if success else [])
+    _warn_results(F, returned, res)
     return DecomposeResult(
         success=success,
         decomposition=res.refined if success else None,
         relative_residual=rel,
-        decompositions=kept if distinct else ([res.refined] if success else []),
+        decompositions=[run.refined for run in returned],
         attempts=len(per_start),
         diagnostics={"rank": rank, "starts": per_start, "norm_scale": scale,
                      "wall_time": time.perf_counter() - t0})

@@ -385,8 +385,8 @@ def random_low_rank(n, m, r, seed=0, tau=None):
 def perturb(F, eps, seed=0):
     """F plus a random symmetric perturbation of Hilbert-Schmidt norm
     exactly `eps` (complex standard normal direction)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if eps == 0:
         return F
     rng = np.random.default_rng(seed)

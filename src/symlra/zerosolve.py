@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .genfit import commutator_residuals, _pairs
-from .numerics import hermitian_smallest, warn
+from .numerics import warn
 from .tensors import table
 
 
@@ -31,10 +31,7 @@ def commutation_gram(M):
     V = np.zeros((nbar, r * r, nbar), dtype=complex)
     V[a, :, b] = C
     V[b, :, a] = -C
-    gram = np.zeros((nbar, nbar), dtype=complex)
-    for Vi in V:
-        gram += Vi.conj().T @ Vi
-    return gram
+    return (V.conj().transpose(0, 2, 1) @ V).sum(axis=0)
 
 
 @dataclass(eq=False)
@@ -54,15 +51,19 @@ def select_mixing(gram, seed=0):
     Falls back to a seeded random complex unit vector when the smallest
     eigenvalue is below DEGENERACY_TOL * max(1, largest): in that regime
     the eigenvector is arbitrary within a large subspace and a random
-    direction separates the Schur eigenvalues better.
-    """
-    xi, lo, hi = hermitian_smallest(gram)
-    if gram.shape[0] and lo <= DEGENERACY_TOL * max(1.0, hi):
+    direction separates the Schur eigenvalues better.  A 0 x 0 Gram matrix
+    gives an empty xi, both eigenvalues 0 and no fallback."""
+    gram = np.asarray(gram, dtype=complex)
+    if gram.shape[0] == 0:
+        return MixingSelection(np.zeros(0, dtype=complex), 0.0, 0.0, False)
+    w, V = np.linalg.eigh((gram + gram.conj().T) / 2)
+    lo, hi = float(w[0]), float(w[-1])
+    if lo <= DEGENERACY_TOL * max(1.0, hi):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(gram.shape[0]) + 1j * rng.standard_normal(gram.shape[0])
         return MixingSelection(xi=z / np.linalg.norm(z), smallest=lo,
                                largest=hi, fallback=True)
-    return MixingSelection(xi=xi, smallest=lo, largest=hi, fallback=False)
+    return MixingSelection(xi=V[:, 0], smallest=lo, largest=hi, fallback=False)
 
 
 @dataclass(eq=False)
@@ -92,10 +93,8 @@ def extract_zeros(M, xi, G=None, basis=None):
     L = np.tensordot(np.asarray(xi, dtype=complex), M, axes=(0, 0)) \
         if nbar else np.zeros((r, r), dtype=complex)
     T, Q = scipy.linalg.schur(L, output="complex")
-    zeros = np.empty((r, nbar), dtype=complex)
-    for i in range(nbar):
-        B = Q.conj().T @ M[i] @ Q
-        zeros[:, i] = np.diag(B)
+    # a C-ordered copy, so the terms built from the zeros are C-ordered too
+    zeros = np.diagonal(Q.conj().T @ M @ Q, axis1=1, axis2=2).T.copy()
     tvals = np.diag(T).copy()
     repeated = False
     if r > 1:

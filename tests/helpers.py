@@ -7,7 +7,8 @@ from an explicit Jacobian, the per-entry power form of the monomials that
 column at a time, and the per-column, per-feed loop forms of the
 generating matrix, the companion matrices and the commutator residual and
 Jacobian that `genfit` builds from its affine map, and the commutation
-Gram matrix with every commutator formed in a double loop, the
+Gram matrix with every commutator formed in a double loop, the Schur
+zeros read one variable at a time (`reference_zeros`), the
 commutator Jacobian scattered through one flat position per entry
 (`flat_commutator_jacobian`), the symmetric power u^{(m)} of one
 vector (`rank_one`), and the dense form of `transform` (`dense_transform`:
@@ -17,6 +18,7 @@ the compact recursion must match to round-off."""
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from symlra.genfit import _pairs, generating_system
 from symlra.numerics import minnorm_lstsq
@@ -184,6 +186,18 @@ def reference_commutation_gram(M):
             Vi[:, j] = (M[i] @ M[j] - M[j] @ M[i]).ravel()
         gram += Vi.conj().T @ Vi
     return gram
+
+
+def reference_zeros(M, xi):
+    """Rayleigh quotients q_k^H M_i q_k of the complex Schur vectors of
+    L(xi) = sum_i xi_i M_i, one variable i at a time."""
+    nbar, r, _ = M.shape
+    L = np.tensordot(xi, M, axes=(0, 0)) if nbar else np.zeros((r, r), dtype=complex)
+    _, Q = scipy.linalg.schur(L, output="complex")
+    zeros = np.empty((r, nbar), dtype=complex)
+    for i in range(nbar):
+        zeros[:, i] = np.diag(Q.conj().T @ M[i] @ Q)
+    return zeros
 
 
 def reference_commutator_jacobian(fit, M):

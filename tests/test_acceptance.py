@@ -156,6 +156,7 @@ def test_criterion_05_error_tables():
 
 # ------------------------------------------------------------ criterion 6
 
+@pytest.mark.slow
 def test_criterion_06_nls_comparison():
     t0 = time.perf_counter()
     st = run_nls_comparison(10, 3, 12, 1e-4, 5, nls_restarts=10, seed=0,

@@ -24,7 +24,6 @@ PUBLIC = [
     "terms_from_zeros", "match_distance", "ApproxResult", "DecomposeResult",
     "RefineResult",
     "LMConfig", "LMResult", "levenberg_marquardt", "minnorm_lstsq",
-    "hermitian_smallest",
     "STOCK_NLS_CONFIG",
     "run_table", "run_nls_comparison", "run_decomposition_table",
     "BenchStats",

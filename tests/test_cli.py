@@ -226,6 +226,10 @@ def test_gen_zero_size_exits_2(runner, args):
     ["decompose", "--rank-tol", "-1"],
     ["decompose", "--rank", "2", "--residual-tol", "-1"],
     ["decompose", "--rank", "2", "--residual-tol", "nan"],
+    ["approx", "--rank", "2", "--rank-tol", "nan"],
+    ["approx", "--rank", "2", "--rank-tol", "-1"],
+    ["decompose", "--rank", "2", "--rank-tol", "nan"],
+    ["decompose", "--rank", "2", "--rank-tol", "-1"],
 ])
 def test_bad_tolerances_exit_2(runner, tmp_path, args):
     path = gen_file(runner, tmp_path, "t.json", "--family", "sin")
@@ -369,10 +373,16 @@ def test_bench_table_json_and_table(runner):
 
 
 def test_bench_table_bad_eps_list_exits_2(runner):
-    result = runner.invoke(main, ["bench", "table", "--n", "3", "--m", "3",
-                                  "--eps", "1e-2,zap"])
-    assert result.exit_code == 2
-    assert "comma-separated" in result.output
+    # a malformed or empty number list, or an eps no perturbation can have
+    for args, message in [(["--eps", "1e-2,zap"], "comma-separated"),
+                          (["--r", ""], "comma-separated"),
+                          (["--r", ","], "comma-separated"),
+                          (["--eps", "nan"], "eps must be finite"),
+                          (["--eps", "inf"], "eps must be finite")]:
+        result = runner.invoke(main, ["bench", "table", "--n", "3", "--m", "3",
+                                      "--r", "1", "--trials", "1", *args])
+        assert result.exit_code == 2, args
+        assert message in result.output, args
 
 
 def test_bench_table_nonpositive_tau_exits_2(runner):

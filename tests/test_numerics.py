@@ -8,7 +8,7 @@ from symlra.families import ternary_tensor
 from symlra.genfit import (_commutator_jacobian, commutator_residuals,
                            companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
-    minnorm_lstsq, hermitian_smallest,
+    minnorm_lstsq,
     GRADIENT_TOLERANCE, INITIAL_DAMPING, LMConfig, levenberg_marquardt,
 )
 from symlra.pipeline import _refine_closures
@@ -66,14 +66,6 @@ class TestMinNormLstsq:
         x, null, rank = minnorm_lstsq(A, A @ x0)
         assert rank == 4 and null.shape == (4, 0)
         npt.assert_allclose(x, x0, rtol=1e-10)
-
-
-def test_hermitian_smallest():
-    H = np.diag([3.0, -1.0, 2.0]).astype(complex)
-    v, lo, hi = hermitian_smallest(H)
-    assert lo == pytest.approx(-1.0) and hi == pytest.approx(3.0)
-    npt.assert_allclose(np.abs(v), [0, 1, 0], atol=1e-14)
-    npt.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-14)
 
 
 class TestLevenbergMarquardt:

@@ -341,19 +341,19 @@ class TestApproximate:
         assert auto.err_opt < 1e-10 * (1 + F.norm())
 
     def test_wall_time_spans_the_whole_call(self, monkeypatch):
-        # the automatic shuffle runs the stages twice, plain then shuffled;
-        # wall_time counts both passes
+        # the automatic shuffle runs the stages twice, plain then shuffled,
+        # each extracting zeros once; wall_time counts both passes
         U = np.array([[1e-9, 1.0, 1.0], [1.0, -0.7, 0.3]], dtype=complex)
         F = Decomposition(3, U).tensor()
         spent = []
-        stages = pipeline._run_stages
+        stage = pipeline.extract_zeros
 
         def timed(*args, **kwargs):
             t0 = time.perf_counter()
-            out = stages(*args, **kwargs)
+            out = stage(*args, **kwargs)
             spent.append(time.perf_counter() - t0)
             return out
-        monkeypatch.setattr(pipeline, "_run_stages", timed)
+        monkeypatch.setattr(pipeline, "extract_zeros", timed)
         res = approximate(F, 2)
         assert res.diagnostics["auto_shuffled"] and len(spent) == 2
         assert res.diagnostics["wall_time"] >= sum(spent)
@@ -544,6 +544,23 @@ class TestDecompose:
         assert out.relative_residual > 1e-6
         assert out.decompositions == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_about_discarded_starts(self):
+        # start 0 fails with a genuinely complex result and start 1 finds
+        # the real terms: the result warnings concern returned results only
+        U = np.random.default_rng(14).standard_normal((7, 4))
+        F = Decomposition(4, U).tensor()
+        first = decompose(F, 7)
+        assert not first.success and first.decompositions == []
+        assert first.relative_residual > 1e-3
+        out = decompose(F, 7, restarts=5)
+        assert [s["success"] for s in out.diagnostics["starts"]] == [False, True]
+        assert match_distance(out.decomposition, Decomposition(4, U)) < 1e-10
+        best = approximate(F, 7, restarts=1)
+        assert best.diagnostics["omega_start_index"] == 1
+        assert not best.diagnostics["nonreal_output"]
+        assert match_distance(best.refined, Decomposition(4, U)) < 1e-10
+
     def test_distinct_mode_octet(self):
         F = octet_decomposition().tensor()
         out = decompose(F, 8, restarts=5, distinct=True, seed=0)
@@ -569,6 +586,13 @@ class TestDecompose:
         for fn in (approximate, decompose):
             with pytest.raises(ValueError, match="restarts"):
                 fn(F, 2, restarts=-1)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_rank_tolerance_rejected_with_rank_given(self, tol):
+        # rejected on entry, although a given rank leaves it unread
+        for fn in (approximate, decompose):
+            with pytest.raises(ValueError, match="rank tolerance"):
+                fn(sin_tensor(), 2, rank_tol=tol)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_residual_tolerance_rejected(self, tol):

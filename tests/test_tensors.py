@@ -425,8 +425,9 @@ def test_perturb_exact_norm():
         G = perturb(F, eps, seed=15)
         npt.assert_allclose((G - F).norm(), eps, rtol=1e-12, atol=floor)
     assert perturb(F, 0.0) is F
-    with pytest.raises(ValueError):
-        perturb(F, -1.0)
+    for eps in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            perturb(F, eps)
 
 
 def test_perturb_deterministic():

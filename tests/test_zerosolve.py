@@ -8,7 +8,8 @@ from symlra.tensors import random_low_rank
 from symlra.zerosolve import (commutation_gram, select_mixing, extract_zeros,
                               DEGENERACY_TOL)
 
-from helpers import reference_commutation_gram, reference_monomials
+from helpers import (reference_commutation_gram, reference_monomials,
+                     reference_zeros)
 
 
 def random_matrices(nbar, r, seed):
@@ -39,6 +40,20 @@ def test_gram_matches_loop_form_bit_for_bit(nbar, r):
     assert commutation_gram(M).tobytes() == reference_commutation_gram(M).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:nearly repeated Schur values")
+@pytest.mark.parametrize("nbar", range(10))
+def test_batched_products_match_loop_forms_bit_for_bit(nbar):
+    # one batched product each, for the Gram matrix and for Q^H M Q, is the
+    # loop over variables bit for bit; the zeros come out in C order
+    for r in range(1, 21):
+        M = random_matrices(nbar, r, [nbar, r, 1])
+        assert commutation_gram(M).tobytes() == reference_commutation_gram(M).tobytes()
+        xi = np.random.default_rng([nbar, r, 2]).standard_normal(nbar) + 0.5j
+        zeros = extract_zeros(M, xi).zeros
+        assert zeros.flags.c_contiguous
+        assert zeros.tobytes() == reference_zeros(M, xi).tobytes()
+
+
 def test_gram_zero_for_commuting_family():
     rng = np.random.default_rng(2)
     D = [np.diag(rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -54,6 +69,26 @@ class TestSelectMixing:
         npt.assert_allclose(np.abs(sel.xi), [0, 1, 0], atol=1e-12)
         assert sel.smallest == pytest.approx(1e-3)
         assert sel.largest == pytest.approx(9.0)
+
+    def test_diagonal_gram(self):
+        # diag(3, -1, 2): smallest -1, largest 3, and -1 is below the
+        # degeneracy cutoff, so a random unit direction replaces e_2
+        sel = select_mixing(np.diag([3.0, -1.0, 2.0]).astype(complex))
+        assert sel.smallest == pytest.approx(-1.0)
+        assert sel.largest == pytest.approx(3.0)
+        assert sel.fallback
+        npt.assert_allclose(np.linalg.norm(sel.xi), 1.0, rtol=1e-14)
+        # shifted by 2 clear of the cutoff: the unit eigenvector e_2 itself
+        sel = select_mixing(np.diag([5.0, 1.0, 4.0]).astype(complex))
+        assert not sel.fallback
+        npt.assert_allclose(np.abs(sel.xi), [0, 1, 0], atol=1e-14)
+        npt.assert_allclose(np.linalg.norm(sel.xi), 1.0, rtol=1e-14)
+
+    def test_empty_gram(self):
+        # no variables to mix: an empty vector, both eigenvalues 0
+        sel = select_mixing(np.zeros((0, 0), dtype=complex))
+        assert sel.xi.shape == (0,) and sel.xi.dtype == complex
+        assert (sel.smallest, sel.largest, sel.fallback) == (0.0, 0.0, False)
 
     def test_fallback_on_degenerate_gram(self):
         sel = select_mixing(np.zeros((3, 3), dtype=complex), seed=4)
