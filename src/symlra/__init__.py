@@ -13,7 +13,7 @@ from .genfit import (monomial_basis, generating_system, fit_generating,
                      optimize_generating, companion_matrices,
                      commutator_residuals, MonomialBasis, GeneratingFit)
 from .zerosolve import (commutation_gram, select_mixing, extract_zeros,
-                        MixingSelection, ZeroExtraction)
+                        poly_residual, MixingSelection, ZeroExtraction)
 from .pipeline import (approximate, decompose, refine, fit_coefficients,
                        terms_from_zeros, match_distance, ApproxResult,
                        DecomposeResult, RefineResult)
@@ -33,8 +33,8 @@ __all__ = [
     "monomial_basis", "generating_system", "fit_generating",
     "optimize_generating", "companion_matrices", "commutator_residuals",
     "MonomialBasis", "GeneratingFit",
-    "commutation_gram", "select_mixing", "extract_zeros", "MixingSelection",
-    "ZeroExtraction",
+    "commutation_gram", "select_mixing", "extract_zeros", "poly_residual",
+    "MixingSelection", "ZeroExtraction",
     "approximate", "decompose", "refine", "fit_coefficients",
     "terms_from_zeros", "match_distance", "ApproxResult", "DecomposeResult",
     "RefineResult",

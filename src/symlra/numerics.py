@@ -2,16 +2,13 @@
 least-squares (Levenberg-Marquardt) minimizer over real or complex
 unknowns that takes its Gauss-Newton normal system (J^H J, J^H f) from
 the caller, so a structured problem can build it without forming J, seed
-keys for random draws, the BLAS thread policy of every public call and
-the caller-located warnings."""
+keys for random draws and the BLAS thread policy of every public call."""
 
 import contextlib
 import ctypes
 import functools
 import os
-import sys
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,19 +105,6 @@ class _OneBlasThread(contextlib.ContextDecorator):
 one_blas_thread = _OneBlasThread()
 
 
-def warn(message):
-    """`warnings.warn` a UserWarning at the first frame outside this package
-    and outside contextlib (whose frame `one_blas_thread` adds), so each of
-    the caller's lines gets its own warning location and its own
-    once-per-location filtering, however deep in the library it arose."""
-    package = os.path.dirname(__file__) + os.sep
-    frame, level = sys._getframe(1), 2
-    while frame is not None and (frame.f_code.co_filename.startswith(package)
-                                 or frame.f_code.co_filename == contextlib.__file__):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
-
-
 def seed_key(seed, *extra):
     """Flatten a seed plus derivation tags into one entropy list."""
     if isinstance(seed, (int, np.integer)):
@@ -193,9 +177,9 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     the damping and tries again.  The damping follows a gain ratio and only
     improving steps are accepted, so the objective is nonincreasing; the
     accepted point is the very array the residual was evaluated at, so
-    `normal` can recognise it.  `config` is an LMConfig.  Raises ValueError
-    if the residual at x0 is not finite, or if a normal system is not
-    finite.
+    `normal` can recognise it.  `config` is an LMConfig.  Raises
+    np.linalg.LinAlgError, a ValueError, if the residual at x0 or a normal
+    system is not finite: a numerical breakdown, such as an overflow.
     """
     cfg = config if config is not None else LMConfig()
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
@@ -203,7 +187,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     f = np.asarray(residual(x), dtype=x.dtype)
     nfev = 1
     if not np.isfinite(f).all():
-        raise ValueError("residual is not finite at the starting point")
+        raise np.linalg.LinAlgError("residual is not finite at the starting point")
     cost = 0.5 * np.vdot(f, f).real
     lam = INITIAL_DAMPING
     nu = 2.0
@@ -225,7 +209,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
         while True:
             A = JhJ + np.diag(lam * scale)
             if not (np.isfinite(A).all() and np.isfinite(g).all()):
-                raise ValueError("the normal system is not finite")
+                raise np.linalg.LinAlgError("the normal system is not finite")
             c, info = potrf(A, lower=False, overwrite_a=True, clean=False)
             if info > 0:      # not positive definite at this damping
                 lam *= nu

@@ -26,9 +26,11 @@ on the start, so a search passes one dict for all its starts: it fits
 once per frame and reruns only the commutator minimization and the
 stages after it.  `approximate`, `decompose` and `refine` run BLAS on
 one thread and restore the caller's thread counts (`one_blas_thread`).
+The stages only flag trouble in the diagnostics; `_warn_results` warns.
 """
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,10 @@ from .tensors import Decomposition, compact_size, transform
 from .catalecticant import catalecticant_spectrum, estimate_rank
 from .genfit import monomial_basis, fit_generating, optimize_generating, \
     companion_matrices
-from .zerosolve import commutation_gram, select_mixing, extract_zeros
+from .zerosolve import commutation_gram, select_mixing, extract_zeros, \
+    poly_residual
 from .numerics import levenberg_marquardt, minnorm_lstsq, one_blas_thread, \
-    seed_key, warn
+    seed_key
 
 # zeros with coordinates beyond this are treated as an artifact of a leading
 # vector entry near zero; a random unitary change of coordinates fixes it
@@ -207,7 +210,7 @@ def _run(F, r, start, frames, *, seed, lm_config, skip_refine,
                                   start=start)
         M = companion_matrices(opt.matrix, fit.basis)
         sel = select_mixing(commutation_gram(M), seed=seed_key(seed, 2, start))
-        ext = extract_zeros(M, sel.xi, opt.matrix, fit.basis)
+        ext = extract_zeros(M, sel.xi)
         gp = refined = terms_from_zeros(fit_coefficients(G, ext.zeros), ext.zeros, G.m)
         err_gp = err_opt = (gp.tensor() - G).norm()
         diag.update({
@@ -217,7 +220,7 @@ def _run(F, r, start, frames, *, seed, lm_config, skip_refine,
             "omega_status": opt.status,
             "mixing_fallback": sel.fallback,
             "schur_repeated": ext.repeated,
-            "poly_residual": ext.poly_residual,
+            "poly_residual": poly_residual(opt.matrix, fit.basis, ext.zeros),
             "zero_magnitude": float(np.abs(ext.zeros).max()) if ext.zeros.size else 0.0,
         })
         if not skip_refine:
@@ -254,12 +257,20 @@ def _explains_nothing(norm, r, err_opt):
 
 
 def _warn_results(F, returned, best):
-    """The result warnings, about the runs a caller returns only."""
+    """Every library warning, from the diagnostics of the returned runs and
+    the best run only.  The callers, `approximate` and `decompose`, are
+    wrapped by `one_blas_thread`: stacklevel 4 skips this frame, theirs and
+    the decorator's `inner` (5 through a helper) to reach their caller."""
+    if any(run.diagnostics["schur_repeated"] for run in [*returned, best]):
+        warnings.warn("nearly repeated Schur values: extracted zeros may coincide "
+                      "and the coefficient fit may be ill-conditioned", stacklevel=4)
     if any(run.diagnostics["nonreal_output"] for run in returned):
-        warn("input tensor is real but the decomposition found is genuinely complex")
+        warnings.warn("input tensor is real but the decomposition found is "
+                      "genuinely complex", stacklevel=4)
     r = best.diagnostics["rank"]
     if _explains_nothing(F.norm(), r, best.err_opt):
-        warn(f"the rank-{r} approximation explains none of the tensor (err_opt = ||F||)")
+        warnings.warn(f"the rank-{r} approximation explains none of the tensor "
+                      "(err_opt = ||F||)", stacklevel=4)
 
 
 @one_blas_thread
@@ -282,8 +293,9 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
     zero, which the compact parameterization cannot represent) or when a
     rank >= 1 result explains none of a nonzero F (err_opt = ||F||, which
     some rank-one term always beats; every u_1 = 0 gives it).  A returned
-    result that still explains nothing, or is genuinely complex for a real
-    F, comes with a warning.  `skip_refine` stops after the algebraic stage.
+    result that still explains nothing, is genuinely complex for a real F
+    or has nearly repeated Schur values comes with a warning (a discarded
+    pass warns nothing).  `skip_refine` stops after the algebraic stage.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")

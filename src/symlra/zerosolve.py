@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .genfit import commutator_residuals, _pairs
-from .numerics import warn
 from .tensors import table
 
 
@@ -70,25 +69,13 @@ def select_mixing(gram, seed=0):
 class ZeroExtraction:
     zeros: np.ndarray          # (r, n-1), one candidate zero per row
     schur_values: np.ndarray   # diagonal of the triangular factor
-    repeated: bool             # nearly repeated Schur values were seen
-    poly_residual: float       # max |phi_alpha(zero)| over zeros and border
-                               # columns (NaN when G is not supplied)
+    repeated: bool             # nearly repeated Schur values: zeros may merge
 
 
-def extract_zeros(M, xi, G=None, basis=None):
-    """Candidate common zeros of the multiplication family.
-
-    Parameters
-    ----------
-    M : (nbar, r, r) array, multiplication matrix per variable
-    xi : (nbar,) mixing vector
-    G : optional generating matrix; with `basis`, enables the
-        plugged-in residual diagnostic max |phi_alpha(zero)|
-    basis : MonomialBasis matching G
-
-    Returns a ZeroExtraction; a warning is emitted when the Schur values
-    nearly repeat (zeros may then merge, large coefficients downstream).
-    """
+def extract_zeros(M, xi):
+    """Candidate common zeros of the multiplication family M, one (r, r)
+    matrix per variable, mixed by xi: a ZeroExtraction, which flags nearly
+    repeated Schur values and warns nothing (`pipeline` decides that)."""
     nbar, r, _ = M.shape
     L = np.tensordot(np.asarray(xi, dtype=complex), M, axes=(0, 0)) \
         if nbar else np.zeros((r, r), dtype=complex)
@@ -96,23 +83,21 @@ def extract_zeros(M, xi, G=None, basis=None):
     # a C-ordered copy, so the terms built from the zeros are C-ordered too
     zeros = np.diagonal(Q.conj().T @ M @ Q, axis1=1, axis2=2).T.copy()
     tvals = np.diag(T).copy()
-    repeated = False
-    if r > 1:
-        gaps = np.abs(tvals[:, None] - tvals[None, :])
-        gaps[np.diag_indices(r)] = np.inf
-        if gaps.min() <= 1e-8 * max(np.linalg.norm(T), 1e-300):
-            repeated = True
-            warn("nearly repeated Schur values: extracted zeros may coincide "
-                 "and the coefficient fit may be ill-conditioned")
-    poly_residual = float("nan")
-    if G is not None and basis is not None:
-        poly_residual = 0.0
-        if basis.border:
-            # monomials of (1, zero) to the (last) border's degree; core first
-            tab = table(basis.n, basis.m)
-            P = tab.monomials(np.column_stack([np.ones(r), zeros]),
-                              sum(basis.border[-1]))
-            poly_residual = float(np.abs(P[:, :basis.rank] @ G
-                                         - P[:, tab.slots(basis.border)]).max())
-    return ZeroExtraction(zeros=zeros, schur_values=tvals,
-                          repeated=repeated, poly_residual=poly_residual)
+    gaps = np.abs(tvals[:, None] - tvals[None, :])
+    gaps[np.diag_indices(r)] = np.inf
+    repeated = bool(r > 1 and gaps.min() <= 1e-8 * max(np.linalg.norm(T), 1e-300))
+    return ZeroExtraction(zeros=zeros, schur_values=tvals, repeated=repeated)
+
+
+def poly_residual(G, basis, zeros):
+    """max |phi_alpha(zero)| over the zeros (rows) and the border columns of
+    the generating matrix G (of MonomialBasis `basis`): how far the zeros
+    are from common zeros of the generating polynomials; 0.0 without a
+    border."""
+    if not basis.border:
+        return 0.0
+    # monomials of (1, zero) to the (last) border's degree; core first
+    tab = table(basis.n, basis.m)
+    P = tab.monomials(np.column_stack([np.ones(len(zeros)), zeros]),
+                      sum(basis.border[-1]))
+    return float(np.abs(P[:, :basis.rank] @ G - P[:, tab.slots(basis.border)]).max())

@@ -100,7 +100,7 @@ def test_criterion_03_linear_collapsing_zeros():
     G = fit.matrix()
     M = companion_matrices(G, basis)
     sel = select_mixing(commutation_gram(M), seed=0)
-    ext = extract_zeros(M, sel.xi, G, basis)
+    ext = extract_zeros(M, sel.xi)
     zero_err = np.abs(ext.zeros - 1.0).max()
     res = approximate(F, 2, seed=0)
     dt = time.perf_counter() - t0

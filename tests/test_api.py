@@ -18,8 +18,8 @@ PUBLIC = [
     "monomial_basis", "generating_system", "fit_generating",
     "optimize_generating", "companion_matrices", "commutator_residuals",
     "MonomialBasis", "GeneratingFit",
-    "commutation_gram", "select_mixing", "extract_zeros", "MixingSelection",
-    "ZeroExtraction",
+    "commutation_gram", "select_mixing", "extract_zeros", "poly_residual",
+    "MixingSelection", "ZeroExtraction",
     "approximate", "decompose", "refine", "fit_coefficients",
     "terms_from_zeros", "match_distance", "ApproxResult", "DecomposeResult",
     "RefineResult",

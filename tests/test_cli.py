@@ -18,6 +18,8 @@ from click.testing import CliRunner
 
 import symlra
 from symlra.cli import main
+from symlra.families import make_family, sin_tensor
+from symlra.jsonio import dumps, tensor_to_dict
 
 
 @pytest.fixture
@@ -66,6 +68,11 @@ def test_gen_output_file_matches_stdout(runner, tmp_path):
 def test_gen_unknown_family_is_a_usage_error(runner):
     result = runner.invoke(main, ["gen", "--family", "nope"])
     assert result.exit_code == 2
+
+
+def test_make_family_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        make_family("bogus")
 
 
 def test_gen_random_requires_rank(runner):
@@ -314,6 +321,27 @@ def test_decompose_failure_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["decompose", str(path), "--rank", "1"])
     assert result.exit_code == 1
     assert "no decomposition" in result.output
+
+
+@pytest.mark.parametrize("mode", [[], ["--distinct"]])
+def test_decompose_table_format(runner, tmp_path, mode):
+    path = gen_file(runner, tmp_path, "sin.json", "--family", "sin")
+    lines = invoke(runner, "decompose", path, "--rank", "2", "--format", "table",
+                   *mode).stdout.splitlines()
+    assert lines[0] == "decomposition (rank 2):"
+    assert [line.split(" = ")[0] for line in lines[1:]] == ["  u[0]", "  u[1]"]
+
+
+@pytest.mark.parametrize("command", ["approx", "decompose"])
+def test_numerical_breakdown_exits_1(runner, tmp_path, command):
+    # the LM overflows on a tensor scaled by 1e200: a numerical failure,
+    # not an input error
+    path = tmp_path / "big.json"
+    path.write_text(dumps(tensor_to_dict(sin_tensor() * 1e200)))
+    result = runner.invoke(main, [command, str(path), "--rank", "2"])
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: the normal system is not finite" in result.stderr
+    assert "error:" not in result.stderr and "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("mode", [[], ["--distinct"]])

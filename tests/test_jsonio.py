@@ -92,13 +92,22 @@ def test_full_form_accepts_complete_class():
       "entries": [{"index": [True, 1], "re": 1.0}]}, "1-based"),
     ({"n": 2, "m": 2, "format": "full", "entries": [[1, 1]]},
      "must be a JSON object"),
+    ({"n": 2, "m": 2, "entries": {}}, "'entries' must be a list"),
+    ([{"n": 2, "m": 2, "entries": []}], "tensor document must be a JSON object"),
 ])
 def test_tensor_from_dict_validation(doc, msg):
     with pytest.raises(ValueError, match=msg):
         tensor_from_dict(doc)
 
 
+def test_tensor_to_dict_rejects_unknown_form(tensor):
+    with pytest.raises(ValueError, match="unknown tensor format 'bogus'"):
+        tensor_to_dict(tensor, "bogus")
+
+
 def test_decomposition_from_dict_validation():
+    with pytest.raises(ValueError, match="decomposition document must be a JSON object"):
+        decomposition_from_dict([{"n": 2, "m": 3, "rank": 0, "vectors": []}])
     with pytest.raises(ValueError, match="rank is 2 but 1"):
         decomposition_from_dict(
             {"n": 2, "m": 3, "rank": 2, "vectors": [[{"re": 1.0}, {"re": 0.0}]]})

@@ -125,7 +125,7 @@ class TestLevenbergMarquardt:
         assert res.residual_evaluations == 1
 
     def test_nonfinite_start_raises(self):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             levenberg_marquardt(lambda x: np.array([np.nan]),
                                 normal_equations(lambda x: np.ones((1, 1))),
                                 np.zeros(1))
@@ -381,7 +381,7 @@ class TestLapackStep:
     def test_nonfinite_normal_system_raises(self, bad):
         def normal(x, f):
             return np.array([[1.0, 0.0], [0.0, bad]]), f
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             levenberg_marquardt(lambda x: x - 1.0, normal, np.zeros(2))
 
     def test_indefinite_system_backs_off(self):

@@ -304,28 +304,41 @@ class TestApproximate:
         assert res.diagnostics["nonreal_output"]
         assert res.err_opt < 1e-8
 
-    @pytest.mark.parametrize("case", ["nonreal", "nonreal-search", "schur",
-                                      "schur-search"])
-    def test_warnings_point_at_the_caller(self, case):
-        # each of the caller's lines is its own warning location, however
-        # deep in the library the warning arose
+    @staticmethod
+    def _stuck():
         rng = np.random.default_rng(0)
         U = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         U[:, 0] = 0     # the plain frame's zeros nearly repeat
-        stuck = Decomposition(3, U).tensor()
+        return Decomposition(3, U).tensor()
+
+    @pytest.mark.parametrize("case", ["nonreal", "nonreal-search", "schur"])
+    def test_warnings_point_at_the_caller(self, case):
+        # each of the caller's lines is its own warning location, however
+        # deep in the library the warning arose
         call, messages = {
             "nonreal": (lambda: approximate(sin_tensor(), 2), ["genuinely complex"]),
             "nonreal-search": (lambda: decompose(sin_tensor(), 2),
                                ["genuinely complex"]),
-            "schur": (lambda: approximate(stuck, 2, coordinate_shuffle=False),
+            "schur": (lambda: approximate(self._stuck(), 2, coordinate_shuffle=False),
                       ["nearly repeated Schur", "explains none of the tensor"]),
-            "schur-search": (lambda: decompose(stuck, 2), ["nearly repeated Schur"]),
         }[case]
         with pytest.warns(UserWarning) as rec:
             call()
         for message in messages:
             assert any(message in str(w.message) for w in rec)
         assert {w.filename for w in rec} == {__file__}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("search", [False, True])
+    def test_no_schur_warning_about_the_discarded_plain_pass(self, search):
+        # the plain pass's Schur values nearly repeat and the automatic
+        # shuffle discards it; the shuffled pass returned is clean
+        res = (decompose if search else approximate)(self._stuck(), 2)
+        if not search:
+            assert res.diagnostics["auto_shuffled"]
+            assert not res.diagnostics["schur_repeated"]
+        else:
+            assert res.success
 
     def test_auto_shuffle_rescues_tiny_leading_entry(self):
         # leading entry ~1e-9 puts the normalized zero at ~1e9: unusable
@@ -450,6 +463,8 @@ class TestMatchDistance:
     def test_zero_on_equal(self):
         _, d = random_low_rank(3, 3, 2, seed=23)
         assert match_distance(d, d) == pytest.approx(0.0, abs=1e-12)
+        empty = Decomposition(3, np.zeros((0, 3)))
+        assert match_distance(empty, empty) == 0.0
 
     def test_permutation_and_phase_invariance(self):
         _, d = random_low_rank(3, 3, 2, seed=24)

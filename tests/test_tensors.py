@@ -297,6 +297,24 @@ def test_arithmetic():
     npt.assert_allclose((-F).values, -F.values)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: exponents(-1, 2), ValueError, "nonnegative"),
+    (lambda: multinomial((4,), 3), ValueError, "does not fit into degree 3"),
+    (lambda: SymTensor.zeros(2, 2) + 1, TypeError, "expected a SymTensor"),
+    (lambda: SymTensor.zeros(2, 2) + SymTensor.zeros(3, 2), ValueError,
+     "shape mismatch"),
+    (lambda: Decomposition(3, np.ones(3)), ValueError, "2-d array"),
+    (lambda: Decomposition(3, [[np.nan, 1.0]]), ValueError, "finite"),
+    (lambda: compact_from_full(np.zeros((2, 3))), ValueError, "cube"),
+    (lambda: transform(SymTensor.zeros(2, 2), np.eye(3)), ValueError,
+     "matrix must be 2 x 2"),
+], ids=["exponents", "multinomial", "add-scalar", "add-shape", "vectors-1d",
+        "vectors-nan", "full-not-cube", "transform-shape"])
+def test_invalid_arguments_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_rank_one_against_outer_power():
     u = np.array([1.0 + 2.0j, -0.5, 3.0j])
     m = 3
