@@ -8,7 +8,9 @@ JSON output is byte-identical for identical flags and seed; wall-clock
 timings are therefore omitted unless --timing is passed, which for the
 bench commands also adds the environment of the run (BLAS thread counts
 inside symlra calls, usable cores, numpy and scipy versions).  Library
-warnings go to stderr as `warning: <message>` lines.
+warnings (`pipeline.ResultWarning`) go to stderr as `warning: <message>`
+lines; other warnings, numpy's floating-point ones among them, are not
+printed, whether or not the run succeeds.
 """
 
 import functools
@@ -23,7 +25,7 @@ from .catalecticant import catalecticant_spectrum, estimate_rank
 from .families import FAMILIES, make_family
 from .jsonio import decomposition_to_dict, dumps, read_tensor, tensor_to_dict
 from .numerics import LMConfig
-from .pipeline import approximate, decompose as decompose_fn
+from .pipeline import ResultWarning, approximate, decompose as decompose_fn
 from .tensors import perturb
 
 
@@ -43,8 +45,9 @@ def _jsonable(obj):
 
 
 def _guarded(fn):
-    # library warnings are recorded under the active filters and printed
-    # to stderr as the CLI's own messages, on every exit path
+    # warnings are recorded under the active filters; the library's go to
+    # stderr as the CLI's own messages on every exit path, and others, such
+    # as numpy's overflow RuntimeWarnings, are dropped
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         with warnings.catch_warnings(record=True) as caught:
@@ -58,7 +61,8 @@ def _guarded(fn):
                 sys.exit(2)
             finally:
                 for w in caught:
-                    click.echo(f"warning: {w.message}", err=True)
+                    if issubclass(w.category, ResultWarning):
+                        click.echo(f"warning: {w.message}", err=True)
     return wrapper
 
 

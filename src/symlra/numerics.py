@@ -1,8 +1,10 @@
-"""Shared numerical kernels: rank-revealing least squares, a damped
-least-squares (Levenberg-Marquardt) minimizer over real or complex
-unknowns that takes its Gauss-Newton normal system (J^H J, J^H f) from
-the caller, so a structured problem can build it without forming J, seed
-keys for random draws and the BLAS thread policy of every public call."""
+"""Shared numerical kernels: rank-revealing least squares (a large tall
+system is reduced by Householder QR first, so the SVD is of its square
+triangle), a damped least-squares (Levenberg-Marquardt) minimizer over
+real or complex unknowns that takes its Gauss-Newton normal system
+(J^H J, J^H f) from the caller, so a structured problem can build it
+without forming J, seed keys for random draws and the BLAS thread policy
+of every public call."""
 
 import contextlib
 import ctypes
@@ -19,6 +21,8 @@ EPS = np.finfo(float).eps
 # the LM's bound on max(|Re|, |Im|) of J^H f and its starting damping
 GRADIENT_TOLERANCE = 1e-10
 INITIAL_DAMPING = 1e-3
+# Householder QR and the product with its Q, for minnorm_lstsq's tall systems
+_GEQRF, _UNMQR = scipy.linalg.get_lapack_funcs(("geqrf", "unmqr"), dtype=complex)
 
 # (setter, getter) symbols of the OpenBLAS builds numpy (64-bit integers)
 # and scipy ship in their wheels
@@ -117,7 +121,12 @@ def minnorm_lstsq(A, b):
 
     b is (p,) or (p, k), k right-hand sides, and x (q,) or (q, k).
     Singular values at most max(p, q) * machine epsilon * sigma_max
-    count as zero.
+    count as zero.  A tall A (p >= 3q and pq >= 1024 entries) is first
+    factored A = QR by LAPACK geqrf and Q^H applied to b by unmqr,
+    without forming Q; the SVD then runs on the q x q triangle R with the
+    first q rows of Q^H b, which have the same minimizers and null space
+    (Chan's R-SVD), and the threshold keeps the original p.  Below that
+    size the two extra LAPACK calls cost more than the smaller SVD saves.
 
     Returns (x, null, rank): x is the minimum-norm minimizer, null an
     orthonormal basis of the numerical null space (q x (q - rank)).
@@ -125,6 +134,12 @@ def minnorm_lstsq(A, b):
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
     p, q = A.shape
+    if p >= 3 * q and p * q >= 1024:
+        # A = QR: R and the first q rows of Q^H b pose the same problem
+        qr, tau, _, _ = _GEQRF(A)
+        c = b[:, None] if b.ndim == 1 else b
+        c, _, _ = _UNMQR("L", "C", qr, tau, c, max(1, c.shape[1]))
+        A, b = np.triu(qr[:q]), c[:q, 0] if b.ndim == 1 else c[:q]
     # the full V spans the null space; U is square only when p < q
     U, s, Vh = np.linalg.svd(A, full_matrices=p < q)
     if s.size == 0 or s[0] == 0.0:

@@ -26,7 +26,8 @@ on the start, so a search passes one dict for all its starts: it fits
 once per frame and reruns only the commutator minimization and the
 stages after it.  `approximate`, `decompose` and `refine` run BLAS on
 one thread and restore the caller's thread counts (`one_blas_thread`).
-The stages only flag trouble in the diagnostics; `_warn_results` warns.
+The stages only flag trouble in the diagnostics; `_warn_results` warns
+(`ResultWarning`).
 """
 
 import time
@@ -108,12 +109,12 @@ def _refine_closures(F, r):
     over the degree-(m-1) exponents beta (the first compact_size(n, m-1)
     rows of `alpha_mat`), w'_beta = (m-1)!/beta! and beta + e_j is
     gathered through `ExponentTable.sum_slots`, e_0 .. e_{n-1} being the
-    table's first n exponents.  The residual's u_i^alpha and V
-    are one kernel, `ExponentTable.monomials` at degrees m and m-1: the
-    residual passes through V on its way to degree m and keeps it, and
+    table's first n exponents.  The residual sums the terms' u_i^alpha
+    from V in blocks (`ExponentTable.power_sums`) and keeps V, and
     `normal` reuses it when handed the very array the residual last saw,
-    as `levenberg_marquardt` does with the point it accepts.  Neither forms
-    the N x rn Jacobian; zero entries need no special case."""
+    as `levenberg_marquardt` does with the point it accepts.  Neither
+    forms the N x rn Jacobian nor an (r, N) array of the terms'
+    monomials; zero entries need no special case."""
     n, m = F.n, F.m
     tab = F.table
     sw = tab.sqrt_weights
@@ -130,7 +131,7 @@ def _refine_closures(F, r):
         U = u.reshape(r, n)
         V = tab.monomials(U, m - 1)
         last[:] = u, V
-        return sw * tab.monomials(U, m, below=V).sum(axis=0) - target
+        return sw * tab.power_sums(U, V) - target
 
     def normal(u, f):
         U = u.reshape(r, n)
@@ -256,6 +257,10 @@ def _explains_nothing(norm, r, err_opt):
     return r > 0 and norm > 0 and err_opt >= (1 - 1e-6) * norm
 
 
+class ResultWarning(UserWarning):
+    """The library's warnings about a returned result (`_warn_results`)."""
+
+
 def _warn_results(F, returned, best):
     """Every library warning, from the diagnostics of the returned runs and
     the best run only.  The callers, `approximate` and `decompose`, are
@@ -263,14 +268,15 @@ def _warn_results(F, returned, best):
     the decorator's `inner` (5 through a helper) to reach their caller."""
     if any(run.diagnostics["schur_repeated"] for run in [*returned, best]):
         warnings.warn("nearly repeated Schur values: extracted zeros may coincide "
-                      "and the coefficient fit may be ill-conditioned", stacklevel=4)
+                      "and the coefficient fit may be ill-conditioned",
+                      ResultWarning, stacklevel=4)
     if any(run.diagnostics["nonreal_output"] for run in returned):
         warnings.warn("input tensor is real but the decomposition found is "
-                      "genuinely complex", stacklevel=4)
+                      "genuinely complex", ResultWarning, stacklevel=4)
     r = best.diagnostics["rank"]
     if _explains_nothing(F.norm(), r, best.err_opt):
         warnings.warn(f"the rank-{r} approximation explains none of the tensor "
-                      "(err_opt = ||F||)", stacklevel=4)
+                      "(err_opt = ||F||)", ResultWarning, stacklevel=4)
 
 
 @one_blas_thread

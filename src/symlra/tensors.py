@@ -88,7 +88,8 @@ class ExponentTable:
     the first coordinate of beta with a positive power (j = 0 below degree
     d, the parent then in the same slot).  `_steps` holds each level's
     parent slots and j, found once per table through `slots`; `transform`
-    walks the same levels, one mode of the tensor per level.
+    walks the same levels, one mode of the tensor per level, and
+    `power_sums` reads the last one.
     """
 
     __slots__ = ("n", "m", "alphas", "index", "alpha_mat", "weights",
@@ -153,24 +154,37 @@ class ExponentTable:
             raise ValueError(f"summed exponents exceed degree {self.m}")
         return self._rank((p, q), (s[:, None] + t for s, t in zip(a[::-1], b[::-1])))
 
-    def monomials(self, U, degree=None, below=None):
+    def monomials(self, U, degree=None):
         """(r, compact_size(n, degree)) values of the rows of U (shape
         (r, n)) at the homogeneous exponents (degree - |alpha|, alpha) of
         the first rows of `alpha_mat`; degree defaults to m.  One gather and
-        one multiply per degree (class docstring), no (r, N, n) array.
-        `below`, this method's result for U at degree - 1, skips the levels
-        up to it: the result is the same to the bit."""
+        one multiply per degree (class docstring), no (r, N, n) array."""
         degree = self.m if degree is None else degree
         if not 0 <= degree <= self.m:
             raise ValueError(f"degree must be in 0..{self.m}, got {degree}")
         UT = np.array(U, dtype=complex).T   # a copy: level 1 is U itself
-        if below is not None:
-            parent, first = self._steps[degree - 1]
-            return (below.T[parent] * UT[first]).T
         P = UT if degree else np.ones((1, UT.shape[1]), dtype=complex)
         for parent, first in self._steps[1:degree]:
             P = P[parent] * UT[first]
         return P.T
+
+    def power_sums(self, U, below=None):
+        """sum_i u_i^alpha over the rows u_i of U (shape (r, n)) at the
+        homogeneous degree-m exponents, from V = `monomials(U, m - 1)`
+        (`below`, when the caller has it); for m >= 2 the same bits as
+        `monomials(U).sum(axis=0)`.  The last level runs in blocks of
+        4096 // r exponents, whose temporaries of at most 64 KiB the
+        allocator reuses; an (r, N) temporary, 1.6 MB at (10,6,20), is
+        mapped and faulted in afresh on every call."""
+        UT = np.array(U, dtype=complex).T
+        VT = (self.monomials(U, self.m - 1) if below is None else below).T
+        parent, first = self._steps[self.m - 1]
+        out = np.empty(len(parent), dtype=complex)
+        step = max(1, 4096 // max(UT.shape[1], 1))
+        for s in range(0, len(parent), step):
+            block = slice(s, s + step)
+            out[block] = (VT[parent[block]] * UT[first[block]]).sum(axis=1)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -287,8 +301,7 @@ class Decomposition:
     def tensor(self):
         """The represented tensor sum_i u_i^{(m)} in compact coordinates."""
         # compact entries of each u_i^{(m)} are its degree-m monomials
-        P = table(self.n, self.m).monomials(self.vectors)
-        return SymTensor(self.n, self.m, P.sum(axis=0))
+        return SymTensor(self.n, self.m, table(self.n, self.m).power_sums(self.vectors))
 
     def __repr__(self):
         return f"Decomposition(n={self.n}, m={self.m}, rank={self.rank})"

@@ -11,9 +11,11 @@ Gram matrix with every commutator formed in a double loop, the Schur
 zeros read one variable at a time (`reference_zeros`), the
 commutator Jacobian scattered through one flat position per entry
 (`flat_commutator_jacobian`), the symmetric power u^{(m)} of one
-vector (`rank_one`), and the dense form of `transform` (`dense_transform`:
+vector (`rank_one`), the dense form of `transform` (`dense_transform`:
 expand to the (n,)*m array, contract A into each mode, compress), which
-the compact recursion must match to round-off."""
+the compact recursion must match to round-off, and the minimum-norm least
+squares by one SVD of the whole p x q system (`reference_minnorm_lstsq`),
+which the QR reduction of large tall systems must match to round-off."""
 
 from types import SimpleNamespace
 
@@ -24,6 +26,21 @@ from symlra.genfit import _pairs, generating_system
 from symlra.numerics import minnorm_lstsq
 from symlra.tensors import (Decomposition, SymTensor, _position_map,
                             compact_size, full_from_compact, table)
+
+
+def reference_minnorm_lstsq(A, b):
+    """`minnorm_lstsq` without the QR reduction of large tall systems: the
+    SVD of A itself, with the same rank threshold max(p, q) * eps * sigma_max."""
+    A = np.asarray(A, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    p, q = A.shape
+    U, s, Vh = np.linalg.svd(A, full_matrices=p < q)
+    if s.size == 0 or s[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(s > max(p, q) * np.finfo(float).eps * s[0]))
+    x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ b).T / s[:rank]).T
+    return x, Vh[rank:].conj().T, rank
 
 
 def finite_difference_jacobian(residual, x, step=1e-6):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 from symlra.families import ternary_tensor
 from symlra.genfit import (_commutator_jacobian, commutator_residuals,
@@ -14,7 +15,8 @@ from symlra.numerics import (
 from symlra.pipeline import _refine_closures
 from symlra.tensors import perturb, random_low_rank
 
-from helpers import finite_difference_jacobian, normal_equations
+from helpers import (finite_difference_jacobian, normal_equations,
+                     reference_minnorm_lstsq)
 from test_pipeline import reference_refine_jacobian
 
 
@@ -66,6 +68,56 @@ class TestMinNormLstsq:
         x, null, rank = minnorm_lstsq(A, A @ x0)
         assert rank == 4 and null.shape == (4, 0)
         npt.assert_allclose(x, x0, rtol=1e-10)
+
+    def test_tall_threshold_counts_rows(self):
+        # a singular value of 50 eps sigma_max lies below the cutoff
+        # 400 eps sigma_max of a 400 x 6 system, though above the 6 eps
+        # sigma_max of its 6 x 6 triangle
+        rng = np.random.default_rng(3)
+        U, _ = np.linalg.qr(rng.standard_normal((400, 6))
+                            + 1j * rng.standard_normal((400, 6)))
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        s = np.array([1.0, 0.5, 0.2, 0.1, 0.05, 50 * np.finfo(float).eps])
+        x, null, rank = minnorm_lstsq((U * s) @ V.conj().T, U[:, 0])
+        assert rank == 5 and null.shape == (6, 1)
+        npt.assert_allclose(np.abs(null.conj().T @ V[:, 5]), 1.0, rtol=1e-12)
+
+
+@st.composite
+def lstsq_problems(draw):
+    """(p, q, rank, k, seed): a p x q system of the given rank and a 1-D b
+    (k None) or a (p, k) b, drawn from `seed`.  p of 86 or more makes
+    most systems tall enough for the QR reduction."""
+    p = draw(st.integers(0, 12) | st.integers(86, 400))
+    q = draw(st.integers(0, 12))
+    rank = draw(st.integers(0, min(p, q)))
+    k = draw(st.none() | st.integers(0, 3))
+    return p, q, rank, k, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lstsq_problems())
+@example((400, 6, 4, 2, 7))
+@example((400, 6, 6, None, 8))
+def test_minnorm_lstsq_matches_svd_of_whole_system(problem):
+    # large tall systems go through A = QR; the rank, the minimum-norm
+    # solution and the null space must be those of the SVD of A itself
+    p, q, rank, k, seed = problem
+    rng = np.random.default_rng(seed)
+
+    def cx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = cx(p, rank) @ cx(rank, q)       # all zeros at rank 0
+    b = cx(p) if k is None else cx(p, k)
+    x, null, got = minnorm_lstsq(A, b)
+    x_ref, null_ref, want = reference_minnorm_lstsq(A, b)
+    assert got == want == rank
+    assert x.shape == x_ref.shape == ((q,) if k is None else (q, k))
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert null.shape == null_ref.shape == (q, q - rank)
+    npt.assert_allclose(null @ null.conj().T, null_ref @ null_ref.conj().T,
+                        atol=1e-10)
 
 
 class TestLevenbergMarquardt:

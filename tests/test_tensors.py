@@ -220,6 +220,13 @@ def test_monomials_match_power_form(n, m, kinds, seed):
         npt.assert_allclose(got, reference_monomials(U, homogeneous_exponents(tab, d)),
                             rtol=1e-13, atol=0)
     npt.assert_array_equal(tab.monomials(U), tab.monomials(U, m))
+    # the terms' degree-m sums, from U alone and from the degree m - 1 values
+    P = reference_monomials(U, homogeneous_exponents(tab, m))
+    bound = 1e-13 * np.abs(P).sum(axis=0).max()
+    for got in (tab.power_sums(U), tab.power_sums(U, tab.monomials(U, m - 1))):
+        assert np.abs(got - P.sum(axis=0)).max() <= bound
+        if m >= 2:      # the blocks add each sum as the whole array would
+            assert got.tobytes() == tab.monomials(U).sum(axis=0).tobytes()
 
 
 def test_monomials_reject_degree_beyond_table():
