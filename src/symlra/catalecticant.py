@@ -39,8 +39,7 @@ def estimate_rank(sv, rel_tol=1e-6):
         raise ValueError(f"rank tolerance must be nonnegative, got {rel_tol}")
     sv = np.asarray(sv, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(sv[1:] > 0, sv[:-1] / np.maximum(sv[1:], 0), np.inf) \
-            if sv.size > 1 else np.zeros(0)
+        ratios = np.where(sv[1:] > 0, sv[:-1] / np.maximum(sv[1:], 0), np.inf)
     if sv.size == 0 or sv[0] <= 0.0:
         return RankEstimate(0, ratios)
     rank = int(np.argmax(np.append(sv[1:], 0.0) <= rel_tol * sv[0])) + 1

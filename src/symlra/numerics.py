@@ -218,8 +218,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
             break
         iterations += 1
         d = np.diag(JhJ).real
-        dmax = d.max() if d.size else 0.0
-        scale = np.maximum(d, 1e-14 * max(dmax, 1.0))
+        scale = np.maximum(d, 1e-14 * max(d.max(), 1.0))
 
         while True:
             A = JhJ + np.diag(lam * scale)

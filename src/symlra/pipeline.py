@@ -15,21 +15,18 @@ when not supplied):
    Hilbert-Schmidt error: this is the optimized approximation, never
    worse than the algebraic one.
 
-`approximate` and `decompose` run the stages once per commutator start,
-and only they choose among starts: `approximate` keeps the smallest
+`_run` runs the stages for one commutator start and fills its
+diagnostics.  `_search` is the one start loop: it settles the rank and
+calls `_run` once per start.  `approximate` and `decompose` differ only
+in how they pick among its runs: `approximate` keeps the smallest
 err_opt, `decompose` accepts runs whose relative residual clears a
 tolerance, optionally collecting all distinct decompositions found.
-Both go through `_run`, which runs one start's stages, fills its
-diagnostics and keeps each coordinate frame (F in it, the unitary and
-the generating fit) in a dict the caller owns.  The fit does not depend
-on the start, so a search passes one dict for all its starts: it fits
-once per frame and reruns only the commutator minimization and the
-stages after it.  `approximate`, `decompose` and `refine` run BLAS on
-one thread and restore the caller's thread counts (`one_blas_thread`).
-The stages only flag trouble in the diagnostics; `_warn_results` warns
-(`ResultWarning`).
+`approximate`, `decompose` and `refine` run BLAS on one thread and
+restore the caller's thread counts (`one_blas_thread`).  The stages only
+flag trouble in the diagnostics; `_warn_results` warns (`ResultWarning`).
 """
 
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -257,6 +254,48 @@ def _explains_nothing(norm, r, err_opt):
     return r > 0 and norm > 0 and err_opt >= (1 - 1e-6) * norm
 
 
+def _integer(value, requirement):
+    # operator.index accepts Python and numpy integers, and nothing else
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{requirement}, got {value!r}") from None
+
+
+def _search(F, rank, rank_tol, restarts, done, **run):
+    """The start loop of `approximate` and `decompose`.
+
+    rank=None estimates the rank from the flattening spectrum with
+    relative tolerance `rank_tol`.  Then `_run` (given the keyword
+    arguments `run`) runs commutator start 0 (the zero parameter vector),
+    1, .., `restarts` (seeded Gaussian starts) in order, and the loop stops
+    early after the first run for which `done(run)` holds, or after a fit
+    with no free parameters, which every further start would repeat.  No
+    start depends on the ones before it, so fewer restarts repeat the
+    first starts of more.  The starts share one dict of coordinate frames
+    (`_run`): the basis and generating fit are built once per frame, at
+    most twice per search.  Returns the spectrum (None when `rank` was
+    given) and the runs in start order.  Raises TypeError unless `rank`
+    is an integer or None and `restarts` an integer, and ValueError unless
+    restarts >= 0 and rank_tol >= 0, also when `rank` is given."""
+    rank = None if rank is None else _integer(rank, "rank must be an integer or None")
+    restarts = _integer(restarts, "restarts must be an integer")
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    if not rank_tol >= 0:
+        raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
+    spectrum = None
+    if rank is None:
+        spectrum = catalecticant_spectrum(F)
+        rank = estimate_rank(spectrum, rank_tol).rank
+    frames, runs = {}, []
+    for start in range(restarts + 1):
+        runs.append(_run(F, rank, start, frames, **run))
+        if done(runs[-1]) or runs[-1].diagnostics["n_free_params"] == 0:
+            break
+    return spectrum, runs
+
+
 class ResultWarning(UserWarning):
     """The library's warnings about a returned result (`_warn_results`)."""
 
@@ -284,44 +323,30 @@ def approximate(F, rank=None, *, rank_tol=1e-6, seed=0, restarts=0,
                 lm_config=None, skip_refine=False, coordinate_shuffle=None):
     """Rank-r approximation of F.
 
-    rank=None estimates the rank from the flattening spectrum with
-    relative tolerance `rank_tol`.  `restarts` adds seeded random starts
-    to the commutator minimization (start 0 is always the zero
-    parameter vector); each is a whole run, as in `decompose`, and the
-    smallest err_opt wins (the first on ties).  Diagnostics
-    `omega_start_objectives` and `omega_start_index` give each start's
-    commutator objective and the winner; `wall_time` spans the call.
-    With no free parameters only start 0 runs.  Raises ValueError unless
-    rank_tol >= 0, also when `rank` is given.  `coordinate_shuffle`
-    applies a seeded random unitary change of coordinates and undoes it
-    afterwards; the default None auto-enables it when the extracted zeros
-    have coordinates beyond 1e6 (a symptom of a leading vector entry near
-    zero, which the compact parameterization cannot represent) or when a
-    rank >= 1 result explains none of a nonzero F (err_opt = ||F||, which
-    some rank-one term always beats; every u_1 = 0 gives it).  A returned
-    result that still explains nothing, is genuinely complex for a real F
-    or has nearly repeated Schur values comes with a warning (a discarded
-    pass warns nothing).  `skip_refine` stops after the algebraic stage.
+    `rank` (None estimates it with relative tolerance `rank_tol`) and
+    `restarts` (extra commutator starts) set up the search of `_search`;
+    each start is a whole run and the smallest err_opt wins (the first on
+    ties).  Diagnostics `omega_start_objectives` and `omega_start_index`
+    give each start's commutator objective and the winner; `wall_time`
+    spans the call.  `coordinate_shuffle` applies a seeded random unitary
+    change of coordinates and undoes it afterwards; the default None
+    auto-enables it when the extracted zeros have coordinates beyond 1e6
+    (a symptom of a leading vector entry near zero, which the compact
+    parameterization cannot represent) or when a rank >= 1 result
+    explains none of a nonzero F (err_opt = ||F||, which some rank-one
+    term always beats; every u_1 = 0 gives it).  A returned result that
+    still explains nothing, is genuinely complex for a real F or has
+    nearly repeated Schur values comes with a warning (a discarded pass
+    warns nothing).  `skip_refine` stops after the algebraic stage.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {restarts}")
-    if not rank_tol >= 0:
-        raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
     t0 = time.perf_counter()
-    spectrum = None
-    if rank is None:
-        spectrum = catalecticant_spectrum(F)
-        rank = estimate_rank(spectrum, rank_tol).rank
-    frames, runs = {}, []   # one fit per coordinate frame for all starts
-    for s in range(restarts + 1):
-        runs.append(_run(F, rank, s, frames, seed=seed, lm_config=lm_config,
-                         skip_refine=skip_refine, coordinate_shuffle=coordinate_shuffle))
-        if runs[-1].diagnostics["n_free_params"] == 0:
-            break
+    spectrum, runs = _search(F, rank, rank_tol, restarts, lambda run: False,
+                             seed=seed, lm_config=lm_config, skip_refine=skip_refine,
+                             coordinate_shuffle=coordinate_shuffle)
     res = min(runs, key=lambda run: run.err_opt)
     diag = res.diagnostics
     _warn_results(F, [res], res)
-    if rank > 0:    # rank 0 runs no commutator stage
+    if diag["rank"] > 0:    # rank 0 runs no commutator stage
         diag["omega_start_objectives"] = [
             float(run.diagnostics["commutator_objective"]) for run in runs]
         diag["omega_start_index"] = runs.index(res)
@@ -403,54 +428,38 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
               distinct=False, lm_config=None, rank_tol=1e-6):
     """Exact-rank decomposition search.
 
-    Runs the pipeline once per starting point of the commutator
-    minimization (start 0: zero parameters; start k: seeded Gaussian) and
-    accepts a run when err_opt <= residual_tol * (1 + ||F||).  Stops at
-    the first success, or with `distinct` runs every start and keeps each
-    success that no pairing matches to a kept one within 0.1 * (largest
-    vector norm), i.e. whose `match_distance` to every kept one exceeds
-    that (one perfect-matching test per kept one, at that tolerance); a fit
-    with no free parameters runs start 0 only, which every other start
-    would repeat.  The starts share their coordinate frames (`_run`): the
-    basis and generating fit are built once per frame, at most twice per
-    search.  No start depends on the ones before it: `approximate` with k
-    restarts returns the best of the first k+1, and fewer restarts repeat
-    the first starts of more.  The diagnostics include the search's
-    `wall_time` in seconds.  Raises ValueError unless both tolerances are
-    >= 0, rank_tol also when `rank` is given.  Warns, as `approximate`
-    does, about the decompositions it returns and about its best run.
+    Runs the starts of `_search` (`rank`, `rank_tol` and `restarts` as in
+    `approximate`) and accepts a run when err_opt <= residual_tol *
+    (1 + ||F||).  Stops at the first success, or with `distinct` runs
+    every start and keeps each success that no pairing matches to a kept
+    one within 0.1 * (largest vector norm), i.e. whose `match_distance` to
+    every kept one exceeds that (one perfect-matching test per kept one,
+    at that tolerance).  `approximate` with k restarts returns the best of
+    the first k+1 starts.  The diagnostics include the search's
+    `wall_time` in seconds.  Raises ValueError unless residual_tol >= 0.
+    Warns, as `approximate` does, about the decompositions it returns and
+    about its best run.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if not residual_tol >= 0:
         raise ValueError(f"residual_tol must be nonnegative, got {residual_tol}")
-    if not rank_tol >= 0:
-        raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
     t0 = time.perf_counter()
-    if rank is None:
-        rank = estimate_rank(catalecticant_spectrum(F), rank_tol).rank
     scale = 1.0 + F.norm()
-    best, kept, per_start = None, [], []
-    frames = {}   # one fit per coordinate frame for all starts
-    for s in range(restarts + 1):
-        res = _run(F, rank, s, frames, seed=seed, lm_config=lm_config,
-                   skip_refine=False, coordinate_shuffle=None)
-        rel = res.err_opt / scale
-        ok = rel <= residual_tol
-        per_start.append({"start": s, "relative_residual": rel, "success": ok,
-                          "commutator_objective": res.diagnostics["commutator_objective"]})
-        if best is None or rel < best[0]:
-            best = (rel, res)
-        if ok and distinct and not any(
-                _has_matching(_match_costs(res.refined, d.refined) <=
-                              0.1 * max(np.abs(res.refined.vectors).max(initial=0.0),
+    _, runs = _search(F, rank, rank_tol, restarts,
+                      lambda run: not distinct and run.err_opt / scale <= residual_tol,
+                      seed=seed, lm_config=lm_config, skip_refine=False, coordinate_shuffle=None)
+    rels = [run.err_opt / scale for run in runs]
+    per_start = [{"start": s, "relative_residual": rel, "success": rel <= residual_tol,
+                  "commutator_objective": run.diagnostics["commutator_objective"]}
+                 for s, (run, rel) in enumerate(zip(runs, rels))]
+    kept = []   # out of distinct mode, only the last run can succeed
+    for run, rec in zip(runs, per_start):
+        if rec["success"] and not any(
+                _has_matching(_match_costs(run.refined, d.refined) <=
+                              0.1 * max(np.abs(run.refined.vectors).max(initial=0.0),
                                         np.abs(d.refined.vectors).max(initial=0.0)))
                 for d in kept):
-            kept.append(res)
-        # stop at a success, or when no free parameters make all starts equal
-        if (ok and not distinct) or res.diagnostics["n_free_params"] == 0:
-            break
-    rel, res = best
+            kept.append(run)
+    rel, res = min(zip(rels, runs), key=lambda pair: pair[0])
     success = rel <= residual_tol
     returned = kept if distinct else ([res] if success else [])
     _warn_results(F, returned, res)
@@ -459,6 +468,6 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
         decomposition=res.refined if success else None,
         relative_residual=rel,
         decompositions=[run.refined for run in returned],
-        attempts=len(per_start),
-        diagnostics={"rank": rank, "starts": per_start, "norm_scale": scale,
-                     "wall_time": time.perf_counter() - t0})
+        attempts=len(runs),
+        diagnostics={"rank": res.diagnostics["rank"], "starts": per_start,
+                     "norm_scale": scale, "wall_time": time.perf_counter() - t0})

@@ -76,9 +76,8 @@ def extract_zeros(M, xi):
     """Candidate common zeros of the multiplication family M, one (r, r)
     matrix per variable, mixed by xi: a ZeroExtraction, which flags nearly
     repeated Schur values and warns nothing (`pipeline` decides that)."""
-    nbar, r, _ = M.shape
-    L = np.tensordot(np.asarray(xi, dtype=complex), M, axes=(0, 0)) \
-        if nbar else np.zeros((r, r), dtype=complex)
+    r = M.shape[1]
+    L = np.tensordot(np.asarray(xi, dtype=complex), M, axes=(0, 0))
     T, Q = scipy.linalg.schur(L, output="complex")
     # a C-ordered copy, so the terms built from the zeros are C-ordered too
     zeros = np.diagonal(Q.conj().T @ M @ Q, axis1=1, axis2=2).T.copy()

@@ -146,3 +146,10 @@ def test_rank_bound_on_random_instances(m, r):
         sv = catalecticant_spectrum(F)
         assert sv[r] <= 1e-10 * sv[0]
         assert estimate_rank(sv).rank == r
+
+
+def test_single_value_spectrum():
+    # n = 1: the flattening is 1 x 1, and one value leaves no gap to rate
+    est = estimate_rank(np.array([2.0]))
+    assert est.rank == 1
+    assert est.gap_ratios.shape == (0,) and est.gap_ratios.dtype == float

@@ -679,3 +679,66 @@ def test_seed_key():
     a = np.random.default_rng(seed_key(0, 1)).standard_normal(3)
     b = np.random.default_rng(seed_key(0, 2)).standard_normal(3)
     assert not np.array_equal(a, b)
+
+
+class TestSearch:
+    """The start loop that `approximate` and `decompose` share."""
+
+    @pytest.mark.filterwarnings("ignore:input tensor is real")
+    def test_approximate_without_free_parameters_runs_once(self, monkeypatch):
+        # every start would fit and minimize the same G: start 0 is the search
+        calls = {"fit_generating": 0, "optimize_generating": 0}
+        for name in calls:
+            stage = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _stage=stage, **kwargs):
+                calls[_name] += 1
+                return _stage(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        res = approximate(sin_tensor(), 2, restarts=3)
+        assert res.diagnostics["n_free_params"] == 0
+        assert len(res.diagnostics["omega_start_objectives"]) == 1
+        assert res.diagnostics["omega_start_index"] == 0
+        assert calls == {"fit_generating": 1, "optimize_generating": 1}
+
+    @pytest.mark.parametrize("fn", [approximate, decompose])
+    def test_non_integer_rank_rejected(self, fn):
+        with pytest.raises(TypeError, match=r"^rank must be an integer or None, got 2\.0$"):
+            fn(sin_tensor(), 2.0)
+
+    @pytest.mark.parametrize("fn", [approximate, decompose])
+    def test_non_integer_restarts_rejected(self, fn):
+        with pytest.raises(TypeError, match=r"^restarts must be an integer, got 1\.5$"):
+            fn(sin_tensor(), 2, restarts=1.5)
+
+    @pytest.mark.filterwarnings("ignore:input tensor is real")
+    def test_numpy_integers_accepted(self):
+        F = ternary_tensor()
+        a = approximate(F, np.int64(4), restarts=np.int32(2), seed=1)
+        b = approximate(F, 4, restarts=2, seed=1)
+        assert a.refined.vectors.tobytes() == b.refined.vectors.tobytes()
+        assert a.diagnostics["omega_start_objectives"] == b.diagnostics["omega_start_objectives"]
+        c = decompose(F, np.int64(4), restarts=np.int64(2), seed=1)
+        assert c.success and type(c.diagnostics["rank"]) is int
+
+
+class TestOneVariable:
+    """n = 1: a tensor is one number, the border is empty and so is every
+    zero; the fit has no free parameters and nothing to mix."""
+
+    def test_approximate(self):
+        res = approximate(SymTensor(1, 3, [8.0]), 1)
+        npt.assert_array_equal(res.refined.vectors, [[2.0]])
+        assert res.err_opt == 0.0 and res.err_gp == 0.0
+        assert res.diagnostics["poly_residual"] == 0.0
+        assert res.diagnostics["generating_residual"] == 0.0
+
+    def test_estimated_rank(self):
+        res = approximate(SymTensor(1, 3, [8.0]))
+        assert res.diagnostics["rank"] == 1 and res.diagnostics["rank_estimated"]
+        npt.assert_array_equal(res.refined.vectors, [[2.0]])
+
+    def test_decompose(self):
+        out = decompose(SymTensor(1, 3, [8.0]), 1, restarts=2)
+        assert out.success and out.attempts == 1
+        npt.assert_array_equal(out.decomposition.vectors, [[2.0]])
