@@ -22,15 +22,16 @@ tuned so the multiplication matrices commute (they do exactly when F
 has rank r and the core is interpolating).
 
 G(omega) and the multiplication matrices M(omega) are affine in the free
-parameters omega.  Each fit keeps that map as arrays built once: the
-stacked null directions and a 0/1 placement of each parameter in its
-border column (G(omega) is one matmul), and the companion wiring of the
-basis as (variable, core slot, border column) index arrays (M(omega) is
-one fancy-index write of G's columns over the unit columns).  The
-commutator residual is one batched product over the pairs i < j, and its
-Jacobian one write per side of a pair: each entry's r x r block goes to
-J[pair, :, :, parameter], from (pair, core slot, parameter, other
-variable) index arrays built with the fit, with no loop over feeds.
+parameters omega: border column alpha moves by N omega_alpha, N the null
+basis of alpha's degree.  Each fit keeps that map as arrays built once:
+the degrees' null bases side by side (r x Q) and each parameter's slot
+in a Q x |border| grid (G(omega) is one grid write and one r x Q matmul),
+and the companion wiring as (variable, core slot, border column) index
+arrays (M(omega) is one fancy-index write of G's columns over the unit
+columns).  The commutator residual is one batched product over the pairs
+i < j, and its Jacobian one write per side of a pair: each entry's r x r
+block goes to J[pair, :, :, parameter], from (pair, core slot, parameter,
+direction, other variable) index arrays built with the fit.
 `optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
@@ -112,20 +113,20 @@ def generating_system(F, alpha, basis):
 class GeneratingFit:
     """Minimum-norm solutions plus null-space parameterization.
 
-    `matrix(omega)` assembles G = gls + (null-space directions) * omega,
-    where omega is the complex free-parameter vector (length n_params,
-    border column by border column).  G is affine in omega, and so are
-    the companion matrices; `directions`, `placement` and `sides` are that
-    affine map's parts, built once per fit: G(omega) is one matmul and the
-    commutator Jacobian one (pair, parameter) block write per side of a
-    variable pair."""
+    `matrix(omega)` assembles G = gls + null @ grid, where omega is the
+    complex free-parameter vector (length n_params, border column by
+    border column, a column's in its degree's direction order) and grid
+    is Q x n_border, omega at `slots` and zeros elsewhere.  G is affine
+    in omega, and so are the companion matrices; `null`, `slots` and
+    `sides` are that map's parts, built once per fit, so the commutator
+    Jacobian is one (pair, parameter) block write per side of a pair."""
     basis: MonomialBasis
     gls: np.ndarray                 # (rank, n_border) minimum-norm solutions
     residuals: np.ndarray           # ||A g - b|| per column at omega = 0
     n_params: int
-    directions: np.ndarray = field(repr=False)  # (rank, n_params): each column's null basis
-    placement: np.ndarray = field(repr=False)   # (n_params, n_border): 1 at each parameter's column
-    sides: tuple = field(repr=False)            # `_jacobian_sides`: (k, nu, p, y) per side
+    null: np.ndarray = field(repr=False)    # (rank, Q): the degrees' null bases side by side
+    slots: np.ndarray = field(repr=False)   # (n_params,): q * n_border + column per parameter
+    sides: tuple = field(repr=False)        # `_jacobian_sides`: (k, nu, p, q, y) per side
 
     def matrix(self, omega=None):
         if omega is None or not self.n_params:
@@ -134,24 +135,27 @@ class GeneratingFit:
         if omega.shape != (self.n_params,):
             raise ValueError(
                 f"expected {self.n_params} free parameters, got {omega.shape}")
-        return self.gls + (self.directions * omega) @ self.placement
+        grid = np.zeros((self.null.shape[1], self.gls.shape[1]), dtype=complex)
+        grid.flat[self.slots] = omega
+        return self.gls + self.null @ grid
 
 
-def _jacobian_sides(basis, param_col):
-    """Index arrays of `_commutator_jacobian`, one (k, nu, p, y) tuple per
-    side of a pair (a, b), a < b.  Entry l: parameter p moves column nu of
-    M_x (x = a on the first side, x = b on the second) and enters pair k,
-    whose other matrix is M_y.  Parameter p lies in border column
-    param_col[p] and moves every wire to it."""
+def _jacobian_sides(basis, slots):
+    """Index arrays of `_commutator_jacobian`, one (k, nu, p, q, y) tuple
+    per side of a pair (a, b), a < b.  Entry l: parameter p, direction q,
+    moves column nu of M_x (x = a on the first side, x = b on the second)
+    and enters pair k, whose other matrix is M_y.  Parameter p sits at
+    grid slot (q, col) and moves every wire to border column col."""
     nbar = basis.n - 1
+    q, col = np.divmod(slots, len(basis.border))
     wire_i, wire_nu, wire_col = basis.wires
-    w, p = np.nonzero(wire_col[:, None] == param_col)
+    w, p = np.nonzero(wire_col[:, None] == col)
     x = wire_i[w]
     e, y = np.nonzero(x[:, None] != np.arange(nbar))
-    x, nu, p = x[e], wire_nu[w][e], p[e]
+    x, nu, p, q = x[e], wire_nu[w][e], p[e], q[p[e]]
     a, b = np.minimum(x, y), np.maximum(x, y)
     k = a * (2 * nbar - a - 1) // 2 + b - a - 1     # rank of (a, b) in `_pairs`
-    return tuple((k[side], nu[side], p[side], y[side]) for side in (x < y, x > y))
+    return tuple((k[side], nu[side], p[side], q[side], y[side]) for side in (x < y, x > y))
 
 
 def fit_generating(F, basis):
@@ -161,26 +165,22 @@ def fit_generating(F, basis):
     degree = border.sum(axis=1)
     gls = np.empty((basis.rank, n_border), dtype=complex)
     residuals = np.empty(n_border)
-    n_free = np.zeros(n_border, dtype=np.intp)
-    nulls = {}
+    # an empty start, as a single variable's border is empty
+    nulls, slots = [np.zeros((basis.rank, 0), dtype=complex)], [np.zeros(0, dtype=np.intp)]
     for d in np.unique(degree):
-        cols = degree == d
+        cols = np.flatnonzero(degree == d)      # consecutive: the border is graded
         A, B = generating_system(F, border[cols], basis)
-        X, nulls[d], _ = minnorm_lstsq(A, B)
+        X, null, _ = minnorm_lstsq(A, B)
         gls[:, cols] = X
         residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
-        n_free[cols] = nulls[d].shape[1]
-    # parameters run column by column; a column's are its degree's null basis
-    param_col = np.repeat(np.arange(n_border), n_free)
-    directions = np.empty((basis.rank, param_col.size), dtype=complex)
-    for d, null in nulls.items():
-        directions[:, degree[param_col] == d] = np.tile(null, np.sum(degree == d))
-    placement = np.zeros((param_col.size, n_border), dtype=complex)
-    placement[np.arange(param_col.size), param_col] = 1.0
-    return GeneratingFit(basis=basis, gls=gls, residuals=residuals,
-                         n_params=param_col.size, directions=directions,
-                         placement=placement,
-                         sides=_jacobian_sides(basis, param_col))
+        # column c's parameters, in turn, are its degree's directions q: grid (q, c)
+        q = sum(N.shape[1] for N in nulls) + np.arange(null.shape[1])
+        slots.append((q * n_border + cols[:, None]).ravel())
+        nulls.append(null)
+    slots = np.concatenate(slots)
+    return GeneratingFit(basis=basis, gls=gls, residuals=residuals, n_params=slots.size,
+                         null=np.hstack(nulls), slots=slots,
+                         sides=_jacobian_sides(basis, slots))
 
 
 def companion_matrices(G, basis):
@@ -220,29 +220,29 @@ def _commutator_jacobian(fit, M):
     """Complex Jacobian of `commutator_residuals` in the free parameters, at
     the companion matrices M = M(omega).
 
-    Parameter p with direction w moves column nu of M_x by w, i.e.
+    Parameter p with direction w = N[:, q] moves column nu of M_x by w, i.e.
     dM_x = w e_nu^T.  On pair (a, b) that gives w M_b[nu, :] - (M_b w) e_nu^T
     when x = a and the negative of w M_a[nu, :] - (M_a w) e_nu^T when x = b:
-    per side, the outer products less the M_y W columns, written as r x r
+    per side, the outer products less the M_y N columns, written as r x r
     blocks J[k, :, :, p] of a (pairs, r, r, P) array through the fit's
     (pair, parameter) indices.  A border column feeds at most one nu per
     variable, so no side repeats a (k, p) pair; the two sides can share
     blocks, so the first is written and the second subtracted from it."""
-    r, P = fit.directions.shape
-    W = fit.directions
-    MW = M @ W
+    r, P = M.shape[1], fit.n_params
+    N = fit.null
+    MN = M @ N
 
-    def blocks(nu, p, y):
-        # w M_y[nu, :] - (M_y w) e_nu^T for each entry's direction w
-        D = W.T[p][:, :, None] * M[y, nu][:, None, :]
-        D[np.arange(p.size), :, nu] -= MW[y, :, p]
+    def blocks(nu, q, y):
+        # w M_y[nu, :] - (M_y w) e_nu^T for each entry's direction w = N[:, q]
+        D = N.T[q][:, :, None] * M[y, nu][:, None, :]
+        D[np.arange(q.size), :, nu] -= MN[y, :, q]
         return D
 
     npairs = M.shape[0] * (M.shape[0] - 1) // 2
     J = np.zeros((npairs, r, r, P), dtype=complex)
-    (k, nu, p, y), (k2, nu2, p2, y2) = fit.sides
-    J[k, :, :, p] = blocks(nu, p, y)
-    J[k2, :, :, p2] -= blocks(nu2, p2, y2)
+    (k, nu, p, q, y), (k2, nu2, p2, q2, y2) = fit.sides
+    J[k, :, :, p] = blocks(nu, q, y)
+    J[k2, :, :, p2] -= blocks(nu2, q2, y2)
     return J.reshape(npairs * r * r, P)
 
 
@@ -260,10 +260,10 @@ def optimize_generating(fit, config=None, seed=0, start=0):
 
     The residual at omega is `commutator_residuals` of the companion
     matrices of `fit.matrix(omega)`, and its Jacobian comes from the fit's
-    affine map (`_commutator_jacobian`), so an LM step does one matmul for
-    G, one index write for M and a few scatters for J, whatever the
-    number of border columns; the normal system reuses the M the residual
-    built at the point the LM accepted.
+    affine map (`_commutator_jacobian`), so an LM step does one grid write
+    and one matmul for G, one index write for M and a few scatters for J,
+    whatever the number of border columns; the normal system reuses the M
+    the residual built at the point the LM accepted.
 
     Start 0 is omega = 0; start k > 0 is a complex standard normal draw
     seeded by (seed, k).  The pipeline, not this function, chooses among

@@ -255,9 +255,9 @@ def _explains_nothing(norm, r, err_opt):
 
 
 def _integer(value, requirement):
-    # operator.index accepts Python and numpy integers, and nothing else
+    # operator.index takes Python and numpy integers; a bool goes in as None
     try:
-        return operator.index(value)
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise TypeError(f"{requirement}, got {value!r}") from None
 
@@ -432,13 +432,13 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     `approximate`) and accepts a run when err_opt <= residual_tol *
     (1 + ||F||).  Stops at the first success, or with `distinct` runs
     every start and keeps each success that no pairing matches to a kept
-    one within 0.1 * (largest vector norm), i.e. whose `match_distance` to
-    every kept one exceeds that (one perfect-matching test per kept one,
-    at that tolerance).  `approximate` with k restarts returns the best of
-    the first k+1 starts.  The diagnostics include the search's
-    `wall_time` in seconds.  Raises ValueError unless residual_tol >= 0.
-    Warns, as `approximate` does, about the decompositions it returns and
-    about its best run.
+    one within 0.1 * (largest entry modulus of the two decompositions'
+    vectors), i.e. whose `match_distance` to every kept one exceeds that
+    (one perfect-matching test per kept one, at that tolerance).  With k
+    restarts `approximate` returns the best of the first k+1 starts.  The
+    diagnostics include the search's `wall_time` in seconds.  Raises
+    ValueError unless residual_tol >= 0.  Warns, as `approximate` does,
+    about the decompositions it returns and about its best run.
     """
     if not residual_tol >= 0:
         raise ValueError(f"residual_tol must be nonnegative, got {residual_tol}")

@@ -294,14 +294,15 @@ def flat_commutator_jacobian(fit, M):
     blocks scattered into a flat array through one position per entry of J
     (`flat_jacobian_sides`); `_commutator_jacobian` writes the same blocks
     by (pair, parameter) and must match it byte for byte."""
-    r, P = fit.directions.shape
-    W = fit.directions
-    MW = M @ W
-    param_col = fit.placement.real.argmax(axis=1)
+    r, P = M.shape[1], fit.n_params
+    N = fit.null
+    MN = M @ N
+    direction, param_col = np.divmod(fit.slots, len(fit.basis.border))
 
     def blocks(nu, p, y):
-        D = W.T[p][:, :, None] * M[y, nu][:, None, :]
-        D[np.arange(p.size), :, nu] -= MW[y, :, p]
+        q = direction[p]
+        D = N.T[q][:, :, None] * M[y, nu][:, None, :]
+        D[np.arange(p.size), :, nu] -= MN[y, :, q]
         return D.ravel()
 
     npairs = M.shape[0] * (M.shape[0] - 1) // 2

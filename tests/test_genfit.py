@@ -194,11 +194,27 @@ class TestFitGenerating:
         assert fit.n_params == 1450
         assert peak < 40e6
 
+    def test_fit_arrays_scale_with_directions_not_parameters(self):
+        # (20, 4, 30): 1450 parameters over 323 border columns of two
+        # degrees, but only Q = 10 null directions; a P-wide copy of the
+        # directions (r x P) and a P x n_border placement held 9.5 MB
+        F = perturb(random_low_rank(20, 4, 30, seed=1)[0], 1e-4, seed=2)
+        fit = fit_generating(F, monomial_basis(20, 4, 30))
+
+        def held(value):    # bytes of the fit's own arrays, `sides` included
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            return sum(map(held, value)) if isinstance(value, tuple) else 0
+        assert fit.n_params == 1450
+        assert sum(map(held, vars(fit).values())) < 3e6
+        assert fit.null.shape == (30, 10)
+
     def test_unique_columns_on_linear_tensor(self):
         fit = fit_generating(linear_tensor(), monomial_basis(5, 3, 2))
         assert fit.n_params == 0
         assert fit.residuals.max() < 1e-12
-        assert fit.directions.shape == (2, 0)      # every system has rank 2
+        assert fit.null.shape == (2, 0)      # every system has rank 2
+        assert fit.slots.shape == (0,)
         col = list(fit.basis.border).index((0, 1, 0, 0))
         npt.assert_allclose(fit.gls[:, col], [-1.0, 2.0], atol=1e-12)
 
@@ -207,16 +223,21 @@ class TestFitGenerating:
         # degree-2 columns are 3x4 systems (1 free each); degree-3 columns
         # are 1x4 (3 free each)
         assert fit.n_params == 8
-        assert fit.placement.real.sum(axis=0).tolist() == [1, 1, 3, 3]
-        # parameters run border column by border column
-        assert fit.placement.real.argmax(axis=1).tolist() == [0, 1, 2, 2, 2, 3, 3, 3]
+        q, col = np.divmod(fit.slots, len(fit.basis.border))
+        assert np.bincount(col).tolist() == [1, 1, 3, 3]
+        # parameters run border column by border column, each column's in
+        # its degree's direction order: one degree-2 direction, three degree-3
+        assert col.tolist() == [0, 1, 2, 2, 2, 3, 3, 3]
+        assert q.tolist() == [0, 0, 1, 2, 3, 1, 2, 3]
+        assert fit.null.shape == (4, 4)
 
     def test_solution_line_of_free_column(self):
         # the (1,1) column's solutions form the line p + t*d; p (the t = 0
         # point) and d are hand-reducible from the 3x4 system above
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
         col = list(fit.basis.border).index((1, 1))
-        x, N = fit.gls[:, col], fit.directions[:, fit.placement[:, col] != 0]
+        q, param_col = np.divmod(fit.slots, len(fit.basis.border))
+        x, N = fit.gls[:, col], fit.null[:, q[param_col == col]]
         assert N.shape == (4, 1)
         p = np.array([0.0, -181 / 7019, 5942 / 7019, -4365 / 7019],
                      dtype=complex)
@@ -360,8 +381,15 @@ def test_grouped_fit_matches_per_column_reference(n, m, pick, seed, kind):
     fit = fit_generating(F, monomial_basis(n, m, r))
     ref = reference_fit(F, fit.basis)
     assert fit.n_params == ref.n_params
-    for got, want in [(fit.gls, ref.gls), (fit.directions, ref.directions)]:
+    # each parameter's column and direction, as the reference lays them out
+    q, col = np.divmod(fit.slots, len(fit.basis.border))
+    assert col.tolist() == [c for c, sl in enumerate(ref.param_slices)
+                            for _ in range(sl.start, sl.stop)]
+    for got, want in [(fit.gls, ref.gls), (fit.null[:, q], ref.directions)]:
         assert_within(got, want, np.abs(want).max(initial=0.0))
+    omega = rng.standard_normal(fit.n_params) + 1j * rng.standard_normal(fit.n_params)
+    want = reference_matrix(ref, omega)
+    assert_within(fit.matrix(omega), want, np.abs(want).max(initial=0.0))
     # consistent systems leave residuals at round-off, so they are measured
     # against the size of the system's entries and solutions
     scale = max(ref.residuals.max(initial=0.0),

@@ -705,11 +705,16 @@ class TestSearch:
     def test_non_integer_rank_rejected(self, fn):
         with pytest.raises(TypeError, match=r"^rank must be an integer or None, got 2\.0$"):
             fn(sin_tensor(), 2.0)
+        # a bool is an int to Python, but not a rank
+        with pytest.raises(TypeError, match=r"^rank must be an integer or None, got True$"):
+            fn(sin_tensor(), True)
 
     @pytest.mark.parametrize("fn", [approximate, decompose])
     def test_non_integer_restarts_rejected(self, fn):
         with pytest.raises(TypeError, match=r"^restarts must be an integer, got 1\.5$"):
             fn(sin_tensor(), 2, restarts=1.5)
+        with pytest.raises(TypeError, match=r"^restarts must be an integer, got True$"):
+            fn(sin_tensor(), 2, restarts=True)
 
     @pytest.mark.filterwarnings("ignore:input tensor is real")
     def test_numpy_integers_accepted(self):
