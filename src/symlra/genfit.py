@@ -29,9 +29,10 @@ in a Q x |border| grid (G(omega) is one grid write and one r x Q matmul),
 and the companion wiring as (variable, core slot, border column) index
 arrays (M(omega) is one fancy-index write of G's columns over the unit
 columns).  The commutator residual is one batched product over the pairs
-i < j, and its Jacobian one write per side of a pair: each entry's r x r
-block goes to J[pair, :, :, parameter], from (pair, core slot, parameter,
-direction, other variable) index arrays built with the fit.
+i < j.  Its Jacobian J is linear in M, with coefficients +-N entries
+that only the fit decides, so the fit's first commutator LM builds that
+map once as one sparse matrix W, vec(J) = W vec(M), and each J is one
+sparse product; J^H J is one Hermitian rank-k product (BLAS zherk).
 `optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
@@ -39,6 +40,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zgemv, zherk
 
 from .tensors import compact_size, table
 from .numerics import levenberg_marquardt, minnorm_lstsq, seed_key
@@ -117,16 +119,16 @@ class GeneratingFit:
     complex free-parameter vector (length n_params, border column by
     border column, a column's in its degree's direction order) and grid
     is Q x n_border, omega at `slots` and zeros elsewhere.  G is affine
-    in omega, and so are the companion matrices; `null`, `slots` and
-    `sides` are that map's parts, built once per fit, so the commutator
-    Jacobian is one (pair, parameter) block write per side of a pair."""
+    in omega, and so are the companion matrices; `null` and `slots` are
+    that map's parts, built once per fit.  The commutator Jacobian is
+    linear in the companion matrices, and `jacobian_map` is that linear
+    map, built on the fit's first commutator LM and kept."""
     basis: MonomialBasis
     gls: np.ndarray                 # (rank, n_border) minimum-norm solutions
     residuals: np.ndarray           # ||A g - b|| per column at omega = 0
     n_params: int
     null: np.ndarray = field(repr=False)    # (rank, Q): the degrees' null bases side by side
     slots: np.ndarray = field(repr=False)   # (n_params,): q * n_border + column per parameter
-    sides: tuple = field(repr=False)        # `_jacobian_sides`: (k, nu, p, q, y) per side
 
     def matrix(self, omega=None):
         if omega is None or not self.n_params:
@@ -139,23 +141,54 @@ class GeneratingFit:
         grid.flat[self.slots] = omega
         return self.gls + self.null @ grid
 
+    @functools.cached_property
+    def jacobian_map(self):
+        """Sparse W (CSR) with vec(J) = W vec(M): J is the commutator
+        Jacobian at companion matrices M, vec(J) runs down J's columns
+        (entry (row, p) at p R + row, R = pairs * r^2) and vec(M) is
+        M.ravel().
 
-def _jacobian_sides(basis, slots):
-    """Index arrays of `_commutator_jacobian`, one (k, nu, p, q, y) tuple
-    per side of a pair (a, b), a < b.  Entry l: parameter p, direction q,
-    moves column nu of M_x (x = a on the first side, x = b on the second)
-    and enters pair k, whose other matrix is M_y.  Parameter p sits at
-    grid slot (q, col) and moves every wire to border column col."""
-    nbar = basis.n - 1
-    q, col = np.divmod(slots, len(basis.border))
-    wire_i, wire_nu, wire_col = basis.wires
-    w, p = np.nonzero(wire_col[:, None] == col)
-    x = wire_i[w]
-    e, y = np.nonzero(x[:, None] != np.arange(nbar))
-    x, nu, p, q = x[e], wire_nu[w][e], p[e], q[p[e]]
-    a, b = np.minimum(x, y), np.maximum(x, y)
-    k = a * (2 * nbar - a - 1) // 2 + b - a - 1     # rank of (a, b) in `_pairs`
-    return tuple((k[side], nu[side], p[side], q[side], y[side]) for side in (x < y, x > y))
+        Parameter p with direction w = N[:, q] moves column nu of M_x by w.
+        On pair k = (a, b) with other variable y, that is
+        w M_y[nu, :] - (M_y w) e_nu^T for x = a and its negative for x = b,
+        so J's entry (k, i, j) reads M_y[nu, j] with coefficient N[i, q],
+        and for j = nu also every M_y[i, t] with coefficient -N[t, q] (signs
+        flipped for x = b).  At i = j = nu the two M_y[nu, nu] coefficients
+        cancel, and both are left out; no other entry repeats a (row,
+        column) pair.  W's values are gathered from N and -N, and its
+        indices are int32 while they fit (scipy picks the type)."""
+        import scipy.sparse     # here, so runs without free parameters never load it
+        basis, r, n_params = self.basis, self.basis.rank, self.n_params
+        nbar, rr = basis.n - 1, r * r
+        n_rows = len(_pairs(nbar)[0]) * rr
+        # terms: parameter p moves column nu of M_x, on each pair (x, y)
+        q, col = np.divmod(self.slots, len(basis.border))
+        wire_i, wire_nu, wire_col = basis.wires
+        w, p = np.nonzero(wire_col[:, None] == col)
+        x = wire_i[w]
+        e, y = np.nonzero(x[:, None] != np.arange(nbar))
+        x, nu, p, q = x[e], wire_nu[w][e], p[e], q[p[e]]
+        a, b = np.minimum(x, y), np.maximum(x, y)
+        k = a * (2 * nbar - a - 1) // 2 + b - a - 1     # rank of (a, b) in `_pairs`
+        signed = np.stack([self.null, -self.null])
+        s = (x > y).astype(np.intp)[:, None, None]      # signed[s] is N for x = a
+        nu, y, q = nu[:, None, None], y[:, None, None], q[:, None, None]
+        i, j = np.arange(r)[:, None], np.arange(r)     # J's block entry; j is t below
+        block = (p * n_rows + k * rr)[:, None, None] + i * r
+        keep = np.broadcast_to((i != nu) | (j != nu), (x.size, r, r))
+        # (row, column, value): N[i, q] M_y[nu, j] at (k, i, j), then
+        # -N[t, q] M_y[i, t] at (k, i, nu)
+        first = (block + j, y * rr + nu * r + j, signed[s, i, q])
+        second = (block + nu, y * rr + i * r + j, signed[1 - s, j, q])
+        row, column, value = (np.concatenate([np.broadcast_to(u, keep.shape)[keep],
+                                              np.broadcast_to(v, keep.shape)[keep]])
+                              for u, v in zip(first, second))
+        # CSR directly: entries by row, a row's first-term entry first
+        order = np.argsort(row, kind="stable")
+        indptr = np.zeros(n_params * n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n_params * n_rows), out=indptr[1:])
+        return scipy.sparse.csr_matrix((value[order], column[order], indptr),
+                                       shape=(n_params * n_rows, nbar * rr))
 
 
 def fit_generating(F, basis):
@@ -179,8 +212,7 @@ def fit_generating(F, basis):
         nulls.append(null)
     slots = np.concatenate(slots)
     return GeneratingFit(basis=basis, gls=gls, residuals=residuals, n_params=slots.size,
-                         null=np.hstack(nulls), slots=slots,
-                         sides=_jacobian_sides(basis, slots))
+                         null=np.hstack(nulls), slots=slots)
 
 
 def companion_matrices(G, basis):
@@ -218,32 +250,22 @@ def commutator_residuals(M):
 
 def _commutator_jacobian(fit, M):
     """Complex Jacobian of `commutator_residuals` in the free parameters, at
-    the companion matrices M = M(omega).
-
-    Parameter p with direction w = N[:, q] moves column nu of M_x by w, i.e.
-    dM_x = w e_nu^T.  On pair (a, b) that gives w M_b[nu, :] - (M_b w) e_nu^T
-    when x = a and the negative of w M_a[nu, :] - (M_a w) e_nu^T when x = b:
-    per side, the outer products less the M_y N columns, written as r x r
-    blocks J[k, :, :, p] of a (pairs, r, r, P) array through the fit's
-    (pair, parameter) indices.  A border column feeds at most one nu per
-    variable, so no side repeats a (k, p) pair; the two sides can share
-    blocks, so the first is written and the second subtracted from it."""
-    r, P = M.shape[1], fit.n_params
-    N = fit.null
-    MN = M @ N
-
-    def blocks(nu, q, y):
-        # w M_y[nu, :] - (M_y w) e_nu^T for each entry's direction w = N[:, q]
-        D = N.T[q][:, :, None] * M[y, nu][:, None, :]
-        D[np.arange(q.size), :, nu] -= MN[y, :, q]
-        return D
-
+    the companion matrices M = M(omega): one sparse product with the fit's
+    `jacobian_map`, read as an F-contiguous (pairs * r^2) x n_params array."""
     npairs = M.shape[0] * (M.shape[0] - 1) // 2
-    J = np.zeros((npairs, r, r, P), dtype=complex)
-    (k, nu, p, q, y), (k2, nu2, p2, q2, y2) = fit.sides
-    J[k, :, :, p] = blocks(nu, q, y)
-    J[k2, :, :, p2] -= blocks(nu2, q2, y2)
-    return J.reshape(npairs * r * r, P)
+    return (fit.jacobian_map @ M.ravel()).reshape(fit.n_params, npairs * M.shape[1] ** 2).T
+
+
+def _normal_system(J, f):
+    """(J^H J, J^H f) of the commutator LM: the upper triangle and diagonal
+    of J^H J by one BLAS zherk, its strict lower triangle zero (the LM reads
+    only the upper one), and J^H f by zgemv, neither with a conjugate copy
+    of J.  With no variable pair (n = 2) J has no rows, which both routines
+    reject, and the system is zero."""
+    n_params = J.shape[1]
+    if not J.shape[0]:
+        return np.zeros((n_params, n_params), dtype=complex), np.zeros(n_params, dtype=complex)
+    return zherk(1.0, J, trans=2), zgemv(1.0, J, f, trans=2)
 
 
 @dataclass(eq=False)
@@ -252,6 +274,8 @@ class GeneratingOpt:
     omega: np.ndarray           # complex free parameters (empty if none)
     objective: float            # sum of squared commutator entries
     status: str | None          # LM status, None if no parameters
+    iterations: int = 0         # the LM's iterations, 0 if no parameters
+    evaluations: int = 0        # the LM's residual evaluations, 0 if no parameters
 
 
 def optimize_generating(fit, config=None, seed=0, start=0):
@@ -259,11 +283,13 @@ def optimize_generating(fit, config=None, seed=0, start=0):
     by one LM run from one start.
 
     The residual at omega is `commutator_residuals` of the companion
-    matrices of `fit.matrix(omega)`, and its Jacobian comes from the fit's
-    affine map (`_commutator_jacobian`), so an LM step does one grid write
-    and one matmul for G, one index write for M and a few scatters for J,
-    whatever the number of border columns; the normal system reuses the M
-    the residual built at the point the LM accepted.
+    matrices of `fit.matrix(omega)`, so a residual costs one grid write
+    and one matmul for G, one index write for M and one batched product,
+    whatever the number of border columns.  The normal system reuses the M
+    the residual built at the point the LM accepted: J is one sparse
+    product with the fit's `jacobian_map` (built on the fit's first LM),
+    and `_normal_system` forms J^H J's upper triangle by one Hermitian
+    rank-k product.
 
     Start 0 is omega = 0; start k > 0 is a complex standard normal draw
     seeded by (seed, k).  The pipeline, not this function, chooses among
@@ -287,9 +313,7 @@ def optimize_generating(fit, config=None, seed=0, start=0):
     def normal(omega, f):
         M = (last[1] if last[0] is omega
              else companion_matrices(fit.matrix(omega), basis))
-        J = _commutator_jacobian(fit, M)
-        Jh = J.conj().T
-        return Jh @ J, Jh @ f
+        return _normal_system(_commutator_jacobian(fit, M), f)
 
     x0 = np.zeros(fit.n_params, dtype=complex)
     if start:
@@ -297,4 +321,5 @@ def optimize_generating(fit, config=None, seed=0, start=0):
         x0 = rng.standard_normal(fit.n_params) + 1j * rng.standard_normal(fit.n_params)
     lm = levenberg_marquardt(residual, normal, x0, config)
     return GeneratingOpt(matrix=fit.matrix(lm.x), omega=lm.x,
-                         objective=lm.residual_norm ** 2, status=lm.status)
+                         objective=lm.residual_norm ** 2, status=lm.status,
+                         iterations=lm.iterations, evaluations=lm.residual_evaluations)

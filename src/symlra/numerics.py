@@ -172,13 +172,21 @@ class LMResult:
     residual_evaluations: int
 
 
+@functools.cache
+def _cholesky(dtype):
+    """LAPACK's (potrf, potrs) for one dtype, looked up once."""
+    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+
+
 def levenberg_marquardt(residual, normal, x0, config=None):
     """Minimize 0.5 * ||residual(x)||^2 by damped least squares over real or
     complex x; the dtype of x0 decides, so real problems stay real.  A
     complex residual must be holomorphic.  `normal(x, f)` returns the
     Gauss-Newton normal system (J^H J, J^H f) at x, where f = residual(x)
     and J is the residual's derivative: refine builds it in closed form
-    without J, the commutator minimization from its explicit J.
+    without J, the commutator minimization from its explicit J.  Only the
+    diagonal and the upper triangle of J^H J are read, so `normal` may
+    leave the strict lower triangle unset (as BLAS herk does).
 
     Each step solves (J^H J + lam diag(J^H J)) delta = -J^H f, which is the
     normal system of the problem lifted to [Re x; Im x] with the same
@@ -186,28 +194,34 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     gradient test bounds Re and Im of J^H f separately, as the lifted one
     does.  The solve calls LAPACK's Cholesky pair potrf/potrs directly, with
     the arguments `scipy.linalg.cho_factor` and `cho_solve` pass (upper
-    triangle, factor not cleaned), so the steps are theirs to the bit; their
-    finiteness check becomes one test of the damped system and J^H f.  A
-    factorization that finds the damped matrix not positive definite raises
-    the damping and tries again.  The damping follows a gain ratio and only
-    improving steps are accepted, so the objective is nonincreasing; the
-    accepted point is the very array the residual was evaluated at, so
-    `normal` can recognise it.  `config` is an LMConfig.  Raises
-    np.linalg.LinAlgError, a ValueError, if the residual at x0 or a normal
-    system is not finite: a numerical breakdown, such as an overflow.
+    triangle, factor not cleaned), so the steps are theirs to the bit.  Each
+    trial copies J^H J into one buffer kept for the run and adds the damping
+    on its diagonal; J^H J and J^H f are tested for finiteness once per
+    normal system and the damped diagonal once per trial.  A factorization
+    that finds the damped matrix not positive definite raises the damping
+    and tries again.  The damping follows a gain ratio and only improving
+    steps are accepted, so the objective is nonincreasing; the accepted
+    point is the very array the residual was evaluated at, so `normal` can
+    recognise it.  `config` is an LMConfig.  Raises np.linalg.LinAlgError,
+    a ValueError, if the residual at x0 or a damped normal system is not
+    finite: a numerical breakdown, such as an overflow.
     """
     cfg = config if config is not None else LMConfig()
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=x.dtype)
+    potrf, potrs = _cholesky(x.dtype)
     f = np.asarray(residual(x), dtype=x.dtype)
     nfev = 1
     if not np.isfinite(f).all():
         raise np.linalg.LinAlgError("residual is not finite at the starting point")
     cost = 0.5 * np.vdot(f, f).real
+    x_norm = np.linalg.norm(x)
     lam = INITIAL_DAMPING
     nu = 2.0
     status = "max-iterations"
     iterations = 0
+    # the damped system, in Fortran order so potrf factors it in place
+    damped = np.empty((x.size, x.size), dtype=x.dtype, order="F")
+    diagonal = damped.reshape(-1, order="F")[::x.size + 1]     # a view
 
     for _ in range(cfg.max_iterations):
         JhJ, g = normal(x, f)
@@ -219,19 +233,22 @@ def levenberg_marquardt(residual, normal, x0, config=None):
         iterations += 1
         d = np.diag(JhJ).real
         scale = np.maximum(d, 1e-14 * max(d.max(), 1.0))
+        base = JhJ + 0.0        # -0.0 becomes +0.0, as in a sum with the damping
+        if not (np.isfinite(base).all() and np.isfinite(g).all()):
+            raise np.linalg.LinAlgError("the normal system is not finite")
 
         while True:
-            A = JhJ + np.diag(lam * scale)
-            if not (np.isfinite(A).all() and np.isfinite(g).all()):
+            np.copyto(damped, base)
+            diagonal += lam * scale
+            if not np.isfinite(diagonal).all():
                 raise np.linalg.LinAlgError("the normal system is not finite")
-            c, info = potrf(A, lower=False, overwrite_a=True, clean=False)
+            c, info = potrf(damped, lower=False, overwrite_a=True, clean=False)
             if info > 0:      # not positive definite at this damping
                 lam *= nu
                 nu *= 2.0
                 continue
             delta, _ = potrs(c, -g, lower=False, overwrite_b=True)
-            if np.linalg.norm(delta) <= cfg.step_tolerance * (
-                    np.linalg.norm(x) + cfg.step_tolerance):
+            if np.linalg.norm(delta) <= cfg.step_tolerance * (x_norm + cfg.step_tolerance):
                 status = "converged-step"
                 break
             if nfev >= cfg.max_residual_evaluations:
@@ -248,6 +265,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                         cost - costn <= cfg.function_tolerance * cost):
                     status = "converged-function"
                 x, f, cost = xn, fn, costn
+                x_norm = np.linalg.norm(x)
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 break
@@ -259,4 +277,3 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     return LMResult(x=x, residual_norm=float(np.sqrt(2.0 * cost)),
                     status=status, iterations=iterations,
                     residual_evaluations=nfev)
-

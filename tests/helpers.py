@@ -15,7 +15,10 @@ vector (`rank_one`), the dense form of `transform` (`dense_transform`:
 expand to the (n,)*m array, contract A into each mode, compress), which
 the compact recursion must match to round-off, and the minimum-norm least
 squares by one SVD of the whole p x q system (`reference_minnorm_lstsq`),
-which the QR reduction of large tall systems must match to round-off."""
+which the QR reduction of large tall systems must match to round-off, and
+the Levenberg-Marquardt loop that builds each damped system afresh
+(`reference_levenberg_marquardt`), whose runs the buffered loop must
+match bit for bit."""
 
 from types import SimpleNamespace
 
@@ -23,7 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from symlra.genfit import _pairs, generating_system
-from symlra.numerics import minnorm_lstsq
+from symlra.numerics import (GRADIENT_TOLERANCE, INITIAL_DAMPING, LMConfig, LMResult,
+                             minnorm_lstsq)
 from symlra.tensors import (Decomposition, SymTensor, _position_map,
                             compact_size, full_from_compact, table)
 
@@ -292,8 +296,9 @@ def flat_jacobian_sides(basis, param_col):
 def flat_commutator_jacobian(fit, M):
     """The commutator Jacobian of a `GeneratingFit` at M, each side's r x r
     blocks scattered into a flat array through one position per entry of J
-    (`flat_jacobian_sides`); `_commutator_jacobian` writes the same blocks
-    by (pair, parameter) and must match it byte for byte."""
+    (`flat_jacobian_sides`).  `_commutator_jacobian`'s sparse map must
+    match it value for value at unit companion matrices, where every entry
+    is one product, and to round-off elsewhere."""
     r, P = M.shape[1], fit.n_params
     N = fit.null
     MN = M @ N
@@ -311,3 +316,72 @@ def flat_commutator_jacobian(fit, M):
     J[rows_a] = blocks(*first)
     J[rows_b] -= blocks(*second)
     return J.reshape(npairs * r * r, P)
+
+
+def reference_levenberg_marquardt(residual, normal, x0, config=None):
+    """`levenberg_marquardt` with every damped trial built afresh as
+    J^H J + diag(lam * scale) and tested whole for finiteness, the LAPACK
+    handles looked up per run and ||x|| taken per trial."""
+    cfg = config if config is not None else LMConfig()
+    x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=x.dtype)
+    f = np.asarray(residual(x), dtype=x.dtype)
+    nfev = 1
+    if not np.isfinite(f).all():
+        raise np.linalg.LinAlgError("residual is not finite at the starting point")
+    cost = 0.5 * np.vdot(f, f).real
+    lam = INITIAL_DAMPING
+    nu = 2.0
+    status = "max-iterations"
+    iterations = 0
+
+    for _ in range(cfg.max_iterations):
+        JhJ, g = normal(x, f)
+        JhJ = np.asarray(JhJ, dtype=x.dtype)
+        g = np.asarray(g, dtype=x.dtype)
+        if np.max(np.abs(g.view(float)), initial=0.0) <= GRADIENT_TOLERANCE:
+            status = "converged-gradient"
+            break
+        iterations += 1
+        d = np.diag(JhJ).real
+        scale = np.maximum(d, 1e-14 * max(d.max(), 1.0))
+
+        while True:
+            A = JhJ + np.diag(lam * scale)
+            if not (np.isfinite(A).all() and np.isfinite(g).all()):
+                raise np.linalg.LinAlgError("the normal system is not finite")
+            c, info = potrf(A, lower=False, overwrite_a=True, clean=False)
+            if info > 0:
+                lam *= nu
+                nu *= 2.0
+                continue
+            delta, _ = potrs(c, -g, lower=False, overwrite_b=True)
+            if np.linalg.norm(delta) <= cfg.step_tolerance * (
+                    np.linalg.norm(x) + cfg.step_tolerance):
+                status = "converged-step"
+                break
+            if nfev >= cfg.max_residual_evaluations:
+                status = "max-evaluations"
+                break
+            xn = x + delta
+            fn = np.asarray(residual(xn), dtype=x.dtype)
+            nfev += 1
+            costn = 0.5 * np.vdot(fn, fn).real if np.isfinite(fn).all() else np.inf
+            if costn < cost:
+                predicted = 0.5 * np.vdot(delta, lam * scale * delta - g).real
+                rho = (cost - costn) / max(predicted, np.finfo(float).tiny)
+                if cfg.function_tolerance > 0.0 and (
+                        cost - costn <= cfg.function_tolerance * cost):
+                    status = "converged-function"
+                x, f, cost = xn, fn, costn
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                break
+            lam *= nu
+            nu = min(2.0 * nu, 1e8)
+        if status in ("converged-step", "max-evaluations", "converged-function"):
+            break
+
+    return LMResult(x=x, residual_norm=float(np.sqrt(2.0 * cost)),
+                    status=status, iterations=iterations,
+                    residual_evaluations=nfev)

@@ -292,6 +292,17 @@ def test_approx_library_warning_goes_to_stderr(runner, tmp_path):
     assert json.loads(result.stdout)["rank"] == 2
 
 
+def test_approx_without_commutator_pairs_leaves_stderr_empty(runner, tmp_path, capfd):
+    # n = 2 at rank 4: one free parameter and no variable pair, so the
+    # commutator Jacobian has no rows, which BLAS zherk would report on fd 2
+    path = gen_file(runner, tmp_path, "binary.json", "--family", "random", "--n", "2",
+                    "--m", "6", "--r", "4", "--eps", "1e-4")
+    result = invoke(runner, "approx", path, "--rank", "4")
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["rank"] == 4
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.filterwarnings("ignore:input tensor is real")
 def test_approx_table_format(runner, tmp_path):
     path = tmp_path / "sin.json"

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from symlra import genfit
 from symlra.genfit import (monomial_basis, generating_system, fit_generating,
                            companion_matrices, commutator_residuals,
-                           _commutator_jacobian, optimize_generating)
-from symlra.numerics import LMConfig, levenberg_marquardt
+                           _commutator_jacobian, _normal_system, optimize_generating)
+from symlra.numerics import EPS, LMConfig, levenberg_marquardt
 from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
                             random_low_rank, table)
 from symlra.families import linear_tensor, ternary_tensor
 
-from helpers import (flat_commutator_jacobian, normal_equations,
+from helpers import (flat_commutator_jacobian,
                      reference_commutator_closures, reference_companions,
                      reference_fit, reference_matrix, reference_slots)
 
@@ -180,8 +180,9 @@ class TestFitGenerating:
 
     def test_fit_memory_with_parameters(self):
         # (20, 4, 30): 1450 free parameters and 171 variable pairs; the
-        # Jacobian's indices are one entry per (wire, parameter, other
-        # variable), not one per entry of J (236 MB of flat positions)
+        # fit builds no Jacobian indices (its sparse map waits for the
+        # first commutator LM), let alone one per entry of J (236 MB of
+        # flat positions)
         F = perturb(random_low_rank(20, 4, 30, seed=1)[0], 1e-4, seed=2)
         basis = monomial_basis(20, 4, 30)
         fit_generating(F, basis)
@@ -201,7 +202,7 @@ class TestFitGenerating:
         F = perturb(random_low_rank(20, 4, 30, seed=1)[0], 1e-4, seed=2)
         fit = fit_generating(F, monomial_basis(20, 4, 30))
 
-        def held(value):    # bytes of the fit's own arrays, `sides` included
+        def held(value):    # bytes of the fit's own arrays
             if isinstance(value, np.ndarray):
                 return value.nbytes
             return sum(map(held, value)) if isinstance(value, tuple) else 0
@@ -430,21 +431,34 @@ def test_commutator_closures_match_loop_forms(n, m, pick, seed, at_zero):
                                      seed, at_zero)
 
 
-def assert_jacobian_matches_flat_scatter(n, m, r, seed):
-    """`_commutator_jacobian` at a random omega equals, byte for byte, the
-    same blocks scattered through one flat position per entry of J."""
+def assert_jacobian_matches_flat_scatter(n, m, r, seed, units=None):
+    """`_commutator_jacobian` against the same r x r blocks scattered
+    through one flat position per entry of J (`flat_commutator_jacobian`).
+
+    At a unit companion matrix E (one entry of one M_y is 1, every other 0)
+    each entry of either J is one product, or a difference with a zero,
+    so they agree value for value: this checks every coefficient of the
+    fit's `jacobian_map`.  `units` draws that many of the n_bar r^2 unit
+    matrices; None takes them all.  At a random omega the sparse product
+    sums an entry's terms in another order than the scatter's matmul, and
+    the two agree to 4 ulps of the largest |J| entry."""
     rng = np.random.default_rng(seed)
     N = compact_size(n, m)
     F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
     fit = fit_generating(F, monomial_basis(n, m, r))
     assert fit.n_params > 0
-    k = fit.n_params
+    k, size = fit.n_params, (n - 1) * r * r
+    for c in (range(size) if units is None else rng.choice(size, units, replace=False)):
+        E = np.zeros((n - 1, r, r), dtype=complex)
+        E.flat[c] = 1.0
+        got, ref = _commutator_jacobian(fit, E), flat_commutator_jacobian(fit, E)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
     M = companion_matrices(
         fit.matrix(rng.standard_normal(k) + 1j * rng.standard_normal(k)), fit.basis)
     got, ref = _commutator_jacobian(fit, M), flat_commutator_jacobian(fit, M)
     assert got.shape == ref.shape and got.dtype == ref.dtype
-    # bitwise, without the copies `tobytes` would make of a 175 MB J
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.abs(got - ref).max(initial=0.0) <= 4 * EPS * np.abs(ref).max(initial=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,8 +471,48 @@ def test_commutator_jacobian_matches_flat_scatter(n, m, pick, seed):
 
 @pytest.mark.parametrize("n,m,r", [(10, 3, 12), (15, 4, 20)])
 def test_commutator_jacobian_matches_flat_scatter_large(n, m, r):
-    # criterion 6's size and a 36400 x 300 J
-    assert_jacobian_matches_flat_scatter(n, m, r, 3)
+    # criterion 6's size and a 36400 x 300 J; a few unit matrices each
+    assert_jacobian_matches_flat_scatter(n, m, r, 3, units=3)
+
+
+@pytest.mark.parametrize("n,m,r", [(3, 4, 5), (3, 5, 8), (5, 3, 7), (10, 3, 12)])
+def test_normal_system_upper_triangle_matches_gram(n, m, r):
+    # zherk's upper triangle and zgemv against J^H J and J^H f by matmul
+    rng = np.random.default_rng(11)
+    N = compact_size(n, m)
+    F = SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    fit = fit_generating(F, monomial_basis(n, m, r))
+    k = fit.n_params
+    M = companion_matrices(
+        fit.matrix(rng.standard_normal(k) + 1j * rng.standard_normal(k)), fit.basis)
+    J = _commutator_jacobian(fit, M)
+    assert J.flags.f_contiguous
+    f = commutator_residuals(M)
+    JhJ, Jhf = _normal_system(J, f)
+    upper = np.triu_indices(k)
+    gram = J.conj().T @ J
+    assert np.abs(JhJ[upper] - gram[upper]).max() <= 1e-13 * np.abs(gram).max()
+    assert np.abs(Jhf - J.conj().T @ f).max() <= 1e-13 * np.abs(J.conj().T @ f).max()
+
+
+def test_jacobian_map_memory():
+    # criterion 6's size: J is 5184 x 273 (22.6 MB); W holds one value and
+    # one int32 column per coefficient, and int32 row pointers
+    F0, _ = random_low_rank(10, 3, 12, seed=1, tau=1000.0 ** (1 / 12))
+    fit = fit_generating(perturb(F0, 1e-4, seed=2), monomial_basis(10, 3, 12))
+    assert "jacobian_map" not in vars(fit)          # built on first use only
+    J_bytes = 5184 * fit.n_params * 16
+    tracemalloc.start()
+    try:
+        W = fit.jacobian_map
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.n_params == 273 and W.shape == (273 * 5184, 9 * 144)
+    assert W.indices.dtype == np.int32 and W.indptr.dtype == np.int32
+    assert W.data.nbytes + W.indices.nbytes + W.indptr.nbytes <= 1.5 * J_bytes
+    assert peak < 100e6
+    assert fit.jacobian_map is W
 
 
 @pytest.mark.parametrize("at_zero", [True, False])
@@ -499,30 +553,46 @@ class TestOptimizeGenerating:
     def test_no_parameters_short_circuit(self):
         fit = fit_generating(linear_tensor(), monomial_basis(5, 3, 2))
         opt = optimize_generating(fit)
-        assert opt.status is None
+        assert opt.status is None and (opt.iterations, opt.evaluations) == (0, 0)
         assert opt.omega.shape == (0,)
         npt.assert_array_equal(opt.matrix, fit.matrix())
 
     @pytest.mark.parametrize("start", [0, 1])
     def test_normal_system_matches_explicit_jacobian(self, start):
         # the normal system reuses the residual's companion matrices; an LM
-        # that rebuilds them for an explicit Jacobian takes the same steps
+        # that rebuilds them for an explicit Jacobian, through the same
+        # Gram routine, takes the same steps
         fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
         opt = optimize_generating(fit, seed=2, start=start)
 
         def residual(omega):
             return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
 
-        def jacobian(omega):
-            return _commutator_jacobian(
-                fit, companion_matrices(fit.matrix(omega), fit.basis))
+        def normal(omega, f):
+            J = _commutator_jacobian(fit, companion_matrices(fit.matrix(omega), fit.basis))
+            return _normal_system(J, f)
         x0 = np.zeros(8, dtype=complex)
         if start:
             rng = np.random.default_rng([2, start])
             x0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        lm = levenberg_marquardt(residual, normal_equations(jacobian), x0, LMConfig())
+        lm = levenberg_marquardt(residual, normal, x0, LMConfig())
         assert opt.omega.tobytes() == lm.x.tobytes()
         assert opt.objective == lm.residual_norm ** 2 and opt.status == lm.status
+        assert (opt.iterations, opt.evaluations) == (lm.iterations, lm.residual_evaluations)
+        assert opt.iterations > 0
+
+    def test_no_commutator_pair_leaves_stderr_empty(self, capfd):
+        # n = 2: one free parameter and no variable pair, so J has no rows,
+        # which BLAS zherk would report on stderr
+        rng = np.random.default_rng(4)
+        N = compact_size(2, 6)
+        F = SymTensor(2, 6, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        fit = fit_generating(F, monomial_basis(2, 6, 4))
+        assert fit.n_params == 1
+        opt = optimize_generating(fit, seed=1, start=1)
+        assert opt.status == "converged-gradient" and opt.objective == 0.0
+        assert (opt.iterations, opt.evaluations) == (0, 1)
+        assert capfd.readouterr().err == ""
 
     def test_exact_rank_instance_commutes(self):
         F, _ = random_low_rank(6, 3, 3, seed=4)

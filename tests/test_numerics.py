@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from symlra.families import ternary_tensor
-from symlra.genfit import (_commutator_jacobian, commutator_residuals,
+from symlra.genfit import (_commutator_jacobian, _normal_system, commutator_residuals,
                            companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
     minnorm_lstsq,
@@ -16,7 +16,7 @@ from symlra.pipeline import _refine_closures
 from symlra.tensors import perturb, random_low_rank
 
 from helpers import (finite_difference_jacobian, normal_equations,
-                     reference_minnorm_lstsq)
+                     reference_levenberg_marquardt, reference_minnorm_lstsq)
 from test_pipeline import reference_refine_jacobian
 
 
@@ -448,3 +448,105 @@ class TestLapackStep:
         out = self.assert_same_trajectory(lambda x: x - np.array([1.0, 2.0]),
                                           normal, np.zeros(2))
         assert out.iterations >= 1
+
+
+class TestBufferedTrials:
+    """The LM's damped trials, built in one buffer per run, against the
+    loop that builds every trial afresh (`reference_levenberg_marquardt`):
+    the same points evaluated, x, norm, status and counts, bit for bit."""
+
+    def assert_same_run(self, residual, normal, x0, config=None):
+        seen = {"buffered": [], "reference": []}
+
+        def logged(key):
+            def wrapped(x):
+                seen[key].append(np.array(x).tobytes())
+                return residual(x)
+            return wrapped
+        out = levenberg_marquardt(logged("buffered"), normal, x0, config)
+        ref = reference_levenberg_marquardt(logged("reference"), normal, x0, config)
+        assert seen["buffered"] == seen["reference"]
+        assert out.x.dtype == ref.x.dtype and out.x.tobytes() == ref.x.tobytes()
+        assert (out.residual_norm, out.status, out.iterations, out.residual_evaluations) == (
+            ref.residual_norm, ref.status, ref.iterations, ref.residual_evaluations)
+        return out
+
+    def test_real_problem(self):
+        def f(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def J(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+        out = self.assert_same_run(f, normal_equations(J), np.array([-1.2, 1.0]))
+        assert out.x.dtype == float and out.iterations > 5
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_complex_commutator_problem(self, seed):
+        # the upper triangle of J^H J only, as the commutator LM passes it
+        k, residual, jacobian = commutator_closures()
+        z0 = np.zeros(k, dtype=complex)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            z0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+        def normal(z, f):
+            return _normal_system(jacobian(z), f)
+        out = self.assert_same_run(residual, normal, z0)
+        assert out.x.dtype == complex and out.iterations >= 5
+
+    def test_complex_refine_problem(self):
+        F0, d = random_low_rank(4, 3, 3, seed=30)
+        F = perturb(F0, 1e-2, seed=31)
+        rng = np.random.default_rng(32)
+        u0 = (d.vectors + 0.3 * (rng.standard_normal(d.vectors.shape)
+                                 + 1j * rng.standard_normal(d.vectors.shape))).ravel()
+        out = self.assert_same_run(*_refine_closures(F, 3), u0, LMConfig(max_iterations=30))
+        assert out.iterations > 5
+
+    def test_not_positive_definite_retry(self):
+        # eigenvalues 3 and -1, and a signed zero off the diagonal: the
+        # first damping values fail to factor
+        JhJ = np.array([[1.0, 2.0, -0.0], [2.0, 1.0, 0.0], [-0.0, 0.0, 4.0]])
+
+        def normal(x, f):
+            return JhJ, f
+        out = self.assert_same_run(lambda x: x - np.array([1.0, 2.0, 3.0]), normal,
+                                   np.zeros(3))
+        assert out.iterations >= 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("where", ["system", "gradient", "damped-diagonal"])
+    def test_not_finite_raise(self, where):
+        # a non-finite system on the third normal system, or a damping that
+        # overflows the diagonal of a huge system whose steps never improve
+        calls = []
+
+        def normal(x, f):
+            calls.append(None)
+            JhJ, g = np.eye(2), f.copy()
+            if where == "damped-diagonal":
+                return 1e300 * np.eye(2), np.full(2, 1e300)
+            if len(calls) == 3 and where == "system":
+                JhJ[0, 1] = np.nan
+            elif len(calls) == 3:
+                g[1] = np.inf
+            return JhJ, g
+
+        def residual(x):
+            return (np.ones(2) if where == "damped-diagonal"
+                    else np.array([x[0] ** 2 - 2.0, x[1] - 1.0]))
+        runs = {}
+        for name, lm in (("buffered", levenberg_marquardt),
+                         ("reference", reference_levenberg_marquardt)):
+            calls.clear()
+            evaluated = []
+
+            def counted(x):
+                evaluated.append(np.array(x).tobytes())
+                return residual(x)
+            with pytest.raises(np.linalg.LinAlgError, match="normal system is not finite"):
+                lm(counted, normal, np.array([3.0, 0.0]))
+            runs[name] = (len(calls), evaluated)
+        assert runs["buffered"] == runs["reference"]
+        n_systems, evaluated = runs["buffered"]
+        assert n_systems == (1 if where == "damped-diagonal" else 3) and len(evaluated) > 2

@@ -138,6 +138,13 @@ def calls(symlra, seed, tiny=False):
         U = rng.standard_normal((r, F.n)) + 1j * rng.standard_normal((r, F.n))
         return partial(symlra.refine, F, Decomposition(F.m, U), STOCK_NLS_CONFIG)
 
+    def commutator_lm(F, r, key, start):
+        # the commutator LM alone: its status and work counts are scalars
+        def call():
+            fit = symlra.fit_generating(F, symlra.monomial_basis(F.n, F.m, r))
+            return symlra.optimize_generating(fit, seed=key, start=start)
+        return call
+
     if tiny:
         exact = random_low_rank(3, 3, 2, seed=[seed, 1])[0]
         return [
@@ -183,6 +190,9 @@ def calls(symlra, seed, tiny=False):
             for t in range(2)]
     F = perturbed(10, 6, 20, 60, eps=1e-4)
     out.append(("approximate/perturbed-10-6-20", partial(approximate, F, 20, seed=seed)))
+    for k, (n, m, r, start) in enumerate([(3, 5, 8, 1), (5, 3, 7, 0)]):
+        out.append((f"optimize_generating/perturbed-{n}-{m}-{r}/start-{start}",
+                    commutator_lm(perturbed(n, m, r, 70 + k), r, [seed, 70 + k], start)))
     return out
 
 
