@@ -27,12 +27,14 @@ basis of alpha's degree.  Each fit keeps that map as arrays built once:
 the degrees' null bases side by side (r x Q) and each parameter's slot
 in a Q x |border| grid (G(omega) is one grid write and one r x Q matmul),
 and the companion wiring as (variable, core slot, border column) index
-arrays (M(omega) is one fancy-index write of G's columns over the unit
-columns).  The commutator residual is one batched product over the pairs
-i < j.  Its Jacobian J is linear in M, with coefficients +-N entries
-that only the fit decides, so the fit's first commutator LM builds that
-map once as one sparse matrix W, vec(J) = W vec(M), and each J is one
-sparse product; J^H J is one Hermitian rank-k product (BLAS zherk).
+arrays, which the basis also keeps as a read-only template of the unit
+columns and flat indices of the rest (M(omega) is a copy of the template
+and one flat write of G's columns; an LM run builds its grid once).  The
+commutator residual is one batched product over the pairs i < j.  Its
+Jacobian J is linear in M, with coefficients +-N entries that only the
+fit decides, so the fit's first commutator LM builds that map once as
+one sparse matrix W, vec(J) = W vec(M), and each J is one sparse
+product; J^H J is one Hermitian rank-k product (BLAS zherk).
 `optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
@@ -53,12 +55,15 @@ class MonomialBasis:
     rank: int
     core: tuple                 # first `rank` exponents, graded lex
     border: tuple               # multiplicative border of the core, graded lex
-    # companion wiring as index arrays: shifting core slot nu by e_i lands
-    # either on core slot `target` (column nu of M_i is a unit vector) or on
+    # companion wiring: shifting core slot nu by e_i lands either on a core
+    # slot (column nu of M_i is a unit vector, set in `template`) or on
     # border monomial `col` (column nu of M_i is column col of G); a border
     # monomial is core[nu] + e_i for at most one nu per variable i
-    units: tuple = field(repr=False)    # (i, nu, target)
-    wires: tuple = field(repr=False)    # (i, nu, col)
+    template: np.ndarray = field(repr=False)    # (n-1, r, r) unit columns, read-only
+    wires: tuple = field(repr=False)            # (i, nu, col)
+    # the wires as flat indices, M.ravel()[into] = G.ravel()[take]: entry s
+    # of wire (i, nu, col) is (i r + s) r + nu of M and s |border| + col of G
+    wire_flat: tuple = field(repr=False)        # (into, take)
 
 
 def monomial_basis(n, m, r):
@@ -82,14 +87,20 @@ def monomial_basis(n, m, r):
             f"{tuple(max(too_deep))} has degree {m + 1} > m")
     slot = tab.slots(shifted).T                  # slot[i, nu]
     border_slots = np.unique(slot[slot >= r])
-    unit_i, unit_nu = np.nonzero(slot < r)
-    wire_i, wire_nu = np.nonzero(slot >= r)
+    template = np.zeros((nbar, r, r), dtype=complex)
+    i, nu = np.nonzero(slot < r)
+    template[i, slot[i, nu], nu] = 1.0
+    i, nu = np.nonzero(slot >= r)
+    col = np.searchsorted(border_slots, slot[i, nu])
+    s = np.arange(r)
+    wire_flat = (((i[:, None] * r + s) * r + nu[:, None]).ravel(),
+                 (s * border_slots.size + col[:, None]).ravel())
+    for a in (template, *wire_flat):
+        a.flags.writeable = False
     return MonomialBasis(
         n=n, m=m, rank=r, core=tab.alphas[:r],
         border=tuple(tab.alphas[k] for k in border_slots),
-        units=(unit_i, unit_nu, slot[unit_i, unit_nu]),
-        wires=(wire_i, wire_nu,
-               np.searchsorted(border_slots, slot[wire_i, wire_nu])))
+        template=template, wires=(i, nu, col), wire_flat=wire_flat)
 
 
 def generating_system(F, alpha, basis):
@@ -131,13 +142,21 @@ class GeneratingFit:
     slots: np.ndarray = field(repr=False)   # (n_params,): q * n_border + column per parameter
 
     def matrix(self, omega=None):
-        if omega is None or not self.n_params:
+        if omega is None:
             return self.gls.copy()
         omega = np.asarray(omega, dtype=complex)
         if omega.shape != (self.n_params,):
             raise ValueError(
                 f"expected {self.n_params} free parameters, got {omega.shape}")
-        grid = np.zeros((self.null.shape[1], self.gls.shape[1]), dtype=complex)
+        if not self.n_params:
+            return self.gls.copy()
+        return self._assemble(
+            np.zeros((self.null.shape[1], self.gls.shape[1]), dtype=complex), omega)
+
+    def _assemble(self, grid, omega):
+        """G(omega) through the caller's Q x n_border `grid`, which must be
+        zero away from `slots`: omega is written at `slots`, so an LM run
+        can keep one grid for all its points."""
         grid.flat[self.slots] = omega
         return self.gls + self.null @ grid
 
@@ -219,14 +238,16 @@ def companion_matrices(G, basis):
     """One r x r multiplication matrix per variable.
 
     Column nu of matrix i represents x_i * x^{core[nu]}: a unit vector when
-    the shifted monomial is again in the core, else the matching column of G.
+    the shifted monomial is again in the core, else the matching column of G:
+    a copy of the basis's template and one flat write of G's wire columns.
+    G must be rank x |border|, as the flat indices assume.
     """
-    r = basis.rank
-    M = np.zeros((basis.n - 1, r, r), dtype=complex)
-    i, nu, target = basis.units
-    M[i, target, nu] = 1.0
-    i, nu, col = basis.wires
-    M[i, :, nu] = G[:, col].T
+    if G.shape != (basis.rank, len(basis.border)):
+        raise ValueError(f"expected G of shape {(basis.rank, len(basis.border))}, "
+                         f"got {G.shape}")
+    into, take = basis.wire_flat
+    M = basis.template.copy()
+    M.reshape(-1)[into] = G.take(take)
     return M
 
 
@@ -244,16 +265,33 @@ def commutator_residuals(M):
     """Entries of all pairwise commutators M_i M_j - M_j M_i, i < j, stacked
     pair by pair (i, then j, ascending), each pair's r x r block row-major."""
     a, b = _pairs(M.shape[0])
-    A, B = M[a], M[b]
+    A, B = M.take(a, axis=0), M.take(b, axis=0)
     return (A @ B - B @ A).ravel()
 
 
 def _commutator_jacobian(fit, M):
     """Complex Jacobian of `commutator_residuals` in the free parameters, at
     the companion matrices M = M(omega): one sparse product with the fit's
-    `jacobian_map`, read as an F-contiguous (pairs * r^2) x n_params array."""
-    npairs = M.shape[0] * (M.shape[0] - 1) // 2
-    return (fit.jacobian_map @ M.ravel()).reshape(fit.n_params, npairs * M.shape[1] ** 2).T
+    `jacobian_map`, read as an F-contiguous (pairs * r^2) x n_params array.
+    The product calls the kernel that `W @ v` calls, with the arguments it
+    passes, so J is the same to the bit without scipy's dispatch, which
+    costs more than the kernel at small P.  The kernel checks no length,
+    so M's size is checked here, as `W @ v` would."""
+    W = fit.jacobian_map
+    v = M.ravel()
+    if v.size != W.shape[1]:
+        raise ValueError(f"expected {W.shape[1]} companion matrix entries, got {v.size}")
+    J = np.zeros(W.shape[0], dtype=complex)
+    _csr_matvec()(*W.shape, W.indptr, W.indices, W.data, v, J)
+    return J.reshape(fit.n_params, -1).T
+
+
+@functools.cache
+def _csr_matvec():
+    """scipy's CSR matrix-vector kernel (y += W x), looked up on first use
+    so that runs without free parameters never load scipy.sparse."""
+    from scipy.sparse._sparsetools import csr_matvec
+    return csr_matvec
 
 
 def _normal_system(J, f):
@@ -282,38 +320,39 @@ def optimize_generating(fit, config=None, seed=0, start=0):
     """Minimize the total squared commutator norm over the free parameters
     by one LM run from one start.
 
-    The residual at omega is `commutator_residuals` of the companion
-    matrices of `fit.matrix(omega)`, so a residual costs one grid write
-    and one matmul for G, one index write for M and one batched product,
-    whatever the number of border columns.  The normal system reuses the M
-    the residual built at the point the LM accepted: J is one sparse
-    product with the fit's `jacobian_map` (built on the fit's first LM),
-    and `_normal_system` forms J^H J's upper triangle by one Hermitian
-    rank-k product.
+    Each run builds its own Q x n_border grid (zero away from the fit's
+    `slots`) once, so a residual costs one slot write and one matmul for
+    G, a copy of the basis's template and one flat write for M and one
+    batched product for `commutator_residuals`, whatever the number of
+    border columns.  Nothing is kept on the fit but its `jacobian_map`,
+    so runs on one fit may go on concurrently.  The normal system reuses the M the residual
+    built at the point the LM accepted (any other point is rebuilt): J is
+    one sparse product with the fit's `jacobian_map` (built on the fit's
+    first LM), and `_normal_system` forms J^H J's upper triangle by one
+    Hermitian rank-k product.
 
     Start 0 is omega = 0; start k > 0 is a complex standard normal draw
     seeded by (seed, k).  The pipeline, not this function, chooses among
     starts, by the tensor error of a whole run from each.  With no free
     parameters the assembled G is returned with its objective evaluated.
     """
-    basis = fit.basis
-    last = [None, None]     # the residual's latest point and its M
-
-    def residual(omega):
-        M = companion_matrices(fit.matrix(omega), basis)
-        last[:] = omega, M
-        return commutator_residuals(M)
-
     if fit.n_params == 0:
-        res = residual(None)
+        res = commutator_residuals(companion_matrices(fit.matrix(), fit.basis))
         return GeneratingOpt(matrix=fit.matrix(), omega=np.zeros(0, dtype=complex),
                              objective=float(np.sum(res.real ** 2 + res.imag ** 2)),
                              status=None)
+    grid = np.zeros((fit.null.shape[1], fit.gls.shape[1]), dtype=complex)
+    last = [None, None]     # the residual's latest point and its M
+
+    def residual(omega):
+        M = companion_matrices(fit._assemble(grid, omega), fit.basis)
+        last[:] = omega, M
+        return commutator_residuals(M)
 
     def normal(omega, f):
-        M = (last[1] if last[0] is omega
-             else companion_matrices(fit.matrix(omega), basis))
-        return _normal_system(_commutator_jacobian(fit, M), f)
+        if last[0] is not omega:
+            residual(omega)
+        return _normal_system(_commutator_jacobian(fit, last[1]), f)
 
     x0 = np.zeros(fit.n_params, dtype=complex)
     if start:

@@ -4,11 +4,15 @@ triangle), a damped least-squares (Levenberg-Marquardt) minimizer over
 real or complex unknowns that takes its Gauss-Newton normal system
 (J^H J, J^H f) from the caller, so a structured problem can build it
 without forming J, seed keys for random draws and the BLAS thread policy
-of every public call."""
+of every public call.  The minimizer's loop tests each normal system for
+finiteness once and each damped trial's diagonal once, reads the run's
+constants once and takes norms without `np.linalg.norm`'s dispatch,
+which at a few dozen unknowns costs more than the norm itself."""
 
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -178,15 +182,26 @@ def _cholesky(dtype):
     return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
 
 
+def _norm(v):
+    """||v||_2 of a real or complex vector by numpy's own formula for a
+    vector's 2-norm, sqrt(Re v . Re v + Im v . Im v) for a complex one,
+    so the bits are `np.linalg.norm`'s without its dispatch."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
 def levenberg_marquardt(residual, normal, x0, config=None):
     """Minimize 0.5 * ||residual(x)||^2 by damped least squares over real or
     complex x; the dtype of x0 decides, so real problems stay real.  A
     complex residual must be holomorphic.  `normal(x, f)` returns the
     Gauss-Newton normal system (J^H J, J^H f) at x, where f = residual(x)
     and J is the residual's derivative: refine builds it in closed form
-    without J, the commutator minimization from its explicit J.  Only the
-    diagonal and the upper triangle of J^H J are read, so `normal` may
-    leave the strict lower triangle unset (as BLAS herk does).
+    without J, the commutator minimization from J written by one sparse
+    product with a map its fit keeps.  Only the diagonal and the upper
+    triangle of J^H J are read, so `normal` may leave the strict lower
+    triangle unset (as BLAS herk does).
 
     Each step solves (J^H J + lam diag(J^H J)) delta = -J^H f, which is the
     normal system of the problem lifted to [Re x; Im x] with the same
@@ -195,51 +210,62 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     does.  The solve calls LAPACK's Cholesky pair potrf/potrs directly, with
     the arguments `scipy.linalg.cho_factor` and `cho_solve` pass (upper
     triangle, factor not cleaned), so the steps are theirs to the bit.  Each
-    trial copies J^H J into one buffer kept for the run and adds the damping
-    on its diagonal; J^H J and J^H f are tested for finiteness once per
-    normal system and the damped diagonal once per trial.  A factorization
-    that finds the damped matrix not positive definite raises the damping
-    and tries again.  The damping follows a gain ratio and only improving
-    steps are accepted, so the objective is nonincreasing; the accepted
-    point is the very array the residual was evaluated at, so `normal` can
-    recognise it.  `config` is an LMConfig.  Raises np.linalg.LinAlgError,
-    a ValueError, if the residual at x0 or a damped normal system is not
-    finite: a numerical breakdown, such as an overflow.
+    trial writes J^H J + 0.0 into one buffer kept for the run and adds the
+    damping on its diagonal.  Per normal system, J^H J and J^H f are tested
+    for finiteness (J^H f through the gradient test's maximum, which is
+    nan or inf otherwise); per trial, the damped diagonal is.  A residual
+    that is not finite gives a cost of inf or nan, which is not below the
+    current one, so its step is rejected.  A factorization that finds the
+    damped matrix not positive definite raises the damping and tries
+    again.  The run's constants (the config's fields, the smallest normal
+    float, the step bound of the current point) are read once, and norms
+    are taken by `_norm`.  The damping follows a gain ratio and only
+    improving steps are accepted, so the objective is nonincreasing; the
+    accepted point is the very array the residual was evaluated at, so
+    `normal` can recognise it.  `config` is an LMConfig.  Raises
+    np.linalg.LinAlgError, a ValueError, if the residual at x0 or a damped
+    normal system is not finite: a numerical breakdown, such as an
+    overflow.
     """
     cfg = config if config is not None else LMConfig()
+    step_tolerance, function_tolerance = cfg.step_tolerance, cfg.function_tolerance
+    max_evaluations = cfg.max_residual_evaluations
+    tiny = np.finfo(float).tiny
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
-    potrf, potrs = _cholesky(x.dtype)
-    f = np.asarray(residual(x), dtype=x.dtype)
+    dtype = x.dtype
+    potrf, potrs = _cholesky(dtype)
+    f = np.asarray(residual(x), dtype=dtype)
     nfev = 1
     if not np.isfinite(f).all():
         raise np.linalg.LinAlgError("residual is not finite at the starting point")
     cost = 0.5 * np.vdot(f, f).real
-    x_norm = np.linalg.norm(x)
+    bound = step_tolerance * (_norm(x) + step_tolerance)
     lam = INITIAL_DAMPING
     nu = 2.0
     status = "max-iterations"
     iterations = 0
     # the damped system, in Fortran order so potrf factors it in place
-    damped = np.empty((x.size, x.size), dtype=x.dtype, order="F")
+    damped = np.empty((x.size, x.size), dtype=dtype, order="F")
     diagonal = damped.reshape(-1, order="F")[::x.size + 1]     # a view
 
     for _ in range(cfg.max_iterations):
         JhJ, g = normal(x, f)
-        JhJ = np.asarray(JhJ, dtype=x.dtype)
-        g = np.asarray(g, dtype=x.dtype)
-        if np.max(np.abs(g.view(float)), initial=0.0) <= GRADIENT_TOLERANCE:
+        JhJ = np.asarray(JhJ, dtype=dtype)
+        g = np.asarray(g, dtype=dtype)
+        g_max = abs(g.view(float)).max(initial=0.0)     # nan or inf unless g is finite
+        if g_max <= GRADIENT_TOLERANCE:
             status = "converged-gradient"
             break
         iterations += 1
-        d = np.diag(JhJ).real
+        d = JhJ.diagonal().real
         scale = np.maximum(d, 1e-14 * max(d.max(), 1.0))
-        base = JhJ + 0.0        # -0.0 becomes +0.0, as in a sum with the damping
-        if not (np.isfinite(base).all() and np.isfinite(g).all()):
+        if not (math.isfinite(g_max) and np.isfinite(JhJ).all()):
             raise np.linalg.LinAlgError("the normal system is not finite")
 
         while True:
-            np.copyto(damped, base)
-            diagonal += lam * scale
+            damping = lam * scale
+            np.add(JhJ, 0.0, out=damped)    # -0.0 becomes +0.0, as in a sum with the damping
+            diagonal += damping
             if not np.isfinite(diagonal).all():
                 raise np.linalg.LinAlgError("the normal system is not finite")
             c, info = potrf(damped, lower=False, overwrite_a=True, clean=False)
@@ -248,30 +274,29 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                 nu *= 2.0
                 continue
             delta, _ = potrs(c, -g, lower=False, overwrite_b=True)
-            if np.linalg.norm(delta) <= cfg.step_tolerance * (x_norm + cfg.step_tolerance):
+            if _norm(delta) <= bound:
                 status = "converged-step"
                 break
-            if nfev >= cfg.max_residual_evaluations:
+            if nfev >= max_evaluations:
                 status = "max-evaluations"
                 break
             xn = x + delta
-            fn = np.asarray(residual(xn), dtype=x.dtype)
+            fn = np.asarray(residual(xn), dtype=dtype)
             nfev += 1
-            costn = 0.5 * np.vdot(fn, fn).real if np.isfinite(fn).all() else np.inf
+            costn = 0.5 * np.vdot(fn, fn).real     # inf or nan if fn is not finite
             if costn < cost:
-                predicted = 0.5 * np.vdot(delta, lam * scale * delta - g).real
-                rho = (cost - costn) / max(predicted, np.finfo(float).tiny)
-                if cfg.function_tolerance > 0.0 and (
-                        cost - costn <= cfg.function_tolerance * cost):
+                predicted = 0.5 * np.vdot(delta, damping * delta - g).real
+                rho = (cost - costn) / max(predicted, tiny)
+                if function_tolerance > 0.0 and cost - costn <= function_tolerance * cost:
                     status = "converged-function"
                 x, f, cost = xn, fn, costn
-                x_norm = np.linalg.norm(x)
+                bound = step_tolerance * (_norm(x) + step_tolerance)
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 break
             lam *= nu
             nu = min(2.0 * nu, 1e8)
-        if status in ("converged-step", "max-evaluations", "converged-function"):
+        if status != "max-iterations":
             break
 
     return LMResult(x=x, residual_norm=float(np.sqrt(2.0 * cost)),

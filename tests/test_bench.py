@@ -92,6 +92,18 @@ def test_decomposition_table_deterministic():
     npt.assert_array_equal(a.samples["residual"], b.samples["residual"])
 
 
+def test_decomposition_table_threads_match_serial_bytes():
+    # cases with free parameters, so trials on two threads run commutator
+    # LMs at the same time; each LM run keeps its buffers to itself
+    cases = [(3, 5, 8), (3, 4, 5)]
+    serial = run_decomposition_table(cases, trials=4, seed=11, restarts=2)
+    threaded = run_decomposition_table(cases, trials=4, seed=11, restarts=2, threads=2)
+    for a, b in zip(serial, threaded):
+        assert a.row == b.row
+        for name in ("success", "residual"):
+            assert a.samples[name].tobytes() == b.samples[name].tobytes()
+
+
 @pytest.mark.parametrize("run, match", [
     (lambda: run_table(3, 3, 1, 1e-2, trials=0), "trials"),
     (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=0), "trials"),

@@ -1,6 +1,7 @@
 """Tests for the core/border monomial sets, the least-squares fit (one
 system per border degree), companion matrices, and the commutator
 minimization."""
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -16,11 +17,20 @@ from symlra.genfit import (monomial_basis, generating_system, fit_generating,
 from symlra.numerics import EPS, LMConfig, levenberg_marquardt
 from symlra.tensors import (SymTensor, compact_size, exponents, perturb,
                             random_low_rank, table)
-from symlra.families import linear_tensor, ternary_tensor
+from symlra.families import linear_tensor, sin_tensor, ternary_tensor
 
 from helpers import (flat_commutator_jacobian,
                      reference_commutator_closures, reference_companions,
-                     reference_fit, reference_matrix, reference_slots)
+                     reference_fit, reference_levenberg_marquardt,
+                     reference_matrix, reference_slots)
+
+
+def random_tensor(n, m, seed):
+    """A complex Gaussian tensor: generic, so every rank has its border
+    systems' full free parameters."""
+    rng = np.random.default_rng(seed)
+    N = compact_size(n, m)
+    return SymTensor(n, m, rng.standard_normal(N) + 1j * rng.standard_normal(N))
 
 
 class TestMonomialBasis:
@@ -78,6 +88,14 @@ class TestMonomialBasis:
             return (sum(a), tuple(-x for x in a))
         assert list(b.core) == sorted(b.core, key=key)
         assert list(b.border) == sorted(b.border, key=key)
+        # the companion template and flat wiring are read-only, and the
+        # companion matrices built from them are the column-by-column ones
+        assert not any(a.flags.writeable for a in (b.template, *b.wire_flat))
+        rng = np.random.default_rng(r)
+        G = rng.standard_normal((r, len(b.border))) + 1j * rng.standard_normal((r, len(b.border)))
+        M = companion_matrices(G, b)
+        assert M.flags.writeable and not np.shares_memory(M, b.template)
+        assert M.tobytes() == reference_companions(G, b).tobytes()
 
 
 class TestGeneratingSystem:
@@ -255,6 +273,19 @@ class TestFitGenerating:
         with pytest.raises(ValueError, match="8 free parameters"):
             fit.matrix(np.zeros(3))
 
+    def test_matrix_omega_validation_without_parameters(self):
+        # an omega of the wrong shape is an error with no free parameters
+        # too; None and an empty omega give G
+        F = sin_tensor()
+        fit = fit_generating(F, monomial_basis(F.n, F.m, 2))
+        assert fit.n_params == 0 and fit.gls.shape == (2, 9)
+        for omega in (np.ones(5), np.zeros((0, 1)), 1.0):
+            with pytest.raises(ValueError, match="expected 0 free parameters"):
+                fit.matrix(omega)
+        for omega in (None, np.zeros(0), []):
+            G = fit.matrix(omega)
+            assert G.tobytes() == fit.gls.tobytes() and G is not fit.gls
+
     def test_exact_rank_columns_consistent(self):
         F, _ = random_low_rank(6, 3, 3, seed=4)
         fit = fit_generating(F, monomial_basis(6, 3, 3))
@@ -318,6 +349,27 @@ def test_commutator_jacobian_matches_differences():
         e[j] = h
         col = (resid(omega + e) - resid(omega - e)) / (2 * h)
         npt.assert_allclose(J[:, j], col, atol=1e-9 * max(1, np.abs(J).max()))
+
+
+def test_companion_matrices_check_the_shape_of_g():
+    # G is read by flat indices, so a wider, narrower or transposed G
+    # would otherwise give wrong matrices without an error
+    basis = monomial_basis(3, 5, 8)
+    G = np.random.default_rng(0).standard_normal((8, 5)) + 0j
+    assert companion_matrices(G, basis).shape == (2, 8, 8)
+    for bad in (np.hstack([G, G[:, :1]]), G[:, :4], G[:7], G.T.copy()):
+        with pytest.raises(ValueError, match=r"expected G of shape \(8, 5\)"):
+            companion_matrices(bad, basis)
+
+
+def test_commutator_jacobian_checks_the_companion_size():
+    # the sparse kernel reads M by W's column count, so a wrong size is an
+    # error before it runs, as with `W @ v`
+    fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
+    M = companion_matrices(fit.matrix(), fit.basis)
+    for bad in (M[:1], M[:, :3], np.zeros((2, 4, 5))):
+        with pytest.raises(ValueError, match="expected 32 companion matrix entries"):
+            _commutator_jacobian(fit, bad)
 
 
 @lru_cache(maxsize=None)
@@ -559,27 +611,93 @@ class TestOptimizeGenerating:
 
     @pytest.mark.parametrize("start", [0, 1])
     def test_normal_system_matches_explicit_jacobian(self, start):
-        # the normal system reuses the residual's companion matrices; an LM
-        # that rebuilds them for an explicit Jacobian, through the same
-        # Gram routine, takes the same steps
-        fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
-        opt = optimize_generating(fit, seed=2, start=start)
+        # optimize_generating keeps one grid per run and reuses the
+        # residual's companion matrices in the normal system; the public
+        # forms rebuilt at every point, through the LM that builds every
+        # damped trial afresh, take the same steps to the bit.  Cases:
+        # ternary (3,3,4), (5,3,7) with several variable pairs, (3,5,8), and
+        # (2,6,4) with none; configs that stop on the gradient or the step,
+        # on the iteration and evaluation budgets and on the decrease
+        configs = [LMConfig(), LMConfig(max_iterations=3),
+                   LMConfig(max_residual_evaluations=4), LMConfig(function_tolerance=1e-3)]
+        cases = [(ternary_tensor(), 4)] + [(random_tensor(n, m, 3), r)
+                                           for n, m, r in [(5, 3, 7), (3, 5, 8), (2, 6, 4)]]
+        statuses = set()
+        for F, r in cases:
+            fit = fit_generating(F, monomial_basis(F.n, F.m, r))
+            k = fit.n_params
+            assert k > 0
 
-        def residual(omega):
-            return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
+            def residual(omega):
+                return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
 
-        def normal(omega, f):
-            J = _commutator_jacobian(fit, companion_matrices(fit.matrix(omega), fit.basis))
-            return _normal_system(J, f)
-        x0 = np.zeros(8, dtype=complex)
-        if start:
-            rng = np.random.default_rng([2, start])
-            x0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        lm = levenberg_marquardt(residual, normal, x0, LMConfig())
-        assert opt.omega.tobytes() == lm.x.tobytes()
-        assert opt.objective == lm.residual_norm ** 2 and opt.status == lm.status
-        assert (opt.iterations, opt.evaluations) == (lm.iterations, lm.residual_evaluations)
+            def normal(omega, f):
+                M = companion_matrices(fit.matrix(omega), fit.basis)
+                return _normal_system(_commutator_jacobian(fit, M), f)
+            x0 = np.zeros(k, dtype=complex)
+            if start:
+                rng = np.random.default_rng([2, start])
+                x0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            for config in configs:
+                opt = optimize_generating(fit, config, seed=2, start=start)
+                lm = reference_levenberg_marquardt(residual, normal, x0, config)
+                assert opt.omega.tobytes() == lm.x.tobytes()
+                assert opt.objective == lm.residual_norm ** 2 and opt.status == lm.status
+                assert (opt.iterations, opt.evaluations) == (lm.iterations,
+                                                             lm.residual_evaluations)
+                assert (opt.iterations > 0) == (F.n > 2)
+                statuses.add(opt.status)
+        assert statuses == {"converged-gradient", "converged-step", "converged-function",
+                            "max-iterations", "max-evaluations"}
+
+    def test_normal_system_at_another_point(self, monkeypatch):
+        # `normal` at a point other than the residual's latest rebuilds M
+        # there, so an LM whose every residual call is followed by one at
+        # another point takes the same steps
+        fit = fit_generating(random_tensor(3, 5, 3), monomial_basis(3, 5, 8))
+        opt = optimize_generating(fit, seed=2, start=1)
+
+        def lm(residual, normal, x0, config):
+            def moved(x):
+                f = residual(x)
+                residual(x + 1.0)
+                return f
+            return levenberg_marquardt(moved, normal, x0, config)
+        monkeypatch.setattr(genfit, "levenberg_marquardt", lm)
+        copied = optimize_generating(fit, seed=2, start=1)
         assert opt.iterations > 0
+        assert copied.omega.tobytes() == opt.omega.tobytes()
+        assert (copied.status, copied.iterations, copied.evaluations) == (
+            opt.status, opt.iterations, opt.evaluations)
+
+    def test_shared_fit_on_threads(self):
+        # every run keeps its grid to itself: threads running starts on one
+        # fresh fit (building its jacobian_map at the same time), switched
+        # often, return what one thread does, byte for byte, and leave
+        # nothing but the map on the fit
+        from concurrent.futures import ThreadPoolExecutor
+
+        def runs(fit):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=3) as ex:
+                    return list(ex.map(lambda s: optimize_generating(fit, seed=4, start=s),
+                                       range(8), timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+        F = random_tensor(3, 5, 5)
+        serial = [optimize_generating(fit_generating(F, monomial_basis(3, 5, 8)), seed=4,
+                                      start=s) for s in range(8)]
+        fit = fit_generating(F, monomial_basis(3, 5, 8))
+        fields = set(vars(fit))
+        threaded = runs(fit)
+        assert set(vars(fit)) == fields | {"jacobian_map"}     # nothing else kept
+        for a, b in zip(serial, threaded):
+            assert a.omega.tobytes() == b.omega.tobytes()
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+            assert (a.objective, a.status, a.iterations, a.evaluations) == (
+                b.objective, b.status, b.iterations, b.evaluations)
 
     def test_no_commutator_pair_leaves_stderr_empty(self, capfd):
         # n = 2: one free parameter and no variable pair, so J has no rows,

@@ -10,7 +10,7 @@ from symlra.genfit import (_commutator_jacobian, _normal_system, commutator_resi
                            companion_matrices, fit_generating, monomial_basis)
 from symlra.numerics import (
     minnorm_lstsq,
-    GRADIENT_TOLERANCE, INITIAL_DAMPING, LMConfig, levenberg_marquardt,
+    GRADIENT_TOLERANCE, INITIAL_DAMPING, LMConfig, _norm, levenberg_marquardt,
 )
 from symlra.pipeline import _refine_closures
 from symlra.tensors import perturb, random_low_rank
@@ -230,6 +230,24 @@ class TestLevenbergMarquardt:
         # every accepted cost is the running minimum: trial points may be
         # worse, but the iterate sequence is monotone
         assert costs[-1] == accepted[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(0, 300), scale=st.sampled_from([1e-200, 1e-5, 1.0, 1e5, 1e200]),
+       is_complex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(size=3, scale=np.inf, is_complex=True, seed=0)
+@example(size=3, scale=np.nan, is_complex=False, seed=0)
+def test_norm_matches_numpy_bits(size, scale, is_complex, seed):
+    # the LM's step and point norms: np.linalg.norm's formula, same bits,
+    # overflow and underflow included
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        v = scale * rng.standard_normal(size)
+        if is_complex:
+            v = v + 1j * (scale * rng.standard_normal(size))
+        got, ref = _norm(v), np.linalg.norm(v)
+    assert isinstance(got, float)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 def test_finite_difference_jacobian():
