@@ -33,8 +33,9 @@ and one flat write of G's columns; an LM run builds its grid once).  The
 commutator residual is one batched product over the pairs i < j.  Its
 Jacobian J is linear in M, with coefficients +-N entries that only the
 fit decides, so the fit's first commutator LM builds that map once as
-one sparse matrix W, vec(J) = W vec(M), and each J is one sparse
-product; J^H J is one Hermitian rank-k product (BLAS zherk).
+a sparse W, vec(J) = W vec(M), kept as the CSR arrays scipy's kernel
+reads, and each J is one call of that kernel; J^H J is one Hermitian
+rank-k product (BLAS zherk).
 `optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
@@ -133,7 +134,7 @@ class GeneratingFit:
     in omega, and so are the companion matrices; `null` and `slots` are
     that map's parts, built once per fit.  The commutator Jacobian is
     linear in the companion matrices, and `jacobian_map` is that linear
-    map, built on the fit's first commutator LM and kept."""
+    map as a CSR triple, built on the fit's first commutator LM and kept."""
     basis: MonomialBasis
     gls: np.ndarray                 # (rank, n_border) minimum-norm solutions
     residuals: np.ndarray           # ||A g - b|| per column at omega = 0
@@ -162,10 +163,11 @@ class GeneratingFit:
 
     @functools.cached_property
     def jacobian_map(self):
-        """Sparse W (CSR) with vec(J) = W vec(M): J is the commutator
-        Jacobian at companion matrices M, vec(J) runs down J's columns
-        (entry (row, p) at p R + row, R = pairs * r^2) and vec(M) is
-        M.ravel().
+        """W with vec(J) = W vec(M), as the CSR triple (indptr, indices,
+        data) that scipy's CSR kernel reads: J is the commutator Jacobian at
+        companion matrices M, vec(J) runs down J's columns (entry (row, p)
+        at p R + row, R = pairs * r^2, so W has n_params * R rows) and
+        vec(M) is M.ravel() (W has (n - 1) r^2 columns).
 
         Parameter p with direction w = N[:, q] moves column nu of M_x by w.
         On pair k = (a, b) with other variable y, that is
@@ -174,9 +176,9 @@ class GeneratingFit:
         and for j = nu also every M_y[i, t] with coefficient -N[t, q] (signs
         flipped for x = b).  At i = j = nu the two M_y[nu, nu] coefficients
         cancel, and both are left out; no other entry repeats a (row,
-        column) pair.  W's values are gathered from N and -N, and its
-        indices are int32 while they fit (scipy picks the type)."""
-        import scipy.sparse     # here, so runs without free parameters never load it
+        column) pair.  W's values are gathered from N and -N; its pointers
+        and indices are int32 while the entries and rows fit, and int64
+        otherwise."""
         basis, r, n_params = self.basis, self.basis.rank, self.n_params
         nbar, rr = basis.n - 1, r * r
         n_rows = len(_pairs(nbar)[0]) * rr
@@ -202,12 +204,15 @@ class GeneratingFit:
         row, column, value = (np.concatenate([np.broadcast_to(u, keep.shape)[keep],
                                               np.broadcast_to(v, keep.shape)[keep]])
                               for u, v in zip(first, second))
-        # CSR directly: entries by row, a row's first-term entry first
+        # entries by row, a row's first-term entry first; int32 indices while
+        # the entries and rows fit, as scipy's constructor chooses (the
+        # columns, one per entry of the basis's template, would need a
+        # 32 GiB template to overflow int32)
         order = np.argsort(row, kind="stable")
-        indptr = np.zeros(n_params * n_rows + 1, dtype=np.int64)
+        index = np.int32 if max(row.size, n_params * n_rows) < 2 ** 31 else np.int64
+        indptr = np.zeros(n_params * n_rows + 1, dtype=index)
         np.cumsum(np.bincount(row, minlength=n_params * n_rows), out=indptr[1:])
-        return scipy.sparse.csr_matrix((value[order], column[order], indptr),
-                                       shape=(n_params * n_rows, nbar * rr))
+        return indptr, column.take(order).astype(index), value.take(order)
 
 
 def fit_generating(F, basis):
@@ -271,18 +276,17 @@ def commutator_residuals(M):
 
 def _commutator_jacobian(fit, M):
     """Complex Jacobian of `commutator_residuals` in the free parameters, at
-    the companion matrices M = M(omega): one sparse product with the fit's
-    `jacobian_map`, read as an F-contiguous (pairs * r^2) x n_params array.
-    The product calls the kernel that `W @ v` calls, with the arguments it
-    passes, so J is the same to the bit without scipy's dispatch, which
-    costs more than the kernel at small P.  The kernel checks no length,
-    so M's size is checked here, as `W @ v` would."""
-    W = fit.jacobian_map
-    v = M.ravel()
-    if v.size != W.shape[1]:
-        raise ValueError(f"expected {W.shape[1]} companion matrix entries, got {v.size}")
-    J = np.zeros(W.shape[0], dtype=complex)
-    _csr_matvec()(*W.shape, W.indptr, W.indices, W.data, v, J)
+    the companion matrices M = M(omega): one product of the fit's
+    `jacobian_map` with vec(M) by scipy's CSR kernel, read as an
+    F-contiguous (pairs * r^2) x n_params array.  The kernel checks no
+    length, so M's size is checked here against W's (n - 1) r^2 columns,
+    the size of the basis's template."""
+    indptr, indices, data = fit.jacobian_map
+    v, n_cols = M.ravel(), fit.basis.template.size
+    if v.size != n_cols:
+        raise ValueError(f"expected {n_cols} companion matrix entries, got {v.size}")
+    J = np.zeros(indptr.size - 1, dtype=complex)
+    _csr_matvec()(J.size, n_cols, indptr, indices, data, v, J)
     return J.reshape(fit.n_params, -1).T
 
 

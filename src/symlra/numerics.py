@@ -146,10 +146,8 @@ def minnorm_lstsq(A, b):
         A, b = np.triu(qr[:q]), c[:q, 0] if b.ndim == 1 else c[:q]
     # the full V spans the null space; U is square only when p < q
     U, s, Vh = np.linalg.svd(A, full_matrices=p < q)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > max(p, q) * EPS * s[0]))
+    # s[:1] is sigma_max, or empty with s; sigma_max = 0 gives rank 0
+    rank = int(np.count_nonzero(s > max(p, q) * EPS * s[:1]))
     # .T / s .T divides row j of U^H b by s_j for a 1-D or a 2-D b
     x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ b).T / s[:rank]).T
     null = Vh[rank:].conj().T
@@ -287,7 +285,7 @@ def levenberg_marquardt(residual, normal, x0, config=None):
             if costn < cost:
                 predicted = 0.5 * np.vdot(delta, damping * delta - g).real
                 rho = (cost - costn) / max(predicted, tiny)
-                if function_tolerance > 0.0 and cost - costn <= function_tolerance * cost:
+                if cost - costn <= function_tolerance * cost:
                     status = "converged-function"
                 x, f, cost = xn, fn, costn
                 bound = step_tolerance * (_norm(x) + step_tolerance)

@@ -75,9 +75,7 @@ def terms_from_zeros(coeffs, zeros, m):
     """Vectors u_i = c_i^(1/m) * (1, v_i) with the principal m-th root
     (argument in (-pi, pi]); zero coefficients give zero vectors."""
     c = np.asarray(coeffs, dtype=complex)
-    roots = np.zeros_like(c)
-    nz = c != 0
-    roots[nz] = np.abs(c[nz]) ** (1.0 / m) * np.exp(1j * np.angle(c[nz]) / m)
+    roots = np.abs(c) ** (1.0 / m) * np.exp(1j * np.angle(c) / m)
     U = roots[:, None] * np.column_stack([np.ones(c.size), zeros])
     return Decomposition(m, U)
 
@@ -152,8 +150,11 @@ def refine(F, start, config=None):
     form from the Gram matrix of the vectors (`_refine_closures`, after
     Phan, Tichavsky and Cichocki, SIMAX 2013), so no N x rn Jacobian is
     formed.  Only improving steps are taken, so the returned error is at
-    most the starting error (up to roundoff in its evaluation)."""
+    most the starting error (up to roundoff in its evaluation).  A start
+    whose n or m is not F's raises a ValueError."""
     r, n = start.rank, start.n
+    if (n, start.m) != (F.n, F.m):
+        raise ValueError(f"the start has (n, m) = {(n, start.m)}, the tensor {(F.n, F.m)}")
     if r == 0:
         return RefineResult(start, F.norm(), None)
     residual, normal = _refine_closures(F, r)

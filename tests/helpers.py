@@ -16,9 +16,10 @@ expand to the (n,)*m array, contract A into each mode, compress), which
 the compact recursion must match to round-off, and the minimum-norm least
 squares by one SVD of the whole p x q system (`reference_minnorm_lstsq`),
 which the QR reduction of large tall systems must match to round-off, and
-the Levenberg-Marquardt loop that builds each damped system afresh
-(`reference_levenberg_marquardt`), whose runs the buffered loop must
-match bit for bit."""
+the one reference Levenberg-Marquardt loop, which builds each damped
+system afresh and solves it by `scipy.linalg.cho_factor` and `cho_solve`
+(`reference_levenberg_marquardt`), whose runs the LM's buffered LAPACK
+loop must match bit for bit."""
 
 from types import SimpleNamespace
 
@@ -320,11 +321,11 @@ def flat_commutator_jacobian(fit, M):
 
 def reference_levenberg_marquardt(residual, normal, x0, config=None):
     """`levenberg_marquardt` with every damped trial built afresh as
-    J^H J + diag(lam * scale) and tested whole for finiteness, the LAPACK
-    handles looked up per run and ||x|| taken per trial."""
+    J^H J + diag(lam * scale) and tested whole for finiteness, each step
+    solved by `scipy.linalg.cho_factor` and `cho_solve` (a failed
+    factorization raises the damping) and ||x|| taken per trial."""
     cfg = config if config is not None else LMConfig()
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=x.dtype)
     f = np.asarray(residual(x), dtype=x.dtype)
     nfev = 1
     if not np.isfinite(f).all():
@@ -350,12 +351,13 @@ def reference_levenberg_marquardt(residual, normal, x0, config=None):
             A = JhJ + np.diag(lam * scale)
             if not (np.isfinite(A).all() and np.isfinite(g).all()):
                 raise np.linalg.LinAlgError("the normal system is not finite")
-            c, info = potrf(A, lower=False, overwrite_a=True, clean=False)
-            if info > 0:
+            try:
+                factor = scipy.linalg.cho_factor(A)
+            except scipy.linalg.LinAlgError:     # not positive definite
                 lam *= nu
                 nu *= 2.0
                 continue
-            delta, _ = potrs(c, -g, lower=False, overwrite_b=True)
+            delta = scipy.linalg.cho_solve(factor, -g)
             if np.linalg.norm(delta) <= cfg.step_tolerance * (
                     np.linalg.norm(x) + cfg.step_tolerance):
                 status = "converged-step"

@@ -363,8 +363,8 @@ def test_companion_matrices_check_the_shape_of_g():
 
 
 def test_commutator_jacobian_checks_the_companion_size():
-    # the sparse kernel reads M by W's column count, so a wrong size is an
-    # error before it runs, as with `W @ v`
+    # the sparse kernel reads M by W's column count and checks no length,
+    # so a wrong size is an error before it runs
     fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
     M = companion_matrices(fit.matrix(), fit.basis)
     for bad in (M[:1], M[:, :3], np.zeros((2, 4, 5))):
@@ -560,11 +560,32 @@ def test_jacobian_map_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fit.n_params == 273 and W.shape == (273 * 5184, 9 * 144)
-    assert W.indices.dtype == np.int32 and W.indptr.dtype == np.int32
-    assert W.data.nbytes + W.indices.nbytes + W.indptr.nbytes <= 1.5 * J_bytes
+    indptr, indices, data = W
+    assert fit.n_params == 273 and indptr.size == 273 * 5184 + 1
+    assert indptr[-1] == indices.size == data.size and indices.max() < 9 * 144
+    assert indices.dtype == np.int32 and indptr.dtype == np.int32
+    assert data.nbytes + indices.nbytes + indptr.nbytes <= 1.5 * J_bytes
     assert peak < 100e6
     assert fit.jacobian_map is W
+
+
+def test_commutator_lm_builds_no_sparse_container(monkeypatch):
+    # W is the CSR triple the kernel reads: a run on a fresh fit with
+    # scipy's sparse containers unusable returns what a plain run does
+    import scipy.sparse
+    F = random_tensor(3, 5, 6)
+    plain = optimize_generating(fit_generating(F, monomial_basis(3, 5, 8)), seed=3, start=1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a scipy.sparse container was built")
+    for name in ("csr_matrix", "csr_array"):
+        monkeypatch.setattr(scipy.sparse, name, refused)
+    fit = fit_generating(F, monomial_basis(3, 5, 8))
+    opt = optimize_generating(fit, seed=3, start=1)
+    assert "jacobian_map" in vars(fit) and opt.iterations > 0
+    assert opt.omega.tobytes() == plain.omega.tobytes()
+    assert (opt.status, opt.iterations, opt.evaluations) == (
+        plain.status, plain.iterations, plain.evaluations)
 
 
 @pytest.mark.parametrize("at_zero", [True, False])

@@ -1,4 +1,4 @@
-"""The result-parity tool, tools/parity.py: its smoke set reproduces
+"""The result-parity tool, tools/parity.py: its call set reproduces
 byte for byte, `--compare` flags a changed entry, and `--root` runs only
 the checkout it names."""
 import json
@@ -15,16 +15,16 @@ def _parity(*args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_tiny_set_reproduces_and_compare_flags_a_doctored_entry(tmp_path):
+def test_set_reproduces_and_compare_flags_a_doctored_entry(tmp_path):
     a, b, doctored = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
     for out in (a, b):
-        done = _parity("--root", ROOT, "--seed", 5, "--out", out, "--tiny")
+        done = _parity("--root", ROOT, "--seed", 5, "--out", out)
         assert done.returncode == 0, done.stderr
     assert a.read_bytes() == b.read_bytes()
     records = [json.loads(line) for line in a.read_text().splitlines()]
-    assert len(records) == 3
+    assert len(records) == 35
     same = _parity("--compare", a, b)
-    assert same.returncode == 0 and same.stdout.endswith("3 entries, 0 differ\n")
+    assert same.returncode == 0 and same.stdout.endswith("35 entries, 0 differ\n")
 
     # as if the first call's error had moved by one part in a million
     rec = records[0]
@@ -35,10 +35,10 @@ def test_tiny_set_reproduces_and_compare_flags_a_doctored_entry(tmp_path):
     assert differ.returncode == 1
     assert f"{rec['name']}:\n  result.err_opt: " in differ.stdout
     assert "largest relative move: 1.000e-06" in differ.stdout
-    assert differ.stdout.endswith("3 entries, 1 differ\n")
+    assert differ.stdout.endswith("35 entries, 1 differ\n")
 
 
 def test_root_without_the_package_is_refused(tmp_path):
-    done = _parity("--root", tmp_path, "--seed", 5, "--out", tmp_path / "out.jsonl", "--tiny")
+    done = _parity("--root", tmp_path, "--seed", 5, "--out", tmp_path / "out.jsonl")
     assert done.returncode != 0 and "no symlra package under" in done.stderr
     assert not (tmp_path / "out.jsonl").exists()

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: coefficient fit, reconstruction, refinement,
 approximation driver, and the decomposition search."""
 import itertools
+import re
 import sys
 import time
 from dataclasses import replace
@@ -239,6 +240,16 @@ class TestRefine:
         out = refine(F, Decomposition(3, np.zeros((0, 3))))
         assert out.error == pytest.approx(F.norm())
         assert out.lm is None
+
+    @pytest.mark.parametrize("n,m,rank", [(3, 3, 2), (4, 4, 2), (3, 3, 0)])
+    def test_start_of_another_shape_raises(self, n, m, rank):
+        # F has (n, m) = (4, 3): a start of another n, of another m, or of
+        # rank 0 and another n is refused before any work
+        F = random_low_rank(4, 3, 2)[0]
+        start = Decomposition(m, np.ones((rank, n)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"the start has (n, m) = ({n}, {m}), the tensor (4, 3)")):
+            refine(F, start)
 
 
 class TestApproximate:

@@ -3,7 +3,7 @@
 Run a fixed, seeded set of library calls on one BLAS thread and write one
 JSON line per call, then compare two such files:
 
-    python3 tools/parity.py --root DIR --seed N --out FILE [--tiny]
+    python3 tools/parity.py --root DIR --seed N --out FILE
     python3 tools/parity.py --compare A B
 
 `--root` imports symlra from DIR/src and refuses any other copy, so two
@@ -13,8 +13,7 @@ every returned vector array, error, status, count, diagnostic and
 warning, the library's `wall_time` excepted, and the readable scalars.
 `--compare` lists the entries whose hashes differ, with both sides'
 scalars that differ and the largest relative move among them, and exits
-1 if any entry differs (or is missing on one side).  `--tiny` runs a
-three-call smoke set.
+1 if any entry differs (or is missing on one side).
 """
 
 import argparse
@@ -119,7 +118,7 @@ def record(name, call):
     return {"name": name, "sha256": digest.hexdigest(), "scalars": scalars}
 
 
-def calls(symlra, seed, tiny=False):
+def calls(symlra, seed):
     """(name, thunk) for each call of the set; every instance and start
     is derived from `seed`."""
     from symlra import families
@@ -144,16 +143,6 @@ def calls(symlra, seed, tiny=False):
             fit = symlra.fit_generating(F, symlra.monomial_basis(F.n, F.m, r))
             return symlra.optimize_generating(fit, seed=key, start=start)
         return call
-
-    if tiny:
-        exact = random_low_rank(3, 3, 2, seed=[seed, 1])[0]
-        return [
-            ("approximate/sin/restarts-1",
-             partial(approximate, families.sin_tensor(), 2, restarts=1, seed=seed)),
-            ("decompose/exact-3-3-2/distinct",
-             partial(decompose, exact, 2, restarts=2, seed=seed, distinct=True)),
-            ("refine/perturbed-4-3-2", refine(perturbed(4, 3, 2, 2), 2, [seed, 3])),
-        ]
 
     out = []
     for k, (n, m, r) in enumerate([(3, 4, 5), (3, 5, 8), (4, 4, 6), (10, 3, 4)]):
@@ -196,10 +185,10 @@ def calls(symlra, seed, tiny=False):
     return out
 
 
-def run(root, seed, out, tiny=False):
+def run(root, seed, out):
     symlra = import_symlra(root)
     with open(out, "w") as fh:
-        for name, call in calls(symlra, seed, tiny):
+        for name, call in calls(symlra, seed):
             fh.write(json.dumps(record(name, call)) + "\n")
             fh.flush()
 
@@ -249,7 +238,6 @@ def main(argv=None):
     parser.add_argument("--root", help="checkout whose src/symlra to run")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output file, one JSON line per call")
-    parser.add_argument("--tiny", action="store_true", help="three-call smoke set")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two output files instead of running")
     args = parser.parse_args(argv)
@@ -257,7 +245,7 @@ def main(argv=None):
         return compare(*args.compare)
     if args.root is None or args.seed is None or args.out is None:
         parser.error("--root, --seed and --out are required unless --compare is given")
-    run(args.root, args.seed, args.out, args.tiny)
+    run(args.root, args.seed, args.out)
     return 0
 
 
