@@ -1,10 +1,11 @@
 """Batch experiment harnesses.
 
 Three drivers, all deterministic in (seed, parameters) and independent
-of the thread count.  `threads` runs that many trials at once; BLAS stays
-on one thread for the whole run (`numerics.one_blas_thread`), so the
-trials, not the BLAS pools, share the cores, and the caller's BLAS
-thread counts are restored on return.  `environment` records the BLAS
+of the thread count.  `threads` runs that many trials at once on one
+thread pool (a single worker at threads=1); BLAS stays on one thread for
+the whole run (`numerics.one_blas_thread`), so the trials, not the BLAS
+pools, share the cores, and the caller's BLAS thread counts are restored
+on return.  `environment` records the BLAS
 thread counts in effect inside a run, the usable cores and the numpy and
 scipy versions.
 
@@ -14,10 +15,11 @@ scipy versions.
 * `run_nls_comparison`: paired trials on scaled instances (term i
   carries weight tau^i) comparing the pipeline against plain
   random-start nonlinear least squares on the same tensor.
-* `run_decomposition_table`: exact-rank instances; fraction of trials
-  whose relative residual clears a tolerance.
+* `run_decomposition_table(n, m, r, ...)`: exact-rank instances;
+  fraction of trials whose relative residual clears a tolerance.
 
-Each case comes back as one `BenchStats`: `row` holds the JSON fields in
+Each driver runs one case, (n, m, r) and for the first two a noise norm
+eps, and returns one `BenchStats`: `row` holds the JSON fields in
 output order, `timing` the wall-clock fields `--timing` appends, and
 `samples` the per-trial arrays behind both.
 """
@@ -70,11 +72,8 @@ def _map_trials(worker, trials, threads, *names):
     # its array over the trials
     _check_count("trials", trials)
     _check_count("threads", threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(worker, range(trials)))
-    else:
-        rows = [worker(t) for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        rows = list(ex.map(worker, range(trials)))
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
@@ -186,30 +185,23 @@ def format_nls_table(stats_list):
 
 
 @one_blas_thread
-def run_decomposition_table(cases, trials=20, seed=0, restarts=0,
+def run_decomposition_table(n, m, r, trials=20, seed=0, restarts=0,
                             residual_tol=1e-6, threads=1, lm_config=None):
-    """Decomposition success rates on exact rank-r instances.
+    """Decomposition success rate of `decompose` on exact rank-r
+    instances."""
 
-    `cases` is an iterable of (n, m, r) triples; returns one BenchStats per
-    case, in order."""
-    out = []
-    for (n, m, r) in cases:
+    def worker(t):
+        F, _ = random_low_rank(n, m, r, seed=seed_key(seed, n, m, r, t))
+        dres = decompose(F, r, residual_tol=residual_tol, restarts=restarts,
+                         seed=seed_key(seed, n, m, r, t, 1), lm_config=lm_config)
+        return dres.success, dres.relative_residual, dres.diagnostics["wall_time"]
 
-        def worker(t):
-            F, _ = random_low_rank(n, m, r, seed=seed_key(seed, n, m, r, t))
-            dres = decompose(F, r, residual_tol=residual_tol, restarts=restarts,
-                             seed=seed_key(seed, n, m, r, t, 1),
-                             lm_config=lm_config)
-            return (dres.success, dres.relative_residual,
-                    dres.diagnostics["wall_time"])
-
-        s = _map_trials(worker, trials, threads, "success", "residual", "time")
-        successes = int(s["success"].sum())
-        out.append(BenchStats(
-            {"n": n, "m": m, "r": r, "trials": trials, "restarts": restarts,
-             "successes": successes, "success_rate": successes / trials},
-            {"mean_time": float(s["time"].mean())}, s))
-    return out
+    s = _map_trials(worker, trials, threads, "success", "residual", "time")
+    successes = int(s["success"].sum())
+    return BenchStats(
+        {"n": n, "m": m, "r": r, "trials": trials, "restarts": restarts,
+         "successes": successes, "success_rate": successes / trials},
+        {"mean_time": float(s["time"].mean())}, s)
 
 
 def format_decomp_table(stats_list):

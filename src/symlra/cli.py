@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 on numerical failure (a decomposition search
 that misses its tolerance, or a linear-algebra breakdown), 2 on input
 errors (bad files, bad flags, invalid parameters).
 
-JSON output is byte-identical for identical flags and seed; wall-clock
+Every JSON document goes through `jsonio.dumps`, and `--max-iter` and
+`--max-fev` reach every command that takes them as one `LMConfig`.  JSON
+output is byte-identical for identical flags and seed; wall-clock
 timings are therefore omitted unless --timing is passed, which for the
 bench commands also adds the environment of the run (BLAS thread counts
 inside symlra calls, usable cores, numpy and scipy versions).  Library
@@ -29,21 +31,6 @@ from .pipeline import ResultWarning, approximate, decompose as decompose_fn
 from .tensors import perturb
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
-    return obj
-
-
 def _guarded(fn):
     # warnings are recorded under the active filters; the library's go to
     # stderr as the CLI's own messages on every exit path, and others, such
@@ -66,15 +53,10 @@ def _guarded(fn):
     return wrapper
 
 
-def _lm_config(max_iter, max_fev):
-    base = LMConfig()
-    return LMConfig(
-        max_iterations=max_iter if max_iter is not None else base.max_iterations,
-        max_residual_evaluations=max_fev if max_fev is not None else base.max_residual_evaluations)
-
-
-def _emit(payload):
-    click.echo(dumps(_jsonable(payload)), nl=False)
+def _emit(payload, output=None):
+    text = dumps(payload)
+    with click.open_file(output or "-", "w") as fh:
+        fh.write(text)
 
 
 def _echo_vectors(decomposition, indent=""):
@@ -102,6 +84,19 @@ POSITIVE = click.IntRange(min=1)
 TIMING = click.option("--timing", is_flag=True,
                       help="Include wall-clock timings in the output "
                            "(breaks byte-for-byte reproducibility).")
+
+
+def _lm_options(fn):
+    """--max-iter and --max-fev, handed to the command as one `lm_config`."""
+    @click.option("--max-iter", type=COUNT, default=LMConfig.max_iterations,
+                  help="Iteration budget per least-squares minimization.")
+    @click.option("--max-fev", type=COUNT, default=LMConfig.max_residual_evaluations,
+                  help="Residual-evaluation budget per minimization.")
+    @functools.wraps(fn)
+    def wrapper(*args, max_iter, max_fev, **kwargs):
+        return fn(*args, **kwargs, lm_config=LMConfig(
+            max_iterations=max_iter, max_residual_evaluations=max_fev))
+    return wrapper
 
 
 @click.group()
@@ -143,10 +138,7 @@ def _approx_options(fn):
                      help="Extra random starts for the commutator minimization; "
                           "each runs the whole pipeline, and the smallest "
                           "error wins."),
-        click.option("--max-iter", type=COUNT, default=None,
-                     help="Iteration budget per least-squares minimization."),
-        click.option("--max-fev", type=COUNT, default=None,
-                     help="Residual-evaluation budget per minimization."),
+        _lm_options,
     ]):
         fn = opt(fn)
     return fn
@@ -163,14 +155,13 @@ def _approx_options(fn):
 @FORMAT
 @TIMING
 @_guarded
-def approx(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
-           coordinate_shuffle, skip_refine, fmt, timing):
+def approx(input, rank, rank_tol, seed, restarts, coordinate_shuffle,
+           skip_refine, fmt, timing, lm_config):
     """Low-rank approximation of a tensor; prints the refined
     decomposition, both errors, and diagnostics."""
     F = read_tensor(input)
     res = approximate(F, rank, rank_tol=rank_tol, seed=seed, restarts=restarts,
-                      lm_config=_lm_config(max_iter, max_fev),
-                      skip_refine=skip_refine,
+                      lm_config=lm_config, skip_refine=skip_refine,
                       coordinate_shuffle=coordinate_shuffle)
     diag = dict(res.diagnostics)
     if not timing:
@@ -198,15 +189,14 @@ def approx(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
 @FORMAT
 @TIMING
 @_guarded
-def decompose(input, rank, rank_tol, seed, restarts, max_iter, max_fev,
-              residual_tol, distinct, fmt, timing):
+def decompose(input, rank, rank_tol, seed, restarts, residual_tol,
+              distinct, fmt, timing, lm_config):
     """Search for an exact rank-r decomposition; exits 1 when no start
     reaches the tolerance.  The JSON carries the search's diagnostics:
     rank, attempts, norm scale, per-start records and (--timing) wall time."""
     F = read_tensor(input)
     res = decompose_fn(F, rank, residual_tol=residual_tol, restarts=restarts,
-                       seed=seed, distinct=distinct,
-                       lm_config=_lm_config(max_iter, max_fev),
+                       seed=seed, distinct=distinct, lm_config=lm_config,
                        rank_tol=rank_tol)
     if not res.success:
         click.echo(f"no decomposition reached relative residual "
@@ -249,12 +239,7 @@ def gen(family, n, m, r, seed, tau, eps, output):
     F = make_family(family, n=n, m=m, r=r, seed=seed, tau=tau)
     if eps:
         F = perturb(F, eps, seed=[seed, 99])
-    text = dumps(_jsonable(tensor_to_dict(F)))
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(tensor_to_dict(F), output)
 
 
 @main.group()
@@ -279,9 +264,7 @@ def _bench_options(fn):
         click.option("--trials", type=POSITIVE, default=20, show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
         click.option("--threads", type=POSITIVE, default=1, show_default=True),
-        click.option("--max-iter", type=COUNT, default=None),
-        click.option("--max-fev", type=COUNT, default=None),
-        FORMAT, TIMING,
+        _lm_options, FORMAT, TIMING,
     ]):
         fn = opt(fn)
     return fn
@@ -297,12 +280,11 @@ def _bench_options(fn):
 @click.option("--tau", type=float, default=None)
 @_bench_options
 @_guarded
-def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
-                max_fev, fmt, timing):
+def bench_table(n, m, ranks, epss, tau, trials, seed, threads, fmt, timing,
+                lm_config):
     """Error distribution of the pipeline on perturbed random instances."""
-    cfg = _lm_config(max_iter, max_fev)
     stats = [benchmod.run_table(n, m, r, eps, trials, seed=seed, tau=tau,
-                                threads=threads, lm_config=cfg)
+                                threads=threads, lm_config=lm_config)
              for r in _numbers(ranks, int) for eps in _numbers(epss, float)]
     _emit_bench(stats, benchmod.format_trial_table, fmt, timing)
 
@@ -317,13 +299,12 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, max_iter,
 @click.option("--nls-restarts", type=POSITIVE, default=10, show_default=True)
 @_bench_options
 @_guarded
-def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
-              max_iter, max_fev, fmt, timing):
+def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads, fmt,
+              timing, lm_config):
     """Paired comparison against random-start nonlinear least squares."""
-    cfg = _lm_config(max_iter, max_fev)
     st = benchmod.run_nls_comparison(n, m, r, eps, trials,
                                      nls_restarts=nls_restarts, seed=seed,
-                                     tau=tau, threads=threads, lm_config=cfg)
+                                     tau=tau, threads=threads, lm_config=lm_config)
     _emit_bench([st], benchmod.format_nls_table, fmt, timing, rows=False)
 
 
@@ -334,19 +315,19 @@ def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads,
 @click.option("--residual-tol", default=1e-6, show_default=True)
 @_bench_options
 @_guarded
-def bench_decomp(cases, restarts, residual_tol, trials, seed, threads,
-                 max_iter, max_fev, fmt, timing):
+def bench_decomp(cases, restarts, residual_tol, trials, seed, threads, fmt,
+                 timing, lm_config):
     """Decomposition success rates on exact-rank instances."""
     parsed = []
     for part in cases.split(";"):
         triple = _numbers(part, int)
         if len(triple) != 3:
             raise ValueError(f"expected n,m,r in {part!r}")
-        parsed.append(tuple(triple))
-    cfg = _lm_config(max_iter, max_fev)
-    stats = benchmod.run_decomposition_table(
-        parsed, trials=trials, seed=seed, restarts=restarts,
-        residual_tol=residual_tol, threads=threads, lm_config=cfg)
+        parsed.append(triple)
+    stats = [benchmod.run_decomposition_table(
+        n, m, r, trials, seed=seed, restarts=restarts,
+        residual_tol=residual_tol, threads=threads, lm_config=lm_config)
+        for n, m, r in parsed]
     _emit_bench(stats, benchmod.format_decomp_table, fmt, timing)
 
 

@@ -65,30 +65,24 @@ def octet_tensor():
     return octet_decomposition().tensor()
 
 
-def make_family(family, n=None, m=None, r=None, seed=0, tau=None):
-    """Construct a named instance; None parameters take family defaults."""
-    def given(value, default):
-        return default if value is None else value
+_SIZED = {"sin": sin_tensor, "rootsum": rootsum_tensor, "linear": linear_tensor}
+_FIXED = {"ternary": ternary_tensor, "octet": octet_tensor}
+FAMILIES = (*_SIZED, *_FIXED, "random")
 
-    if family == "sin":
-        return sin_tensor(given(n, 6), given(m, 3))
-    if family == "rootsum":
-        return rootsum_tensor(given(n, 5), given(m, 4))
-    if family == "linear":
-        return linear_tensor(given(n, 5), given(m, 3))
-    if family == "ternary":
-        if (given(n, 3), given(m, 3)) != (3, 3):
-            raise ValueError("the ternary instance is fixed at n=3, m=3")
-        return ternary_tensor()
-    if family == "octet":
-        if (given(n, 4), given(m, 4)) != (4, 4):
-            raise ValueError("the octet instance is fixed at n=4, m=4")
-        return octet_tensor()
+
+def make_family(family, n=None, m=None, r=None, seed=0, tau=None):
+    """Construct a named instance; an `n` or `m` left None takes the
+    builder's default."""
+    size = {key: v for key, v in (("n", n), ("m", m)) if v is not None}
+    if family in _SIZED:
+        return _SIZED[family](**size)
+    if family in _FIXED:
+        F = _FIXED[family]()
+        if (size.get("n", F.n), size.get("m", F.m)) != (F.n, F.m):
+            raise ValueError(f"the {family} instance is fixed at n={F.n}, m={F.m}")
+        return F
     if family == "random":
         if n is None or m is None or r is None:
             raise ValueError("the random family needs --n, --m and --r")
         return random_low_rank(n, m, r, seed=seed, tau=tau)[0]
     raise ValueError(f"unknown family {family!r}")
-
-
-FAMILIES = ("sin", "rootsum", "linear", "ternary", "octet", "random")

@@ -9,7 +9,8 @@ Tensor documents::
      "entries": [{"index": [1, 1, 2], "re": 2.0, "im": 0.0}, ...]}
 
 Compact entries are keyed by exponent over the trailing n-1 variables;
-full entries by a 1-based position tuple.  Omitted entries are zero.
+full entries by a 1-based position tuple.  Omitted entries are zero, and
+an exponent or position may be listed once.
 Full input is symmetrized-checked on read: all listed positions of one
 symmetry class must agree (a class that is only partially listed counts
 as asymmetric, since missing positions are zero).
@@ -24,7 +25,7 @@ import json
 
 import numpy as np
 
-from .tensors import (MAX_ENTRIES, SymTensor, Decomposition, table,
+from .tensors import (SymTensor, Decomposition, table, check_full_size,
                       compact_from_full, full_from_compact)
 
 
@@ -100,16 +101,18 @@ def tensor_from_dict(doc):
             values[tab.index[alpha]] = _complex_of(entry)
         return SymTensor(n, m, values)
     if form == "full":
-        if n ** m > MAX_ENTRIES:
-            raise ValueError(f"a full n={n}, m={m} array has more than "
-                             f"{MAX_ENTRIES} entries")
+        check_full_size(n, m)
         dense = np.zeros((n,) * m, dtype=complex)
+        seen = set()
         for entry in entries:
             index = _want(entry, "index", list)
             if len(index) != m or not all(
                     _plain(i, int) and 1 <= i <= n for i in index):
                 raise ValueError(
                     f"index {index} is not a valid 1-based position for n={n}, m={m}")
+            if tuple(index) in seen:
+                raise ValueError(f"duplicate entry for position {index}")
+            seen.add(tuple(index))
             dense[tuple(i - 1 for i in index)] = _complex_of(entry)
         return compact_from_full(dense)
     raise ValueError(f"unknown tensor format {form!r}")
@@ -151,6 +154,24 @@ def read_tensor(path):
     return tensor_from_dict(doc)
 
 
+def _plain_values(obj):
+    # numpy scalars as Python values, non-finite floats as None (null)
+    if isinstance(obj, dict):
+        return {k: _plain_values(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_values(v) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    return obj
+
+
 def dumps(payload):
-    """Canonical JSON text: stable key order, two-space indent, newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON text of a payload of dicts, lists, tuples, strings,
+    None and Python or numpy numbers and bools: numpy scalars become plain
+    JSON values and NaN and infinities `null`; keys keep their order, with
+    a two-space indent and a final newline."""
+    return json.dumps(_plain_values(payload), indent=2) + "\n"

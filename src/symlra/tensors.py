@@ -26,8 +26,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-# the most compact entries, and dense entries read from a full document, a
-# layout may have; (20, 6) has 177,100 and its table builds in seconds
+# the most compact entries, and dense entries of a full array built from
+# compact ones or read from a full document, a layout may have; (20, 6)
+# has 177,100 compact entries and its table builds in seconds
 MAX_ENTRIES = 2 ** 20
 # complex entries gathered at once by a step of `transform` (4 MiB)
 TRANSFORM_BLOCK = 2 ** 18
@@ -307,6 +308,13 @@ class Decomposition:
         return f"Decomposition(n={self.n}, m={self.m}, rank={self.rank})"
 
 
+def check_full_size(n, m):
+    """Refuse a dense (n,)*m layout of more than MAX_ENTRIES entries."""
+    if n ** m > MAX_ENTRIES:
+        raise ValueError(f"a full n={n}, m={m} array has more than "
+                         f"{MAX_ENTRIES} entries")
+
+
 @lru_cache(maxsize=None)
 def _position_map(n, m):
     # dense index tuple -> compact slot, as an (n,)*m integer array; its
@@ -323,7 +331,9 @@ def _position_map(n, m):
 
 
 def full_from_compact(F):
-    """Expand to the dense (n,)*m array (use only at interface boundaries)."""
+    """Expand to the dense (n,)*m array (use only at interface boundaries);
+    a layout of more than MAX_ENTRIES dense entries raises ValueError."""
+    check_full_size(F.n, F.m)
     return F.values[_position_map(F.n, F.m)]
 
 

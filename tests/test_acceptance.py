@@ -173,16 +173,17 @@ def test_criterion_06_nls_comparison():
 
 def test_criterion_07_decomposition_success_rates():
     t0 = time.perf_counter()
-    plain = run_decomposition_table([(6, 3, 4), (4, 5, 10)], trials=20, seed=0)
-    multi = run_decomposition_table([(3, 4, 5)], trials=20, seed=0, restarts=5)
+    plain = [run_decomposition_table(*case, trials=20, seed=0)
+             for case in [(6, 3, 4), (4, 5, 10)]]
+    multi = run_decomposition_table(3, 4, 5, trials=20, seed=0, restarts=5)
     dt = time.perf_counter() - t0
     report(7, [
         ("rate[6,3,4]", f"{plain[0].row['success_rate']:.2f}",
          plain[0].row["success_rate"] >= 0.9),
         ("rate[4,5,10]", f"{plain[1].row['success_rate']:.2f}",
          plain[1].row["success_rate"] >= 0.9),
-        ("rate[3,4,5]+5restarts", f"{multi[0].row['success_rate']:.2f}",
-         multi[0].row["success_rate"] >= 0.8),
+        ("rate[3,4,5]+5restarts", f"{multi.row['success_rate']:.2f}",
+         multi.row["success_rate"] >= 0.8),
         ("seconds", f"{dt:.1f}", dt < 600.0),
     ])
 

@@ -76,7 +76,7 @@ def test_stock_nls_config_is_a_bounded_budget():
 
 
 def test_decomposition_table():
-    (st,) = run_decomposition_table([(4, 3, 2)], trials=3, seed=0)
+    st = run_decomposition_table(4, 3, 2, trials=3, seed=0)
     assert (st.row["n"], st.row["m"], st.row["r"]) == (4, 3, 2)
     assert st.row["successes"] == 3
     assert st.row["success_rate"] == 1.0
@@ -87,8 +87,8 @@ def test_decomposition_table():
 
 
 def test_decomposition_table_deterministic():
-    a = run_decomposition_table([(4, 3, 2)], trials=3, seed=7)[0]
-    b = run_decomposition_table([(4, 3, 2)], trials=3, seed=7, threads=2)[0]
+    a = run_decomposition_table(4, 3, 2, trials=3, seed=7)
+    b = run_decomposition_table(4, 3, 2, trials=3, seed=7, threads=2)
     npt.assert_array_equal(a.samples["residual"], b.samples["residual"])
 
 
@@ -96,9 +96,9 @@ def test_decomposition_table_threads_match_serial_bytes():
     # cases with free parameters, so trials on two threads run commutator
     # LMs at the same time; each LM run keeps its buffers to itself
     cases = [(3, 5, 8), (3, 4, 5)]
-    serial = run_decomposition_table(cases, trials=4, seed=11, restarts=2)
-    threaded = run_decomposition_table(cases, trials=4, seed=11, restarts=2, threads=2)
-    for a, b in zip(serial, threaded):
+    for case in cases:
+        a = run_decomposition_table(*case, trials=4, seed=11, restarts=2)
+        b = run_decomposition_table(*case, trials=4, seed=11, restarts=2, threads=2)
         assert a.row == b.row
         for name in ("success", "residual"):
             assert a.samples[name].tobytes() == b.samples[name].tobytes()
@@ -109,11 +109,10 @@ def test_decomposition_table_threads_match_serial_bytes():
     (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=0), "trials"),
     (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=1, nls_restarts=0),
      "nls_restarts"),
-    (lambda: run_decomposition_table([(3, 3, 2)], trials=0), "trials"),
+    (lambda: run_decomposition_table(3, 3, 2, trials=0), "trials"),
     (lambda: run_table(3, 3, 1, 1e-2, trials=1, threads=0), "threads"),
     (lambda: run_nls_comparison(3, 3, 1, 1e-2, trials=1, threads=-4), "threads"),
-    (lambda: run_decomposition_table([(3, 3, 2)], trials=1, threads=-4),
-     "threads"),
+    (lambda: run_decomposition_table(3, 3, 2, trials=1, threads=-4), "threads"),
     (lambda: run_table(3, 3, 1, 1e-2, trials=1, tau=-1.0), "tau must be positive"),
 ])
 def test_counts_below_one_raise(run, match):

@@ -13,12 +13,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
 import symlra
 from symlra.cli import main
-from symlra.families import make_family, sin_tensor
+from symlra.families import (linear_tensor, make_family, octet_tensor,
+                             rootsum_tensor, sin_tensor)
 from symlra.jsonio import dumps, tensor_to_dict
 
 
@@ -73,6 +75,27 @@ def test_gen_unknown_family_is_a_usage_error(runner):
 def test_make_family_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown family 'bogus'"):
         make_family("bogus")
+
+
+@pytest.mark.parametrize("size", [{}, {"n": 3}, {"m": 2}, {"n": 4, "m": 2}])
+@pytest.mark.parametrize("family, builder", [
+    ("sin", sin_tensor), ("rootsum", rootsum_tensor), ("linear", linear_tensor)])
+def test_make_family_passes_only_the_given_sizes(family, builder, size):
+    F, G = make_family(family, **size), builder(**size)
+    assert (F.n, F.m) == (G.n, G.m)
+    npt.assert_array_equal(F.values, G.values)
+
+
+@pytest.mark.parametrize("args", [["--m", "3"], ["--n", "4", "--m", "5"], ["--n", "3"]])
+def test_gen_octet_rejects_other_sizes(runner, args):
+    result = runner.invoke(main, ["gen", "--family", "octet", *args])
+    assert_input_error(result)
+    assert "the octet instance is fixed at n=4, m=4" in result.stderr
+
+
+def test_gen_octet_accepts_its_own_size(runner):
+    doc = json.loads(invoke(runner, "gen", "--family", "octet", "--n", "4", "--m", "4").stdout)
+    assert doc == tensor_to_dict(octet_tensor())
 
 
 def test_gen_random_requires_rank(runner):
@@ -156,6 +179,15 @@ def test_rankest_malformed_entries_exit_2(runner, tmp_path, entries):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "m": 2, "entries": entries}))
     assert_input_error(runner.invoke(main, ["rankest", str(path)]))
+
+
+def test_rankest_repeated_full_position_exits_2(runner, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "format": "full", "entries": [
+        {"index": [1], "re": 1}, {"index": [1], "re": 5}, {"index": [2], "re": 2}]}))
+    result = runner.invoke(main, ["rankest", str(path)])
+    assert_input_error(result)
+    assert "duplicate entry for position [1]" in result.stderr
 
 
 # a child process under a 2 GiB address-space limit, so that a layout the
@@ -472,6 +504,44 @@ def test_bench_timing_records_the_environment(runner, args):
     env = json.loads(invoke(runner, *args, "--timing").output)["environment"]
     assert env["nproc"] >= 1 and env["numpy"] == np.__version__
     assert all(n == 1 for n in env["blas_threads"].values())
+
+
+# a tiny case of each command that takes the LM budget flags, the
+# generated input it reads (if any), and a budget that changes its output
+BUDGETED = {
+    "approx": (["approx", "--rank", "4"], ["--family", "ternary"], "0"),
+    "decompose": (["decompose", "--rank", "5"], ["--family", "random", "--n", "3",
+                                                 "--m", "4", "--r", "5", "--seed", "3"], "5"),
+    "bench table": (["bench", "table", "--n", "3", "--m", "3", "--r", "1",
+                     "--trials", "1"], None, "0"),
+    "bench nls": (["bench", "nls", "--n", "3", "--m", "3", "--r", "1", "--eps", "1e-2",
+                   "--trials", "1", "--nls-restarts", "1"], None, "0"),
+    "bench decomp": (["bench", "decomp", "--cases", "3,4,5", "--trials", "2"], None, "0"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--max-iter", "--max-fev"])
+@pytest.mark.parametrize("command", BUDGETED)
+def test_budget_flags_reach_the_library(runner, tmp_path, command, flag):
+    args, family, budget = BUDGETED[command]
+    if family:
+        args = args + [gen_file(runner, tmp_path, "t.json", *family)]
+    default = invoke(runner, *args).stdout
+    assert invoke(runner, *args, flag, budget).stdout != default
+
+
+def test_approx_max_iter_zero_runs_no_refine_iteration(runner, tmp_path):
+    path = gen_file(runner, tmp_path, "t.json", "--family", "ternary")
+    doc = json.loads(invoke(runner, "approx", path, "--max-iter", "0").stdout)
+    assert doc["diagnostics"]["refine_iterations"] == 0
+
+
+@pytest.mark.parametrize("command", BUDGETED)
+def test_budget_flags_listed_once_in_help(runner, command):
+    text = invoke(runner, *command.split(), "--help").stdout
+    for flag, help_text in [("--max-iter", "Iteration budget"),
+                            ("--max-fev", "Residual-evaluation budget")]:
+        assert text.count(flag) == 1 and text.count(help_text) == 1, text
 
 
 TABLE_ROW = ["n", "m", "r", "eps", "trials", "relative", "err_gp", "err_opt",

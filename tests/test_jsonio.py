@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from symlra.tensors import SymTensor, compact_size, random_low_rank
+from symlra.families import sin_tensor
+from symlra.tensors import SymTensor, compact_size, full_from_compact, random_low_rank
 from symlra.jsonio import (tensor_to_dict, tensor_from_dict,
                            decomposition_to_dict, decomposition_from_dict,
                            read_tensor, dumps)
@@ -25,6 +27,22 @@ def test_full_document_size_limit():
         tensor_from_dict({"n": 2, "m": 21, "format": "full", "entries": []})
     F = tensor_from_dict({"n": 2, "m": 20, "format": "full", "entries": []})
     assert (F.n, F.m) == (2, 20)
+
+
+def test_full_writer_size_limit():
+    # sin(6, 8) has 1287 compact entries and 6^8 = 1,679,616 dense ones:
+    # the bound comes before the position map or a dense array is built
+    F = sin_tensor(6, 8)
+    tracemalloc.start()
+    try:
+        for expand in (full_from_compact, lambda F: tensor_to_dict(F, "full")):
+            with pytest.raises(ValueError, match="a full n=6, m=8 array has "
+                                                 "more than 1048576 entries"):
+                expand(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("form", ["compact", "full"])
@@ -94,6 +112,10 @@ def test_full_form_accepts_complete_class():
      "must be a JSON object"),
     ({"n": 2, "m": 2, "entries": {}}, "'entries' must be a list"),
     ([{"n": 2, "m": 2, "entries": []}], "tensor document must be a JSON object"),
+    ({"n": 2, "m": 1, "format": "full",
+      "entries": [{"index": [1], "re": 1}, {"index": [1], "re": 5},
+                  {"index": [2], "re": 2}]},
+     r"duplicate entry for position \[1\]"),
 ])
 def test_tensor_from_dict_validation(doc, msg):
     with pytest.raises(ValueError, match=msg):
@@ -139,3 +161,14 @@ def test_dumps_is_stable():
     payload = {"b": 1, "a": [1.5, None]}
     assert dumps(payload) == dumps(payload)
     assert dumps(payload).endswith("\n")
+
+
+def test_dumps_writes_numpy_scalars_as_plain_values():
+    payload = {"i": np.int64(3), "b": np.bool_(True), "f": np.float64(0.25),
+               "g": np.float32(0.5), "t": (np.int32(1), 2.0),
+               "bad": [np.nan, np.inf, -np.inf, np.float64(np.nan), float("inf")],
+               "plain": [True, 7, None, "s"]}
+    text = dumps(payload)
+    assert json.loads(text) == {"i": 3, "b": True, "f": 0.25, "g": 0.5, "t": [1, 2.0],
+                                "bad": [None] * 5, "plain": [True, 7, None, "s"]}
+    assert '"b": true' in text and '"i": 3,' in text and "NaN" not in text

@@ -1,7 +1,7 @@
 """Result parity between two checkouts of symlra.
 
-Run a fixed, seeded set of library calls on one BLAS thread and write one
-JSON line per call, then compare two such files:
+Run a fixed, seeded set of library calls and command-line runs on one BLAS
+thread and write one JSON line per call, then compare two such files:
 
     python3 tools/parity.py --root DIR --seed N --out FILE
     python3 tools/parity.py --compare A B
@@ -11,6 +11,8 @@ checkouts (say a parent commit and a change) can be run one after the
 other on the same seed.  Each line holds the call's name, a sha256 over
 every returned vector array, error, status, count, diagnostic and
 warning, the library's `wall_time` excepted, and the readable scalars.
+A command-line entry hashes the command's exit code and every line of its
+stdout and stderr.
 `--compare` lists the entries whose hashes differ, with both sides'
 scalars that differ and the largest relative move among them, and exits
 1 if any entry differs (or is missing on one side).
@@ -182,7 +184,51 @@ def calls(symlra, seed):
     for k, (n, m, r, start) in enumerate([(3, 5, 8, 1), (5, 3, 7, 0)]):
         out.append((f"optimize_generating/perturbed-{n}-{m}-{r}/start-{start}",
                     commutator_lm(perturbed(n, m, r, 70 + k), r, [seed, 70 + k], start)))
-    return out
+    return out + cli_calls(seed)
+
+
+def cli_calls(seed):
+    """(name, thunk) for each command-line entry: the exit code, stdout and
+    stderr of one `symlra` command on a tiny input that `gen` writes, run in
+    a scratch directory through click's CliRunner."""
+    from click.testing import CliRunner
+    from symlra.cli import main
+
+    def cli(args, family=None):
+        def call():
+            runner = CliRunner()
+            with runner.isolated_filesystem():
+                if family:
+                    runner.invoke(main, ["gen", *family, "--output", "in.json"],
+                                  catch_exceptions=False)
+                done = runner.invoke(main, args + ["in.json"] * bool(family),
+                                     catch_exceptions=False)
+            # line by line, so that --compare prints only the lines that differ
+            return {"exit_code": done.exit_code,
+                    "stdout": done.stdout.splitlines(keepends=True),
+                    "stderr": done.stderr.splitlines(keepends=True)}
+        return call
+
+    def random(n, m, r, *extra):
+        return ["--family", "random", "--n", str(n), "--m", str(m), "--r", str(r),
+                "--seed", str(seed), *extra]
+
+    s = str(seed)
+    return [
+        ("cli/gen", cli(["gen", *random(4, 3, 2, "--eps", "1e-3")])),
+        ("cli/rankest", cli(["rankest"], random(4, 3, 2, "--eps", "1e-3"))),
+        ("cli/approx", cli(["approx", "--restarts", "1", "--seed", s],
+                           random(3, 4, 5, "--eps", "1e-4"))),
+        ("cli/decompose", cli(["decompose", "--rank", "5", "--restarts", "2",
+                               "--seed", s, "--distinct"], random(3, 4, 5))),
+        ("cli/bench-table", cli(["bench", "table", "--n", "3", "--m", "3", "--r", "1,2",
+                                 "--eps", "1e-2", "--trials", "2", "--seed", s])),
+        ("cli/bench-nls", cli(["bench", "nls", "--n", "3", "--m", "3", "--r", "2",
+                               "--eps", "1e-2", "--trials", "1", "--nls-restarts", "2",
+                               "--seed", s])),
+        ("cli/bench-decomp", cli(["bench", "decomp", "--cases", "3,3,2;3,4,5",
+                                  "--trials", "2", "--restarts", "1", "--seed", s])),
+    ]
 
 
 def run(root, seed, out):
