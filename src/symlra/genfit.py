@@ -78,15 +78,15 @@ def monomial_basis(n, m, r):
     tab = table(n, m)
     if not 1 <= r <= len(tab):
         raise ValueError(f"rank {r} is out of range for n={n}, m={m}")
-    # shifted[nu, i] = core[nu] + e_i, which lands in the core or the border
-    shifted = tab.alpha_mat[:r, None, :] + np.eye(nbar, dtype=np.int64)
-    too_deep = shifted[shifted.sum(axis=-1) > m].tolist()
-    if too_deep:
-        # all of degree m + 1, where graded lex puts the lex-largest first
+    first = compact_size(n, m - 1)      # the first degree-m slot
+    if n > 1 and r > first:
+        # the core reaches degree m; graded lex puts the lex-largest first
+        top = tab.alphas[first]
         raise ValueError(
             f"rank {r} is too large for n={n}, m={m}: the border monomial "
-            f"{tuple(max(too_deep))} has degree {m + 1} > m")
-    slot = tab.slots(shifted).T                  # slot[i, nu]
+            f"{(top[0] + 1, *top[1:])} has degree {m + 1} > m")
+    # slot[i, nu] of core[nu] + e_i, which lands in the core or the border
+    slot = tab.sum_slots(r, n)[:, 1:].T
     border_slots = np.unique(slot[slot >= r])
     template = np.zeros((nbar, r, r), dtype=complex)
     i, nu = np.nonzero(slot < r)

@@ -368,44 +368,26 @@ def _match_costs(a, b):
 
 def _has_matching(ok):
     """Whether the square boolean matrix `ok` has a perfect matching, a
-    permutation p with every ok[i, p[i]]: no empty row or column, then
-    Kuhn's augmenting paths, each grown and searched on an explicit stack."""
+    permutation p with every ok[i, p[i]].  An empty row or column answers
+    no at once, which settles nearly every call from `decompose`; the rest
+    go to scipy's compiled Hopcroft-Karp search (Hopcroft and Karp, SIAM
+    J. Comput. 1973), imported here so that `import symlra` loads no
+    `scipy.sparse`."""
     if not (ok.any(axis=0).all() and ok.any(axis=1).all()):
         return False
-    adj = [np.flatnonzero(row) for row in ok]
-    owner = [-1] * len(adj)     # the row matched to each column
-    for root in range(len(adj)):
-        seen = [False] * len(adj)
-        # an alternating path: rows[k] would take cols[k], owned by rows[k + 1]
-        rows, cols, todo = [root], [], [iter(adj[root])]
-        while rows:
-            j = next((j for j in todo[-1] if not seen[j]), None)
-            if j is None:       # the last row has no unseen column: back up
-                rows.pop()
-                todo.pop()
-                if cols:
-                    cols.pop()
-                continue
-            seen[j] = True
-            cols.append(j)
-            if owner[j] < 0:    # a free column: shift the path onto it
-                for i, c in zip(rows, cols):
-                    owner[c] = i
-                break
-            rows.append(owner[j])
-            todo.append(iter(adj[owner[j]]))
-        else:
-            return False
-    return True
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+    return bool((maximum_bipartite_matching(csr_array(ok), perm_type="column") >= 0).all())
 
 
 def match_distance(a, b):
     """Bottleneck distance between the vector sets of two decompositions:
     the least t such that some pairing moves no vector of `a`, up to an
     m-th root of unity, by more than t from its partner in `b`.  Found by
-    a scan of the sorted pair distances, one perfect-matching test each
-    (at most r^2 of them).  Decompositions of different shape are
-    infinitely far apart."""
+    a scan of the sorted pair distances, one perfect-matching test
+    (`_has_matching`) each, at most r^2 of them; the first that passes
+    gives t.  Decompositions of different shape are infinitely far
+    apart."""
     if (a.rank, a.n, a.m) != (b.rank, b.n, b.m):
         return float("inf")
     if a.rank == 0:

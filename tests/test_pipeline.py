@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symlra.bench import STOCK_NLS_CONFIG
 from symlra.numerics import (LMConfig, levenberg_marquardt, minnorm_lstsq,
@@ -523,6 +523,18 @@ class TestMatchDistance:
         phased = Decomposition(m, zeta[rng.integers(0, m, r)][:, None]
                                * a.vectors[perm])
         assert match_distance(a, phased) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda r: st.lists(
+        st.booleans(), min_size=r * r, max_size=r * r).map(
+            lambda cells: np.array(cells, dtype=bool).reshape(r, r))))
+    @example(np.zeros((0, 0), dtype=bool))
+    def test_matching_equals_brute_force(self, ok):
+        # the 0 x 0 matrix has one (empty) perfect matching
+        r = len(ok)
+        brute = any(ok[np.arange(r), list(p)].all()
+                    for p in itertools.permutations(range(r)))
+        assert pipeline._has_matching(ok) is brute
 
     def test_matching_search_deeper_than_recursion_limit(self):
         # rows i < r - 1 may take columns i or i + 1, row r - 1 only column

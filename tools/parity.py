@@ -184,6 +184,16 @@ def calls(symlra, seed):
     for k, (n, m, r, start) in enumerate([(3, 5, 8, 1), (5, 3, 7, 0)]):
         out.append((f"optimize_generating/perturbed-{n}-{m}-{r}/start-{start}",
                     commutator_lm(perturbed(n, m, r, 70 + k), r, [seed, 70 + k], start)))
+    # the bottleneck matching: a permuted, phase-rotated and slightly moved
+    # copy, and an unrelated decomposition of the same shape
+    a, b = (random_low_rank(3, 4, 6, seed=[seed, 80 + k])[1] for k in range(2))
+    rng = np.random.default_rng([seed, 82])
+    zeta = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, 6)]    # 4th roots of unity
+    moved = zeta[:, None] * a.vectors[rng.permutation(6)] \
+        + 1e-3 * (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    out += [("match_distance/moved-copy-3-4-6",
+             partial(symlra.match_distance, a, Decomposition(4, moved))),
+            ("match_distance/unrelated-3-4-6", partial(symlra.match_distance, a, b))]
     return out + cli_calls(seed)
 
 
