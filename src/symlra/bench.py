@@ -2,12 +2,13 @@
 
 Three drivers, all deterministic in (seed, parameters) and independent
 of the thread count.  `threads` runs that many trials at once on one
-thread pool (a single worker at threads=1); BLAS stays on one thread for
-the whole run (`numerics.one_blas_thread`), so the trials, not the BLAS
-pools, share the cores, and the caller's BLAS thread counts are restored
-on return.  `environment` records the BLAS
-thread counts in effect inside a run, the usable cores and the numpy and
-scipy versions.
+thread pool (a single worker at threads=1).  Every BLAS call of a trial
+is made inside `approximate`, `decompose` or `refine`, which run BLAS on
+one thread (`numerics.one_blas_thread`) and restore the caller's counts,
+so the trials, not the BLAS pools, share the cores; the instance
+building and the order statistics call no BLAS.  `environment` records
+the BLAS thread counts in effect inside a run, the usable cores and the
+numpy and scipy versions.
 
 * `run_table`: random rank-r instances perturbed to a known noise norm;
   distribution of the algebraic and refined errors relative to the
@@ -96,7 +97,6 @@ def _approx_trial(n, m, r, eps, tau, seed, t, lm_config):
     return F, approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
 
 
-@one_blas_thread
 def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
               lm_config=None):
     """Error distribution of `approximate` over random perturbed instances;
@@ -129,7 +129,6 @@ def format_trial_table(stats_list):
     return "\n".join(lines)
 
 
-@one_blas_thread
 def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
                        tau=None, threads=1, lm_config=None):
     """Paired comparison on scaled instances: pipeline vs. best of
@@ -184,7 +183,6 @@ def format_nls_table(stats_list):
     return "\n".join(lines)
 
 
-@one_blas_thread
 def run_decomposition_table(n, m, r, trials=20, seed=0, restarts=0,
                             residual_tol=1e-6, threads=1, lm_config=None):
     """Decomposition success rate of `decompose` on exact rank-r

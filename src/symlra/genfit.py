@@ -34,8 +34,9 @@ commutator residual is one batched product over the pairs i < j.  Its
 Jacobian J is linear in M, with coefficients +-N entries that only the
 fit decides, so the fit's first commutator LM builds that map once as
 a sparse W, vec(J) = W vec(M), kept as the CSR arrays scipy's kernel
-reads, and each J is one call of that kernel; J^H J is one Hermitian
-rank-k product (BLAS zherk).
+reads, and each J is one call of that kernel on the M that the
+residual returned, as its state, at the LM's accepted point; J^H J is
+one Hermitian rank-k product (BLAS zherk).
 `optimize_generating` runs one LM from one start; the pipeline picks starts.
 """
 
@@ -329,11 +330,11 @@ def optimize_generating(fit, config=None, seed=0, start=0):
     G, a copy of the basis's template and one flat write for M and one
     batched product for `commutator_residuals`, whatever the number of
     border columns.  Nothing is kept on the fit but its `jacobian_map`,
-    so runs on one fit may go on concurrently.  The normal system reuses the M the residual
-    built at the point the LM accepted (any other point is rebuilt): J is
-    one sparse product with the fit's `jacobian_map` (built on the fit's
-    first LM), and `_normal_system` forms J^H J's upper triangle by one
-    Hermitian rank-k product.
+    so runs on one fit may go on concurrently.  The residual hands the LM
+    its M as its state, and the normal system at the accepted point is
+    built from that M: J is one sparse product with the fit's
+    `jacobian_map` (built on the fit's first LM), and `_normal_system`
+    forms J^H J's upper triangle by one Hermitian rank-k product.
 
     Start 0 is omega = 0; start k > 0 is a complex standard normal draw
     seeded by (seed, k).  The pipeline, not this function, chooses among
@@ -346,17 +347,13 @@ def optimize_generating(fit, config=None, seed=0, start=0):
                              objective=float(np.sum(res.real ** 2 + res.imag ** 2)),
                              status=None)
     grid = np.zeros((fit.null.shape[1], fit.gls.shape[1]), dtype=complex)
-    last = [None, None]     # the residual's latest point and its M
 
     def residual(omega):
         M = companion_matrices(fit._assemble(grid, omega), fit.basis)
-        last[:] = omega, M
-        return commutator_residuals(M)
+        return commutator_residuals(M), M
 
-    def normal(omega, f):
-        if last[0] is not omega:
-            residual(omega)
-        return _normal_system(_commutator_jacobian(fit, last[1]), f)
+    def normal(omega, f, M):
+        return _normal_system(_commutator_jacobian(fit, M), f)
 
     x0 = np.zeros(fit.n_params, dtype=complex)
     if start:

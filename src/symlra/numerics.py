@@ -3,8 +3,10 @@ system is reduced by Householder QR first, so the SVD is of its square
 triangle), a damped least-squares (Levenberg-Marquardt) minimizer over
 real or complex unknowns that takes its Gauss-Newton normal system
 (J^H J, J^H f) from the caller, so a structured problem can build it
-without forming J, seed keys for random draws and the BLAS thread policy
-of every public call.  The minimizer's loop tests each normal system for
+without forming J from what its residual returned at the accepted point,
+seed keys for random draws and the BLAS thread policy of every public
+call, which finds numpy's and scipy's OpenBLAS copies through their own
+extension modules.  The minimizer's loop tests each normal system for
 finiteness once and each damped trial's diagonal once, reads the run's
 constants once and takes norms without `np.linalg.norm`'s dispatch,
 which at a few dozen unknowns costs more than the norm itself."""
@@ -16,10 +18,11 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _fblas
 
 EPS = np.finfo(float).eps
 # the LM's bound on max(|Re|, |Im|) of J^H f and its starting damping
@@ -38,28 +41,24 @@ _OPENBLAS_SYMBOLS = (
 
 @functools.cache
 def _openblas():
-    """{package: (setter, getter)} for each OpenBLAS copy mapped into the
-    process (numpy and scipy each load their own), found once from
-    /proc/self/maps; empty where /proc is missing or none is loaded.  Both
-    copies are mapped by the time this module has imported scipy.linalg."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return {}
+    """{package: (setter, getter)} for the OpenBLAS copy each of numpy and
+    scipy loads, found once through an extension module of the package
+    that links it (a loaded library's symbol lookup also searches the
+    libraries it links); a package whose lookup fails (no RTLD_NOLOAD, the
+    module not loadable, no symbols) is left out, so where none is found
+    the thread policy does nothing.  No /proc file is read."""
     found = {}
-    for path in paths:
+    for name, module in (("numpy", _umath_linalg), ("scipy", _fblas)):
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
+            lib = ctypes.CDLL(module.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except (AttributeError, OSError):
             continue
         for set_name, get_name in _OPENBLAS_SYMBOLS:
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 setter, getter = getattr(lib, set_name), getattr(lib, get_name)
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                found[Path(path).parent.name.removesuffix(".libs")] = (setter, getter)
+                found[name] = (setter, getter)
                 break
     return found
 
@@ -191,13 +190,18 @@ def _norm(v):
 
 
 def levenberg_marquardt(residual, normal, x0, config=None):
-    """Minimize 0.5 * ||residual(x)||^2 by damped least squares over real or
-    complex x; the dtype of x0 decides, so real problems stay real.  A
-    complex residual must be holomorphic.  `normal(x, f)` returns the
-    Gauss-Newton normal system (J^H J, J^H f) at x, where f = residual(x)
-    and J is the residual's derivative: refine builds it in closed form
-    without J, the commutator minimization from J written by one sparse
-    product with a map its fit keeps.  Only the diagonal and the upper
+    """Minimize 0.5 * ||f(x)||^2 by damped least squares over real or
+    complex x; the dtype of x0 decides, so real problems stay real.
+    `residual(x)` returns (f, state), f the residual vector and state
+    whatever of that evaluation the normal system can reuse (or None);
+    a complex residual must be holomorphic.  `normal(x, f, state)`
+    returns the Gauss-Newton normal system (J^H J, J^H f) at x, where J
+    is the residual's derivative, with the f and state the residual
+    returned at x: refine builds it in closed form without J, the
+    commutator minimization from J written by one sparse product with a
+    map its fit keeps.  `normal` is called only at accepted points, and
+    the state is dropped once the normal system is built, so the damped
+    trials keep no state but their own.  Only the diagonal and the upper
     triangle of J^H J are read, so `normal` may leave the strict lower
     triangle unset (as BLAS herk does).
 
@@ -218,12 +222,10 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     again.  The run's constants (the config's fields, the smallest normal
     float, the step bound of the current point) are read once, and norms
     are taken by `_norm`.  The damping follows a gain ratio and only
-    improving steps are accepted, so the objective is nonincreasing; the
-    accepted point is the very array the residual was evaluated at, so
-    `normal` can recognise it.  `config` is an LMConfig.  Raises
-    np.linalg.LinAlgError, a ValueError, if the residual at x0 or a damped
-    normal system is not finite: a numerical breakdown, such as an
-    overflow.
+    improving steps are accepted, so the objective is nonincreasing.
+    `config` is an LMConfig.  Raises np.linalg.LinAlgError, a ValueError,
+    if the residual at x0 or a damped normal system is not finite: a
+    numerical breakdown, such as an overflow.
     """
     cfg = config if config is not None else LMConfig()
     step_tolerance, function_tolerance = cfg.step_tolerance, cfg.function_tolerance
@@ -232,7 +234,8 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
     dtype = x.dtype
     potrf, potrs = _cholesky(dtype)
-    f = np.asarray(residual(x), dtype=dtype)
+    f, state = residual(x)
+    f = np.asarray(f, dtype=dtype)
     nfev = 1
     if not np.isfinite(f).all():
         raise np.linalg.LinAlgError("residual is not finite at the starting point")
@@ -247,7 +250,8 @@ def levenberg_marquardt(residual, normal, x0, config=None):
     diagonal = damped.reshape(-1, order="F")[::x.size + 1]     # a view
 
     for _ in range(cfg.max_iterations):
-        JhJ, g = normal(x, f)
+        JhJ, g = normal(x, f, state)
+        state = None        # the trials need only the normal system
         JhJ = np.asarray(JhJ, dtype=dtype)
         g = np.asarray(g, dtype=dtype)
         g_max = abs(g.view(float)).max(initial=0.0)     # nan or inf unless g is finite
@@ -279,7 +283,9 @@ def levenberg_marquardt(residual, normal, x0, config=None):
                 status = "max-evaluations"
                 break
             xn = x + delta
-            fn = np.asarray(residual(xn), dtype=dtype)
+            # the latest trial's state: `normal` reads it after an acceptance
+            fn, state = residual(xn)
+            fn = np.asarray(fn, dtype=dtype)
             nfev += 1
             costn = 0.5 * np.vdot(fn, fn).real     # inf or nan if fn is not finite
             if costn < cost:

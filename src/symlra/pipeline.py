@@ -105,11 +105,11 @@ def _refine_closures(F, r):
     rows of `alpha_mat`), w'_beta = (m-1)!/beta! and beta + e_j is
     gathered through `ExponentTable.sum_slots`, e_0 .. e_{n-1} being the
     table's first n exponents.  The residual sums the terms' u_i^alpha
-    from V in blocks (`ExponentTable.power_sums`) and keeps V, and
-    `normal` reuses it when handed the very array the residual last saw,
-    as `levenberg_marquardt` does with the point it accepts.  Neither
-    forms the N x rn Jacobian nor an (r, N) array of the terms'
-    monomials; zero entries need no special case."""
+    from V in blocks (`ExponentTable.power_sums`) and returns (U, V) as
+    its state, U = u as r x n, and `normal` builds the system from the
+    state that `levenberg_marquardt` hands it.  Neither forms the N x rn
+    Jacobian nor an (r, N) array of the terms' monomials; zero entries
+    need no special case."""
     n, m = F.n, F.m
     tab = F.table
     sw = tab.sqrt_weights
@@ -120,22 +120,18 @@ def _refine_closures(F, r):
     # w'_beta = w_alpha * alpha_0 / m for alpha = beta + e_0
     wb = tab.weights[up[:, 0]] * (m - tab.alpha_mat[:k].sum(axis=1)) / m
 
-    last = [None, None]     # the residual's latest point and its V
-
     def residual(u):
         U = u.reshape(r, n)
         V = tab.monomials(U, m - 1)
-        last[:] = u, V
-        return sw * tab.power_sums(U, V) - target
+        return sw * tab.power_sums(U, V) - target, (U, V)
 
-    def normal(u, f):
-        U = u.reshape(r, n)
+    def normal(u, f, state):
+        U, V = state
         G = U.conj() @ U.T
         JhJ = ((m * (m - 1) * G ** max(m - 2, 0))[:, None, :, None]
                * U.T[None, :, :, None] * U.conj()[:, None, None, :])
         j = np.arange(n)
         JhJ[:, j, :, j] += m * G ** (m - 1)     # the delta_jk term
-        V = last[1] if last[0] is u else tab.monomials(U, m - 1)
         R = f / sw
         Jhf = m * (V.conj() @ (wb[:, None] * R[up]))
         return JhJ.reshape(r * n, r * n), Jhf.ravel()
@@ -434,7 +430,9 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
     per_start = [{"start": s, "relative_residual": rel, "success": rel <= residual_tol,
                   "commutator_objective": run.diagnostics["commutator_objective"]}
                  for s, (run, rel) in enumerate(zip(runs, rels))]
-    kept = []   # out of distinct mode, only the last run can succeed
+    # out of distinct mode the search stops at its first success, so only
+    # the last run can succeed, and kept is [res] or []
+    kept = []
     for run, rec in zip(runs, per_start):
         if rec["success"] and not any(
                 _has_matching(_match_costs(run.refined, d.refined) <=
@@ -444,13 +442,12 @@ def decompose(F, rank=None, *, residual_tol=1e-6, restarts=0, seed=0,
             kept.append(run)
     rel, res = min(zip(rels, runs), key=lambda pair: pair[0])
     success = rel <= residual_tol
-    returned = kept if distinct else ([res] if success else [])
-    _warn_results(F, returned, res)
+    _warn_results(F, kept, res)
     return DecomposeResult(
         success=success,
         decomposition=res.refined if success else None,
         relative_residual=rel,
-        decompositions=[run.refined for run in returned],
+        decompositions=[run.refined for run in kept],
         attempts=len(runs),
         diagnostics={"rank": res.diagnostics["rank"], "starts": per_start,
                      "norm_scale": scale, "wall_time": time.perf_counter() - t0})

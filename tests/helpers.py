@@ -16,6 +16,7 @@ expand to the (n,)*m array, contract A into each mode, compress), which
 the compact recursion must match to round-off, and the minimum-norm least
 squares by one SVD of the whole p x q system (`reference_minnorm_lstsq`),
 which the QR reduction of large tall systems must match to round-off, and
+a plain residual in the LM's (f, state) form (`stateless`), and
 the one reference Levenberg-Marquardt loop, which builds each damped
 system afresh and solves it by `scipy.linalg.cho_factor` and `cho_solve`
 (`reference_levenberg_marquardt`), whose runs the LM's buffered LAPACK
@@ -62,10 +63,17 @@ def finite_difference_jacobian(residual, x, step=1e-6):
     return J
 
 
+def stateless(residual):
+    """A plain residual x -> f as the `residual` argument of
+    `levenberg_marquardt`, which returns (f, state): its state is None."""
+    return lambda x: (residual(x), None)
+
+
 def normal_equations(jacobian):
     """The `normal` argument of `levenberg_marquardt` for an explicit
-    Jacobian: (J^H J, J^H f) with J = jacobian(x)."""
-    def normal(x, f):
+    Jacobian: (J^H J, J^H f) with J = jacobian(x); the residual's state is
+    not read."""
+    def normal(x, f, state):
         J = np.asarray(jacobian(x), dtype=x.dtype)
         Jh = J.conj().T
         return Jh @ J, Jh @ f
@@ -323,10 +331,12 @@ def reference_levenberg_marquardt(residual, normal, x0, config=None):
     """`levenberg_marquardt` with every damped trial built afresh as
     J^H J + diag(lam * scale) and tested whole for finiteness, each step
     solved by `scipy.linalg.cho_factor` and `cho_solve` (a failed
-    factorization raises the damping) and ||x|| taken per trial."""
+    factorization raises the damping) and ||x|| taken per trial; the
+    residual's state is kept with its point and handed to `normal` there."""
     cfg = config if config is not None else LMConfig()
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
-    f = np.asarray(residual(x), dtype=x.dtype)
+    f, state = residual(x)
+    f = np.asarray(f, dtype=x.dtype)
     nfev = 1
     if not np.isfinite(f).all():
         raise np.linalg.LinAlgError("residual is not finite at the starting point")
@@ -337,7 +347,7 @@ def reference_levenberg_marquardt(residual, normal, x0, config=None):
     iterations = 0
 
     for _ in range(cfg.max_iterations):
-        JhJ, g = normal(x, f)
+        JhJ, g = normal(x, f, state)
         JhJ = np.asarray(JhJ, dtype=x.dtype)
         g = np.asarray(g, dtype=x.dtype)
         if np.max(np.abs(g.view(float)), initial=0.0) <= GRADIENT_TOLERANCE:
@@ -366,7 +376,8 @@ def reference_levenberg_marquardt(residual, normal, x0, config=None):
                 status = "max-evaluations"
                 break
             xn = x + delta
-            fn = np.asarray(residual(xn), dtype=x.dtype)
+            fn, staten = residual(xn)
+            fn = np.asarray(fn, dtype=x.dtype)
             nfev += 1
             costn = 0.5 * np.vdot(fn, fn).real if np.isfinite(fn).all() else np.inf
             if costn < cost:
@@ -375,7 +386,7 @@ def reference_levenberg_marquardt(residual, normal, x0, config=None):
                 if cfg.function_tolerance > 0.0 and (
                         cost - costn <= cfg.function_tolerance * cost):
                     status = "converged-function"
-                x, f, cost = xn, fn, costn
+                x, f, state, cost = xn, fn, staten, costn
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 break

@@ -283,10 +283,10 @@ def test_criterion_10_numerical_hygiene():
         return max(rel_error(J, J_fd) for J_fd in fd_jacobians(residual, z))
 
     def normal_fd_error(residual, normal, z):
-        f = residual(z)
-        JhJ, Jhf = normal(z, f)
+        f, state = residual(z)
+        JhJ, Jhf = normal(z, f, state)
         return max(max(rel_error(JhJ, J.conj().T @ J), rel_error(Jhf, J.conj().T @ f))
-                   for J in fd_jacobians(residual, z))
+                   for J in fd_jacobians(lambda t: residual(t)[0], z))
 
     def complex_normal(k):
         return rng.standard_normal(k) + 1j * rng.standard_normal(k)

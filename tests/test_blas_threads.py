@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from symlra import numerics, pipeline
+from symlra.bench import run_table
 from symlra.catalecticant import catalecticant_spectrum
 from symlra.numerics import LMConfig, blas_threads, one_blas_thread
 from symlra.pipeline import approximate, decompose, refine
@@ -154,9 +155,36 @@ def test_scope_without_openblas_is_a_no_op(set_caller_threads, monkeypatch):
     assert blas_threads() == counts
 
 
-def test_discovery_without_proc_finds_nothing(monkeypatch):
+def test_discovery_reads_no_file(monkeypatch):
+    # the copies are found through numpy's and scipy's extension modules,
+    # so a process that cannot open files finds the same packages
+    found = numerics._openblas()
+
     def missing(*args, **kwargs):
-        raise FileNotFoundError("/proc/self/maps")
+        raise FileNotFoundError(args[0] if args else None)
 
     monkeypatch.setattr(numerics, "open", missing, raising=False)
+    assert numerics._openblas.__wrapped__().keys() == found.keys()
+
+
+def test_discovery_without_lookup_finds_nothing(monkeypatch):
+    def unloadable(*args, **kwargs):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(numerics.ctypes, "CDLL", unloadable)
     assert numerics._openblas.__wrapped__() == {}
+
+
+def test_bench_drivers_leave_the_policy_to_the_library(set_caller_threads,
+                                                        lm_thread_counts):
+    # run_table pins no count itself: every refine LM of its trials, two at
+    # a time, starts at one thread inside `approximate`, the caller's count
+    # is back after return, and the samples are those of one worker
+    counts = set_caller_threads(2)
+    two = run_table(4, 3, 2, 1e-2, trials=4, threads=2)
+    assert lm_thread_counts
+    assert all(seen == dict.fromkeys(counts, 1) for seen in lm_thread_counts)
+    assert blas_threads() == counts
+    one = run_table(4, 3, 2, 1e-2, trials=4, threads=1)
+    for key in ("err_gp", "err_opt"):
+        assert two.samples[key].tobytes() == one.samples[key].tobytes()

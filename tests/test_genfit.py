@@ -650,9 +650,10 @@ class TestOptimizeGenerating:
             assert k > 0
 
             def residual(omega):
-                return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
+                M = companion_matrices(fit.matrix(omega), fit.basis)
+                return commutator_residuals(M), None
 
-            def normal(omega, f):
+            def normal(omega, f, state):
                 M = companion_matrices(fit.matrix(omega), fit.basis)
                 return _normal_system(_commutator_jacobian(fit, M), f)
             x0 = np.zeros(k, dtype=complex)
@@ -672,9 +673,9 @@ class TestOptimizeGenerating:
                             "max-iterations", "max-evaluations"}
 
     def test_normal_system_at_another_point(self, monkeypatch):
-        # `normal` at a point other than the residual's latest rebuilds M
-        # there, so an LM whose every residual call is followed by one at
-        # another point takes the same steps
+        # `normal` builds J from the M that the residual returned at the
+        # accepted point, so an LM whose every residual call is followed by
+        # one at another point takes the same steps
         fit = fit_generating(random_tensor(3, 5, 3), monomial_basis(3, 5, 8))
         opt = optimize_generating(fit, seed=2, start=1)
 

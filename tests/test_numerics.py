@@ -13,7 +13,7 @@ from symlra.pipeline import _refine_closures
 from symlra.tensors import perturb, random_low_rank
 
 from helpers import (finite_difference_jacobian, normal_equations,
-                     reference_levenberg_marquardt, reference_minnorm_lstsq)
+                     reference_levenberg_marquardt, reference_minnorm_lstsq, stateless)
 from test_pipeline import reference_refine_jacobian
 
 
@@ -130,7 +130,7 @@ class TestLevenbergMarquardt:
         A = rng.standard_normal((8, 3))
         b = rng.standard_normal(8)
         expect = np.linalg.lstsq(A, b, rcond=None)[0]
-        res = levenberg_marquardt(lambda x: A @ x - b,
+        res = levenberg_marquardt(stateless(lambda x: A @ x - b),
                                   normal_equations(lambda x: A), np.zeros(3))
         assert res.status == "converged-gradient"
         npt.assert_allclose(res.x, expect, atol=1e-9)
@@ -143,7 +143,7 @@ class TestLevenbergMarquardt:
         def J(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        res = levenberg_marquardt(f, normal_equations(J), np.array([-1.2, 1.0]))
+        res = levenberg_marquardt(stateless(f), normal_equations(J), np.array([-1.2, 1.0]))
         npt.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         assert res.residual_norm < 1e-8
 
@@ -166,7 +166,7 @@ class TestLevenbergMarquardt:
                 [2 * np.sqrt(10.0) * (x[0] - x[3]), 0.0, 0.0,
                  -2 * np.sqrt(10.0) * (x[0] - x[3])]])
 
-        res = levenberg_marquardt(f, normal_equations(J),
+        res = levenberg_marquardt(stateless(f), normal_equations(J),
                                   np.array([3.0, -1.0, 0.0, 1.0]))
         # rank-deficient Jacobian at the optimum: convergence is linear,
         # so expect modest accuracy (MINPACK behaves the same way)
@@ -174,7 +174,7 @@ class TestLevenbergMarquardt:
         npt.assert_allclose(res.x, np.zeros(4), atol=1e-3)
 
     def test_zero_residual_at_start(self):
-        res = levenberg_marquardt(lambda x: x - 1.0,
+        res = levenberg_marquardt(stateless(lambda x: x - 1.0),
                                   normal_equations(lambda x: np.eye(2)), np.ones(2))
         assert res.status == "converged-gradient"
         assert res.iterations == 0
@@ -182,7 +182,7 @@ class TestLevenbergMarquardt:
 
     def test_nonfinite_start_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            levenberg_marquardt(lambda x: np.array([np.nan]),
+            levenberg_marquardt(stateless(lambda x: np.array([np.nan])),
                                 normal_equations(lambda x: np.ones((1, 1))),
                                 np.zeros(1))
 
@@ -194,12 +194,12 @@ class TestLevenbergMarquardt:
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
         cfg = LMConfig(max_iterations=2)
-        res = levenberg_marquardt(f, normal_equations(J), np.array([-1.2, 1.0]), cfg)
+        res = levenberg_marquardt(stateless(f), normal_equations(J), np.array([-1.2, 1.0]), cfg)
         assert res.status == "max-iterations"
         assert res.iterations == 2
 
         cfg = LMConfig(max_residual_evaluations=3)
-        res = levenberg_marquardt(f, normal_equations(J), np.array([-1.2, 1.0]), cfg)
+        res = levenberg_marquardt(stateless(f), normal_equations(J), np.array([-1.2, 1.0]), cfg)
         assert res.status == "max-evaluations"
         assert res.residual_evaluations == 3
 
@@ -211,11 +211,11 @@ class TestLevenbergMarquardt:
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
         cfg = LMConfig(function_tolerance=0.9)  # nearly any step "suffices"
-        res = levenberg_marquardt(f, normal_equations(J), np.array([-1.2, 1.0]), cfg)
+        res = levenberg_marquardt(stateless(f), normal_equations(J), np.array([-1.2, 1.0]), cfg)
         assert res.status == "converged-function"
         assert res.iterations < 10
         # default (disabled) runs to the optimum
-        full = levenberg_marquardt(f, normal_equations(J), np.array([-1.2, 1.0]))
+        full = levenberg_marquardt(stateless(f), normal_equations(J), np.array([-1.2, 1.0]))
         assert full.residual_norm < 1e-8
 
     def test_objective_never_increases(self):
@@ -229,7 +229,7 @@ class TestLevenbergMarquardt:
         def J(x):
             return np.array([[2 * x[0], 1.0], [1.0, 2 * x[1]]])
 
-        levenberg_marquardt(f, normal_equations(J), np.array([-3.0, -2.0]))
+        levenberg_marquardt(stateless(f), normal_equations(J), np.array([-3.0, -2.0]))
         accepted = np.minimum.accumulate(costs)
         # every accepted cost is the running minimum: trial points may be
         # worse, but the iterate sequence is monotone
@@ -289,15 +289,20 @@ def lift_jacobian(Dc):
 
 
 def lifted(residual, jacobian):
-    return (lambda x: real_from_complex(residual(complex_from_real(x))),
-            normal_equations(lambda x: lift_jacobian(jacobian(complex_from_real(x)))))
+    def real_residual(x):
+        f, state = residual(complex_from_real(x))
+        return real_from_complex(f), state
+    return real_residual, normal_equations(
+        lambda x: lift_jacobian(jacobian(complex_from_real(x))))
 
 
 def commutator_closures():
+    # the residual returns its companion matrices as its state
     fit = fit_generating(ternary_tensor(), monomial_basis(3, 3, 4))
 
     def residual(omega):
-        return commutator_residuals(companion_matrices(fit.matrix(omega), fit.basis))
+        M = companion_matrices(fit.matrix(omega), fit.basis)
+        return commutator_residuals(M), M
 
     def jacobian(omega):
         return _commutator_jacobian(fit, companion_matrices(fit.matrix(omega), fit.basis))
@@ -343,14 +348,14 @@ class TestComplexLM:
         # < |g| = sqrt(2) * 1e-10, so the run stops before any step
         c = np.array([1e-10 + 1e-10j])
         cfg = LMConfig()
-        out = levenberg_marquardt(lambda z: z - c,
+        out = levenberg_marquardt(stateless(lambda z: z - c),
                                   normal_equations(lambda z: np.eye(1)),
                                   np.zeros(1, dtype=complex), cfg)
         assert out.status == "converged-gradient"
         assert out.iterations == 0 and out.residual_evaluations == 1
 
     def test_real_start_stays_real(self):
-        out = levenberg_marquardt(lambda x: x - 2.0,
+        out = levenberg_marquardt(stateless(lambda x: x - 2.0),
                                   normal_equations(lambda x: np.eye(2)), [0, 1])
         assert out.x.dtype == float
         npt.assert_allclose(out.x, [2.0, 2.0])
@@ -396,10 +401,10 @@ class TestLapackStep:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_normal_system_raises(self, bad):
-        def normal(x, f):
+        def normal(x, f, state):
             return np.array([[1.0, 0.0], [0.0, bad]]), f
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            levenberg_marquardt(lambda x: x - 1.0, normal, np.zeros(2))
+            levenberg_marquardt(stateless(lambda x: x - 1.0), normal, np.zeros(2))
 
     def test_indefinite_system_backs_off(self):
         # eigenvalues 3 and -1: not positive definite until the Marquardt
@@ -408,9 +413,9 @@ class TestLapackStep:
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy.linalg.cho_factor(JhJ + 1e-3 * np.eye(2))
 
-        def normal(x, f):
+        def normal(x, f, state):
             return JhJ, f
-        out = self.assert_same_trajectory(lambda x: x - np.array([1.0, 2.0]),
+        out = self.assert_same_trajectory(stateless(lambda x: x - np.array([1.0, 2.0])),
                                           normal, np.zeros(2))
         assert out.iterations >= 1
 
@@ -442,7 +447,7 @@ class TestBufferedTrials:
 
         def J(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        out = self.assert_same_run(f, normal_equations(J), np.array([-1.2, 1.0]))
+        out = self.assert_same_run(stateless(f), normal_equations(J), np.array([-1.2, 1.0]))
         assert out.x.dtype == float and out.iterations > 5
 
     @pytest.mark.parametrize("seed", [None, 1])
@@ -454,7 +459,7 @@ class TestBufferedTrials:
             rng = np.random.default_rng(seed)
             z0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-        def normal(z, f):
+        def normal(z, f, state):
             return _normal_system(jacobian(z), f)
         out = self.assert_same_run(residual, normal, z0)
         assert out.x.dtype == complex and out.iterations >= 5
@@ -473,10 +478,10 @@ class TestBufferedTrials:
         # first damping values fail to factor
         JhJ = np.array([[1.0, 2.0, -0.0], [2.0, 1.0, 0.0], [-0.0, 0.0, 4.0]])
 
-        def normal(x, f):
+        def normal(x, f, state):
             return JhJ, f
-        out = self.assert_same_run(lambda x: x - np.array([1.0, 2.0, 3.0]), normal,
-                                   np.zeros(3))
+        out = self.assert_same_run(stateless(lambda x: x - np.array([1.0, 2.0, 3.0])),
+                                   normal, np.zeros(3))
         assert out.iterations >= 1
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -486,7 +491,7 @@ class TestBufferedTrials:
         # overflows the diagonal of a huge system whose steps never improve
         calls = []
 
-        def normal(x, f):
+        def normal(x, f, state):
             calls.append(None)
             JhJ, g = np.eye(2), f.copy()
             if where == "damped-diagonal":
@@ -497,6 +502,7 @@ class TestBufferedTrials:
                 g[1] = np.inf
             return JhJ, g
 
+        @stateless
         def residual(x):
             return (np.ones(2) if where == "damped-diagonal"
                     else np.array([x[0] ** 2 - 2.0, x[1] - 1.0]))
@@ -515,3 +521,52 @@ class TestBufferedTrials:
         assert runs["buffered"] == runs["reference"]
         n_systems, evaluated = runs["buffered"]
         assert n_systems == (1 if where == "damped-diagonal" else 3) and len(evaluated) > 2
+
+
+def test_normal_gets_the_state_of_the_accepted_point():
+    # the residual's state is a copy of its point; every normal system is
+    # built at an accepted point from the very state the residual returned
+    # there, on a real and a complex problem, with rejected trials, on runs
+    # that stop on each condition
+    def rosenbrock(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def rosenbrock_jacobian(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    k, commutator, commutator_jacobian = commutator_closures()
+    rng = np.random.default_rng(1)
+    problems = [(rosenbrock, rosenbrock_jacobian, np.array([-1.2, 1.0])),
+                (lambda z: commutator(z)[0], commutator_jacobian,
+                 rng.standard_normal(k) + 1j * rng.standard_normal(k))]
+    configs = [LMConfig(), LMConfig(step_tolerance=1e-3), LMConfig(function_tolerance=0.5),
+               LMConfig(max_iterations=4), LMConfig(max_residual_evaluations=5)]
+    statuses, rejected = set(), 0
+    for f, jacobian, x0 in problems:
+        for config in configs:
+            evaluated, handed = [], []     # (state, cost) per residual call
+
+            def residual(x):
+                fx = f(x)
+                evaluated.append((x.copy(), 0.5 * np.vdot(fx, fx).real))
+                return fx, evaluated[-1][0]
+
+            def normal(x, fx, state):
+                assert state.tobytes() == x.tobytes()
+                handed.append(state)
+                return normal_equations(jacobian)(x, fx, None)
+            out = levenberg_marquardt(residual, normal, x0, config)
+            # the accepted points: the start, then each point below the last
+            accepted, cost = [], np.inf
+            for state, c in evaluated:
+                if c < cost:
+                    accepted.append(state)
+                    cost = c
+            assert len(handed) in (len(accepted) - 1, len(accepted))
+            assert all(a is b for a, b in zip(handed, accepted))
+            assert out.x.tobytes() == accepted[-1].tobytes()
+            statuses.add(out.status)
+            rejected += len(evaluated) - len(accepted)
+    assert statuses == {"converged-gradient", "converged-step", "converged-function",
+                        "max-iterations", "max-evaluations"}
+    assert rejected > 0

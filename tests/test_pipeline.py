@@ -114,11 +114,11 @@ def reference_refine_jacobian(F, r):
 
 def difference_normal_systems(residual, u):
     """(J^H J, J^H f) from the central-difference Jacobians of a holomorphic
-    residual: it moves by J along the real directions of u and by 1j * J
-    along the imaginary ones."""
-    f = residual(u)
-    along_re = finite_difference_jacobian(residual, u)
-    along_im = finite_difference_jacobian(lambda t: residual(u + 1j * t),
+    residual in the LM's (f, state) form: it moves by J along the real
+    directions of u and by 1j * J along the imaginary ones."""
+    f, _ = residual(u)
+    along_re = finite_difference_jacobian(lambda t: residual(t)[0], u)
+    along_im = finite_difference_jacobian(lambda t: residual(u + 1j * t)[0],
                                           np.zeros(u.size))
     return [(J.conj().T @ J, J.conj().T @ f) for J in (along_re, along_im / 1j)]
 
@@ -137,12 +137,12 @@ def test_normal_system_matches_reference_jacobian(n, m, r, entries, seed):
     elif entries == "all zero":
         u[:] = 0.0
     residual, normal = _refine_closures(F, r)
-    f = residual(u)
+    f, state = residual(u)
     # the residual against the per-entry power form of its monomials
     P = reference_monomials(u.reshape(r, n), homogeneous_exponents(F.table, m))
     want = F.table.sqrt_weights * (P.sum(axis=0) - F.values)
     assert np.abs(f - want).max() <= 1e-13 * np.abs(want).max()
-    JhJ, Jhf = normal(u, f)
+    JhJ, Jhf = normal(u, f, state)
     J = reference_refine_jacobian(F, r)(u)
     assert JhJ.shape == (r * n, r * n) and Jhf.shape == (r * n,)
     for got, want in ((JhJ, J.conj().T @ J), (Jhf, J.conj().T @ f)):
@@ -183,7 +183,7 @@ class TestRefine:
         rng = np.random.default_rng(4)
         for _ in range(4):
             u = rng.standard_normal(2 * 3) + 1j * rng.standard_normal(2 * 3)
-            JhJ, Jhf = normal(u, residual(u))
+            JhJ, Jhf = normal(u, *residual(u))
             for JhJ_fd, Jhf_fd in difference_normal_systems(residual, u):
                 npt.assert_allclose(JhJ, JhJ_fd, atol=1e-5)
                 npt.assert_allclose(Jhf, Jhf_fd, atol=1e-5)
@@ -193,24 +193,24 @@ class TestRefine:
         F, _ = random_low_rank(3, 3, 2, seed=5)
         residual, normal = _refine_closures(F, 2)
         u = np.zeros(2 * 3, dtype=complex)
-        JhJ, Jhf = normal(u, residual(u))
+        JhJ, Jhf = normal(u, *residual(u))
         assert JhJ.shape == (2 * 3, 2 * 3) and Jhf.shape == (2 * 3,)
         assert np.isfinite(JhJ).all() and np.isfinite(Jhf).all()
 
-    def test_normal_reuses_only_the_residuals_latest_point(self):
-        # normal reuses the residual's degree-(m-1) monomials only for the
-        # very array the residual saw last; elsewhere it recomputes them,
-        # and both give the same bits
+    def test_normal_reads_only_its_state(self):
+        # normal builds the system at u from the state the residual returned
+        # at u, so a residual call at another point in between changes no
+        # bit of it, and neither does a copy of u
         F, _ = random_low_rank(4, 3, 3, seed=9)
         residual, normal = _refine_closures(F, 3)
         rng = np.random.default_rng(10)
         u, v = (rng.standard_normal(12) + 1j * rng.standard_normal(12)
                 for _ in range(2))
-        f = residual(u)
-        reused = normal(u, f)
+        f, state = residual(u)
+        before = normal(u, f, state)
         residual(v)
-        for other in (normal(u, f), normal(u.copy(), f)):
-            assert [a.tobytes() for a in other] == [a.tobytes() for a in reused]
+        for after in (normal(u, f, state), normal(u.copy(), f, state)):
+            assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
 
     @pytest.mark.parametrize("n,m", [(1, 3), (3, 3), (4, 5), (10, 6)])
     def test_raised_slots_match_reference(self, n, m):

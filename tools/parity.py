@@ -194,6 +194,12 @@ def calls(symlra, seed):
     out += [("match_distance/moved-copy-3-4-6",
              partial(symlra.match_distance, a, Decomposition(4, moved))),
             ("match_distance/unrelated-3-4-6", partial(symlra.match_distance, a, b))]
+    # a full matching test that must fail: at the third distance every row
+    # and column has a candidate, but rows 0 and 1 share their only partner
+    x, y = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+    out.append(("match_distance/shared-partner-3-4-3",
+                partial(symlra.match_distance, Decomposition(4, np.array([x, x + 1e-6, y])),
+                        Decomposition(4, np.array([x, y + 1e-3, y - 1e-3])))))
     return out + cli_calls(seed)
 
 
