@@ -1,14 +1,12 @@
 """Batch experiment harnesses.
 
-Three drivers, all deterministic in (seed, parameters) and independent
-of the thread count.  `threads` runs that many trials at once on one
-thread pool (a single worker at threads=1).  Every BLAS call of a trial
-is made inside `approximate`, `decompose` or `refine`, which run BLAS on
-one thread (`numerics.one_blas_thread`) and restore the caller's counts,
-so the trials, not the BLAS pools, share the cores; the instance
-building and the order statistics call no BLAS.  `environment` records
-the BLAS thread counts in effect inside a run, the usable cores and the
-numpy and scipy versions.
+Three drivers, all deterministic in (seed, parameters), that run their
+trials one after another.  Every BLAS call of a trial is made inside
+`approximate`, `decompose` or `refine`, which run BLAS on one thread
+(`numerics.one_blas_thread`) and restore the caller's counts; the
+instance building and the order statistics call no BLAS.  `environment`
+records the BLAS thread counts in effect inside a run, the usable cores
+and the numpy and scipy versions.
 
 * `run_table`: random rank-r instances perturbed to a known noise norm;
   distribution of the algebraic and refined errors relative to the
@@ -22,12 +20,12 @@ numpy and scipy versions.
 Each driver runs one case, (n, m, r) and for the first two a noise norm
 eps, and returns one `BenchStats`: `row` holds the JSON fields in
 output order, `timing` the wall-clock fields `--timing` appends, and
-`samples` the per-trial arrays behind both.
+`samples` the per-trial arrays behind both.  The `format_*_table`
+functions print a list of them as fixed-width text through one writer.
 """
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +54,37 @@ def environment():
     """Where a run executes: the BLAS thread counts in effect inside symlra
     calls, the usable cores, and the numpy and scipy versions."""
     with one_blas_thread:
-        threads = blas_threads()
+        counts = blas_threads()
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
-    return {"blas_threads": threads, "nproc": nproc,
+    return {"blas_threads": counts, "nproc": nproc,
             "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _table(columns, rows):
+    """Fixed-width text: a line of column titles, then one line per row.
+    Each column is (title, width, format spec); every cell is right-aligned
+    to its column's width, and the cells are joined by one space."""
+    lines = [" ".join(f"{title:>{width}}" for title, width, _ in columns)]
+    for row in rows:
+        lines.append(" ".join(f"{value:>{width}{spec}}"
+                              for value, (_, width, spec) in zip(row, columns)))
+    return "\n".join(lines)
+
+
+# the columns the tables share
+_CASE = [("n", 3, ""), ("m", 3, ""), ("r", 3, "")]
+_EPS = ("eps", 9, ".1e")
+_TIME = ("time", 8, ".2f")
+
+
+def _quantile_columns(name):
+    return [(f"{name}-{q}", 10, ".4g") for q in ("min", "25%", "med", "75%", "max")]
+
+
+def _case(st, *keys):
+    # the row's n, m and r, then its fields `keys`
+    return [st.row[k] for k in ("n", "m", "r", *keys)]
 
 
 def _check_count(name, value):
@@ -68,13 +92,11 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _map_trials(worker, trials, threads, *names):
+def _map_trials(worker, trials, *names):
     # worker(t) returns one value per name; the result maps each name to
     # its array over the trials
     _check_count("trials", trials)
-    _check_count("threads", threads)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        rows = list(ex.map(worker, range(trials)))
+    rows = [worker(t) for t in range(trials)]
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
@@ -97,8 +119,7 @@ def _approx_trial(n, m, r, eps, tau, seed, t, lm_config):
     return F, approximate(F, r, seed=seed_key(seed, t, 2), lm_config=lm_config)
 
 
-def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
-              lm_config=None):
+def run_table(n, m, r, eps, trials, seed=0, tau=None, lm_config=None):
     """Error distribution of `approximate` over random perturbed instances;
     errors are relative to eps, or absolute when eps == 0."""
     scale = eps if eps > 0 else 1.0
@@ -107,7 +128,7 @@ def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
         _, res = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
         return res.err_gp / scale, res.err_opt / scale, res.diagnostics["wall_time"]
 
-    s = _map_trials(worker, trials, threads, "err_gp", "err_opt", "time")
+    s = _map_trials(worker, trials, "err_gp", "err_opt", "time")
     return BenchStats(
         {"n": n, "m": m, "r": r, "eps": eps, "trials": trials,
          "relative": eps > 0, "err_gp": _order_stats(s["err_gp"]),
@@ -116,21 +137,15 @@ def run_table(n, m, r, eps, trials, seed=0, tau=None, threads=1,
 
 
 def format_trial_table(stats_list):
-    head = (f"{'n':>3} {'m':>3} {'r':>3} {'eps':>9} "
-            f"{'gp-min':>10} {'gp-25%':>10} {'gp-med':>10} {'gp-75%':>10} {'gp-max':>10} "
-            f"{'opt-min':>10} {'opt-med':>10} {'opt-max':>10} {'time':>8}")
-    lines = [head]
-    for st in stats_list:
-        d, g, o = st.row, st.row["err_gp"], st.row["err_opt"]
-        lines.append(
-            f"{d['n']:>3} {d['m']:>3} {d['r']:>3} {d['eps']:>9.1e} "
-            f"{g[0]:>10.4g} {g[1]:>10.4g} {g[2]:>10.4g} {g[3]:>10.4g} {g[4]:>10.4g} "
-            f"{o[0]:>10.4g} {o[2]:>10.4g} {o[4]:>10.4g} {st.timing['mean_time']:>8.2f}")
-    return "\n".join(lines)
+    columns = [*_CASE, _EPS, *_quantile_columns("gp"),
+               *_quantile_columns("opt")[::2], _TIME]
+    rows = ([*_case(st, "eps"), *st.row["err_gp"], *st.row["err_opt"][::2],
+             st.timing["mean_time"]] for st in stats_list)
+    return _table(columns, rows)
 
 
 def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
-                       tau=None, threads=1, lm_config=None):
+                       tau=None, lm_config=None):
     """Paired comparison on scaled instances: pipeline vs. best of
     `nls_restarts` random-start joint refinements of the same tensor.
 
@@ -144,7 +159,7 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
     scale = eps if eps > 0 else 1.0
 
     def worker(t):
-        # checked here so that trials and threads are checked first
+        # checked here, so that `_map_trials` checks trials first
         _check_count("nls_restarts", nls_restarts)
         F, res = _approx_trial(n, m, r, eps, tau, seed, t, lm_config)
         t0 = time.perf_counter()
@@ -159,8 +174,7 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
         return (ratio, res.err_opt / scale, err_nls / scale,
                 res.diagnostics["wall_time"], nls_time)
 
-    s = _map_trials(worker, trials, threads,
-                    "ratio", "err_opt", "err_nls", "gp_time", "nls_time")
+    s = _map_trials(worker, trials, "ratio", "err_opt", "err_nls", "gp_time", "nls_time")
     return BenchStats(
         {"n": n, "m": m, "r": r, "eps": eps, "tau": float(tau),
          "trials": trials, "nls_restarts": nls_restarts,
@@ -170,21 +184,15 @@ def run_nls_comparison(n, m, r, eps, trials, nls_restarts=10, seed=0,
 
 
 def format_nls_table(stats_list):
-    head = (f"{'n':>3} {'m':>3} {'r':>3} {'eps':>9} "
-            f"{'ratio-min':>10} {'ratio-25%':>10} {'ratio-med':>10} "
-            f"{'ratio-75%':>10} {'ratio-max':>10} {'t-gp':>8} {'t-nls':>8}")
-    lines = [head]
-    for st in stats_list:
-        d, q, s = st.row, st.row["ratio"], st.samples
-        lines.append(
-            f"{d['n']:>3} {d['m']:>3} {d['r']:>3} {d['eps']:>9.1e} "
-            f"{q[0]:>10.4g} {q[1]:>10.4g} {q[2]:>10.4g} {q[3]:>10.4g} {q[4]:>10.4g} "
-            f"{np.median(s['gp_time']):>8.2f} {np.median(s['nls_time']):>8.2f}")
-    return "\n".join(lines)
+    columns = [*_CASE, _EPS, *_quantile_columns("ratio"),
+               ("t-gp", 8, ".2f"), ("t-nls", 8, ".2f")]
+    rows = ([*_case(st, "eps"), *st.row["ratio"], np.median(st.samples["gp_time"]),
+             np.median(st.samples["nls_time"])] for st in stats_list)
+    return _table(columns, rows)
 
 
 def run_decomposition_table(n, m, r, trials=20, seed=0, restarts=0,
-                            residual_tol=1e-6, threads=1, lm_config=None):
+                            residual_tol=1e-6, lm_config=None):
     """Decomposition success rate of `decompose` on exact rank-r
     instances."""
 
@@ -194,7 +202,7 @@ def run_decomposition_table(n, m, r, trials=20, seed=0, restarts=0,
                          seed=seed_key(seed, n, m, r, t, 1), lm_config=lm_config)
         return dres.success, dres.relative_residual, dres.diagnostics["wall_time"]
 
-    s = _map_trials(worker, trials, threads, "success", "residual", "time")
+    s = _map_trials(worker, trials, "success", "residual", "time")
     successes = int(s["success"].sum())
     return BenchStats(
         {"n": n, "m": m, "r": r, "trials": trials, "restarts": restarts,
@@ -203,12 +211,8 @@ def run_decomposition_table(n, m, r, trials=20, seed=0, restarts=0,
 
 
 def format_decomp_table(stats_list):
-    head = (f"{'n':>3} {'m':>3} {'r':>3} {'trials':>7} {'restarts':>9} "
-            f"{'success':>8} {'rate':>7} {'time':>8}")
-    lines = [head]
-    for st in stats_list:
-        d = st.row
-        lines.append(
-            f"{d['n']:>3} {d['m']:>3} {d['r']:>3} {d['trials']:>7} {d['restarts']:>9} "
-            f"{d['successes']:>8} {d['success_rate']:>7.2f} {st.timing['mean_time']:>8.2f}")
-    return "\n".join(lines)
+    columns = [*_CASE, ("trials", 7, ""), ("restarts", 9, ""), ("success", 8, ""),
+               ("rate", 7, ".2f"), _TIME]
+    rows = ([*_case(st, "trials", "restarts", "successes", "success_rate"),
+             st.timing["mean_time"]] for st in stats_list)
+    return _table(columns, rows)

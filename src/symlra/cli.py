@@ -117,10 +117,10 @@ def rankest(input, rank_tol, fmt):
     sv = catalecticant_spectrum(F)
     est = estimate_rank(sv, rank_tol)
     if fmt == "table":
-        click.echo(f"{'k':>4} {'singular value':>16} {'gap to next':>12}")
-        ratios = list(est.gap_ratios) + [float("nan")]
-        for k, (s, g) in enumerate(zip(sv, ratios), start=1):
-            click.echo(f"{k:>4} {s:>16.6e} {g:>12.4g}")
+        ratios = [*est.gap_ratios, float("nan")]
+        click.echo(benchmod._table(
+            [("k", 4, ""), ("singular value", 16, ".6e"), ("gap to next", 12, ".4g")],
+            zip(range(1, len(sv) + 1), sv, ratios)))
         click.echo(f"estimated rank: {est.rank}")
         return
     _emit({"n": F.n, "m": F.m, "rank": est.rank, "rel_tol": rank_tol,
@@ -244,8 +244,8 @@ def gen(family, n, m, r, seed, tau, eps, output):
 
 @main.group()
 def bench():
-    """Batch experiments over random instances; --threads runs that many
-    trials at once, each with single-threaded BLAS."""
+    """Batch experiments over random instances, their trials run one after
+    another, each with single-threaded BLAS."""
 
 
 def _numbers(text, kind):
@@ -263,7 +263,6 @@ def _bench_options(fn):
     for opt in reversed([
         click.option("--trials", type=POSITIVE, default=20, show_default=True),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--threads", type=POSITIVE, default=1, show_default=True),
         _lm_options, FORMAT, TIMING,
     ]):
         fn = opt(fn)
@@ -280,11 +279,10 @@ def _bench_options(fn):
 @click.option("--tau", type=float, default=None)
 @_bench_options
 @_guarded
-def bench_table(n, m, ranks, epss, tau, trials, seed, threads, fmt, timing,
-                lm_config):
+def bench_table(n, m, ranks, epss, tau, trials, seed, fmt, timing, lm_config):
     """Error distribution of the pipeline on perturbed random instances."""
     stats = [benchmod.run_table(n, m, r, eps, trials, seed=seed, tau=tau,
-                                threads=threads, lm_config=lm_config)
+                                lm_config=lm_config)
              for r in _numbers(ranks, int) for eps in _numbers(epss, float)]
     _emit_bench(stats, benchmod.format_trial_table, fmt, timing)
 
@@ -299,12 +297,12 @@ def bench_table(n, m, ranks, epss, tau, trials, seed, threads, fmt, timing,
 @click.option("--nls-restarts", type=POSITIVE, default=10, show_default=True)
 @_bench_options
 @_guarded
-def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads, fmt,
-              timing, lm_config):
+def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, fmt, timing,
+              lm_config):
     """Paired comparison against random-start nonlinear least squares."""
     st = benchmod.run_nls_comparison(n, m, r, eps, trials,
                                      nls_restarts=nls_restarts, seed=seed,
-                                     tau=tau, threads=threads, lm_config=lm_config)
+                                     tau=tau, lm_config=lm_config)
     _emit_bench([st], benchmod.format_nls_table, fmt, timing, rows=False)
 
 
@@ -315,8 +313,8 @@ def bench_nls(n, m, r, eps, tau, nls_restarts, trials, seed, threads, fmt,
 @click.option("--residual-tol", default=1e-6, show_default=True)
 @_bench_options
 @_guarded
-def bench_decomp(cases, restarts, residual_tol, trials, seed, threads, fmt,
-                 timing, lm_config):
+def bench_decomp(cases, restarts, residual_tol, trials, seed, fmt, timing,
+                 lm_config):
     """Decomposition success rates on exact-rank instances."""
     parsed = []
     for part in cases.split(";"):
@@ -326,7 +324,7 @@ def bench_decomp(cases, restarts, residual_tol, trials, seed, threads, fmt,
         parsed.append(triple)
     stats = [benchmod.run_decomposition_table(
         n, m, r, trials, seed=seed, restarts=restarts,
-        residual_tol=residual_tol, threads=threads, lm_config=lm_config)
+        residual_tol=residual_tol, lm_config=lm_config)
         for n, m, r in parsed]
     _emit_bench(stats, benchmod.format_decomp_table, fmt, timing)
 

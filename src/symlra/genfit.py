@@ -330,9 +330,9 @@ def optimize_generating(fit, config=None, seed=0, start=0):
     G, a copy of the basis's template and one flat write for M and one
     batched product for `commutator_residuals`, whatever the number of
     border columns.  Nothing is kept on the fit but its `jacobian_map`,
-    so runs on one fit may go on concurrently.  The residual hands the LM
-    its M as its state, and the normal system at the accepted point is
-    built from that M: J is one sparse product with the fit's
+    so callers' threads may run it on one fit at once.  The residual
+    hands the LM its M as its state, and the normal system at the accepted
+    point is built from that M: J is one sparse product with the fit's
     `jacobian_map` (built on the fit's first LM), and `_normal_system`
     forms J^H J's upper triangle by one Hermitian rank-k product.
 

@@ -86,36 +86,36 @@ def tensor_from_dict(doc):
     entries = _want(doc, "entries", list)
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    # each format: the entry key, its noun, the value array, and `slot`,
+    # which validates one listed position and returns where it goes
     if form == "compact":
         tab = table(n, m)
-        values = np.zeros(len(tab), dtype=complex)
-        seen = set()
-        for entry in entries:
-            alpha = _want(entry, "alpha", list)
+        key, noun, values = "alpha", "exponent", np.zeros(len(tab), dtype=complex)
+
+        def slot(alpha):
             if not all(_plain(a, int) for a in alpha) or tuple(alpha) not in tab.index:
                 raise ValueError(f"exponent {alpha} is not valid for n={n}, m={m}")
-            alpha = tuple(alpha)
-            if alpha in seen:
-                raise ValueError(f"duplicate entry for exponent {list(alpha)}")
-            seen.add(alpha)
-            values[tab.index[alpha]] = _complex_of(entry)
-        return SymTensor(n, m, values)
-    if form == "full":
+            return tab.index[tuple(alpha)]
+    elif form == "full":
         check_full_size(n, m)
-        dense = np.zeros((n,) * m, dtype=complex)
-        seen = set()
-        for entry in entries:
-            index = _want(entry, "index", list)
-            if len(index) != m or not all(
-                    _plain(i, int) and 1 <= i <= n for i in index):
+        key, noun, values = "index", "position", np.zeros((n,) * m, dtype=complex)
+
+        def slot(index):
+            if len(index) != m or not all(_plain(i, int) and 1 <= i <= n for i in index):
                 raise ValueError(
                     f"index {index} is not a valid 1-based position for n={n}, m={m}")
-            if tuple(index) in seen:
-                raise ValueError(f"duplicate entry for position {index}")
-            seen.add(tuple(index))
-            dense[tuple(i - 1 for i in index)] = _complex_of(entry)
-        return compact_from_full(dense)
-    raise ValueError(f"unknown tensor format {form!r}")
+            return tuple(i - 1 for i in index)
+    else:
+        raise ValueError(f"unknown tensor format {form!r}")
+    seen = set()
+    for entry in entries:
+        position = _want(entry, key, list)
+        where = slot(position)
+        if where in seen:
+            raise ValueError(f"duplicate entry for {noun} {position}")
+        seen.add(where)
+        values[where] = _complex_of(entry)
+    return SymTensor(n, m, values) if form == "compact" else compact_from_full(values)
 
 
 def decomposition_to_dict(d):

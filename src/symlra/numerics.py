@@ -79,14 +79,13 @@ class _OneBlasThread(contextlib.ContextDecorator):
     OpenBLAS copy at one thread, then restores the caller's counts.
 
     The systems solved here are small (a few hundred unknowns), and two
-    thread pools, one per copy, only contend for the cores; parallelism
-    comes from running independent trials at once (`bench`'s `threads`).
-    The counts are process-wide, so the scope is reference-counted: the
+    thread pools, one per copy, only contend for the cores.  The counts
+    are process-wide, so the scope is reference-counted under a lock: the
     outermost entry saves and pins them and the last exit restores them,
-    which keeps nested calls and concurrent callers from restoring a count
-    another call still relies on.  BLAS work that other threads do while a
-    scope is open also runs on one thread.  Without a discoverable OpenBLAS
-    the scope does nothing."""
+    which keeps nested calls and callers' own concurrent threads from
+    restoring a count another call still relies on.  BLAS work that other
+    threads do while a scope is open also runs on one thread.  Without a
+    discoverable OpenBLAS the scope does nothing."""
 
     def __init__(self):
         self._lock = threading.Lock()

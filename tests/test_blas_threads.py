@@ -177,14 +177,14 @@ def test_discovery_without_lookup_finds_nothing(monkeypatch):
 
 def test_bench_drivers_leave_the_policy_to_the_library(set_caller_threads,
                                                         lm_thread_counts):
-    # run_table pins no count itself: every refine LM of its trials, two at
-    # a time, starts at one thread inside `approximate`, the caller's count
-    # is back after return, and the samples are those of one worker
+    # run_table pins no count itself: every refine LM of its trials starts
+    # at one thread inside `approximate`, the caller's count is back after
+    # return, and a second run gives the same samples
     counts = set_caller_threads(2)
-    two = run_table(4, 3, 2, 1e-2, trials=4, threads=2)
+    first = run_table(4, 3, 2, 1e-2, trials=4)
     assert lm_thread_counts
     assert all(seen == dict.fromkeys(counts, 1) for seen in lm_thread_counts)
     assert blas_threads() == counts
-    one = run_table(4, 3, 2, 1e-2, trials=4, threads=1)
+    second = run_table(4, 3, 2, 1e-2, trials=4)
     for key in ("err_gp", "err_opt"):
-        assert two.samples[key].tobytes() == one.samples[key].tobytes()
+        assert first.samples[key].tobytes() == second.samples[key].tobytes()

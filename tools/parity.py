@@ -230,13 +230,18 @@ def cli_calls(seed):
                 "--seed", str(seed), *extra]
 
     s = str(seed)
+    inputs = {"rankest": (["rankest"], random(4, 3, 2, "--eps", "1e-3")),
+              "approx": (["approx", "--restarts", "1", "--seed", s],
+                         random(3, 4, 5, "--eps", "1e-4")),
+              "decompose": (["decompose", "--rank", "5", "--restarts", "2",
+                             "--seed", s, "--distinct"], random(3, 4, 5))}
+    # each command on one input as JSON and as a text table; the bench
+    # tables carry wall times, so only their JSON is compared
     return [
         ("cli/gen", cli(["gen", *random(4, 3, 2, "--eps", "1e-3")])),
-        ("cli/rankest", cli(["rankest"], random(4, 3, 2, "--eps", "1e-3"))),
-        ("cli/approx", cli(["approx", "--restarts", "1", "--seed", s],
-                           random(3, 4, 5, "--eps", "1e-4"))),
-        ("cli/decompose", cli(["decompose", "--rank", "5", "--restarts", "2",
-                               "--seed", s, "--distinct"], random(3, 4, 5))),
+        *((f"cli/{name}", cli(args, family)) for name, (args, family) in inputs.items()),
+        *((f"cli/{name}-table", cli([*args, "--format", "table"], family))
+          for name, (args, family) in inputs.items()),
         ("cli/bench-table", cli(["bench", "table", "--n", "3", "--m", "3", "--r", "1,2",
                                  "--eps", "1e-2", "--trials", "2", "--seed", s])),
         ("cli/bench-nls", cli(["bench", "nls", "--n", "3", "--m", "3", "--r", "2",
